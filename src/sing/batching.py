@@ -105,18 +105,14 @@ def build_grid(
     return LengthGrid(lengths=lengths, min_len=min_len, max_len=max_len, k=k)
 
 
-def assign(roll_length: int, grid: LengthGrid) -> tuple[int, str, float] | None:
-    """Nearest grid length in log distance, or None when the edit exceeds 4%.
+def assign(
+    roll_length: int, grid: LengthGrid, max_edit_fraction: float = MAX_EDIT_FRACTION
+) -> tuple[int, str, float] | None:
+    """Nearest grid length in log distance, or None past max_edit_fraction.
 
     Returns (target_length, edit, edit_fraction); ties in log distance go to
     the smaller target.
     """
-    return assign_with_bound(roll_length, grid, MAX_EDIT_FRACTION)
-
-
-def assign_with_bound(
-    roll_length: int, grid: LengthGrid, max_edit_fraction: float
-) -> tuple[int, str, float] | None:
     if roll_length < 1:
         raise ValueError("roll_length must be >= 1")
     log_len = math.log(roll_length)

@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,77 +25,68 @@ from sing.structure import chroma, ssm
 
 log = logging.getLogger(__name__)
 
+_MODEL_FIELDS = [f for f in fields(ModelConfig) if f.name != "attention_enabled"]
+
+# --config key -> (flag dest, built-in default); the value type follows the default
 _CONFIG_KEYS = {
-    "grid.k": ("grid_k", int),
-    "grid.count": ("grid_count", int),
-    "grid.max_len": ("max_len", int),
-    "batch.cap": ("batch_cap", int),
-    "edit.max_fraction": ("max_edit", float),
-    "model.hidden_size": ("hidden", int),
-    "model.combiner_mode": ("combiner", str),
-    "model.seed_len": ("seed_len", int),
-    "model.top_k": ("top_k", int),
-    "model.max_notes": ("max_notes", int),
-    "model.pitch_lo": ("pitch_lo", int),
-    "model.pitch_hi": ("pitch_hi", int),
-    "train.p_feedback": ("p_feedback", float),
-    "train.lr": ("lr", float),
-    "train.epochs": ("epochs", int),
+    "grid.k": ("grid_k", batching.GRID_K),
+    "grid.count": ("grid_count", batching.GRID_COUNT),
+    "grid.max_len": ("max_len", batching.GRID_MAX_LEN),
+    "batch.cap": ("batch_cap", batching.BATCH_CAP),
+    "edit.max_fraction": ("max_edit", batching.MAX_EDIT_FRACTION),
+    **{f"model.{f.name}": (f.name, f.default) for f in _MODEL_FIELDS},
+    **{f"train.{f.name}": (f.name, f.default) for f in fields(training.TrainConfig)},
 }
 
 
-def _load_config(argv: list[str]) -> dict[str, object]:
+def _load_defaults(argv: list[str]) -> dict[str, object]:
+    """Flag defaults: the built-in ones, overridden by a --config file."""
+    defaults = dict(_CONFIG_KEYS.values())
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
-        return {}
-    path = Path(known.config)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    overrides: dict[str, object] = {}
-    for key, value in cfgio.parse_kv(path.read_text()).items():
+        return defaults
+    for key, value in cfgio.parse_kv(_require(known.config).read_text()).items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        dest, caster = _CONFIG_KEYS[key]
-        overrides[dest] = caster(value)
-    return overrides
+        dest, builtin = _CONFIG_KEYS[key]
+        defaults[dest] = cfgio.cast_like(builtin, value)
+    return defaults
 
 
 def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
-    def dflt(dest: str, fallback):
-        return defaults.get(dest, fallback)
-
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file overriding defaults")
     common.add_argument("--seed", type=int, default=0, help="RNG seed for all randomness")
-    common.add_argument("--jobs", type=int, default=1, help="worker hint (outputs are identical for any value)")
 
     def model_flags(p: argparse.ArgumentParser, with_arch: bool = True):
         if with_arch:
-            p.add_argument("--hidden", type=int, default=dflt("hidden", 128), help="LSTM hidden size")
+            p.add_argument("--hidden", dest="hidden_size", metavar="HIDDEN", type=int,
+                           default=defaults["hidden_size"], help="LSTM hidden size")
             p.add_argument(
                 "--combiner",
+                dest="combiner_mode",
                 choices=["dense", "per_pitch"],
-                default=dflt("combiner", "dense"),
+                default=defaults["combiner_mode"],
                 help="how attention and LSTM outputs merge",
             )
             p.add_argument("--ablated", action="store_true", help="attention-free baseline model")
-        p.add_argument("--seed-len", type=int, default=dflt("seed_len", 10), help="samples fed before generation")
-        p.add_argument("--top-k", type=int, default=dflt("top_k", 50), help="sample from the k most probable pitches")
-        p.add_argument("--max-notes", type=int, default=dflt("max_notes", 3), help="categorical draws per sample")
-        p.add_argument("--pitch-lo", type=int, default=dflt("pitch_lo", 20), help="lowest sampleable pitch")
-        p.add_argument("--pitch-hi", type=int, default=dflt("pitch_hi", 107), help="highest sampleable pitch")
+        p.add_argument("--seed-len", type=int, default=defaults["seed_len"], help="samples fed before generation")
+        p.add_argument("--top-k", type=int, default=defaults["top_k"], help="sample from the k most probable pitches")
+        p.add_argument("--max-notes", type=int, default=defaults["max_notes"], help="categorical draws per sample")
+        p.add_argument("--pitch-lo", type=int, default=defaults["pitch_lo"], help="lowest sampleable pitch")
+        p.add_argument("--pitch-hi", type=int, default=defaults["pitch_hi"], help="highest sampleable pitch")
 
     def batching_flags(p: argparse.ArgumentParser):
-        p.add_argument("--grid-k", type=int, default=dflt("grid_k", 10), help="rank of the shortest standard length")
-        p.add_argument("--grid-count", type=int, default=dflt("grid_count", 16), help="number of standard lengths")
-        p.add_argument("--max-len", type=int, default=dflt("max_len", 700), help="slice pieces longer than this")
-        p.add_argument("--batch-cap", type=int, default=dflt("batch_cap", 100), help="max pieces per batch")
+        p.add_argument("--grid-k", type=int, default=defaults["grid_k"], help="rank of the shortest standard length")
+        p.add_argument("--grid-count", type=int, default=defaults["grid_count"], help="number of standard lengths")
+        p.add_argument("--max-len", type=int, default=defaults["max_len"], help="slice pieces longer than this")
+        p.add_argument("--batch-cap", type=int, default=defaults["batch_cap"], help="max pieces per batch")
         p.add_argument(
             "--max-edit",
             type=float,
-            default=dflt("max_edit", 0.04),
+            default=defaults["max_edit"],
             help="exclude pieces needing a larger pad/truncate fraction",
         )
 
@@ -124,15 +116,15 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True, help="batch plan from batch-plan")
     p.add_argument("--out", dest="output_path", required=True, help="checkpoint directory")
     p.add_argument("--val", help="validation .proll directory (default: training corpus)")
-    p.add_argument("--epochs", type=int, default=dflt("epochs", 30), help="training epochs")
-    p.add_argument("--lr", type=float, default=dflt("lr", 0.001), help="Adam learning rate")
+    p.add_argument("--epochs", type=int, default=defaults["epochs"], help="training epochs")
+    p.add_argument("--lr", type=float, default=defaults["lr"], help="Adam learning rate")
     p.add_argument(
         "--p-feedback",
         type=float,
-        default=dflt("p_feedback", 0.8),
+        default=defaults["p_feedback"],
         help="probability of feeding back the model's own sample",
     )
-    p.add_argument("--max-len", type=int, default=dflt("max_len", 700), help="must match the plan's slicing length")
+    p.add_argument("--max-len", type=int, default=defaults["max_len"], help="must match the plan's slicing length")
     model_flags(p)
 
     p = sub.add_parser("generate", parents=[common], formatter_class=fmt,
@@ -153,7 +145,8 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
                    help="which generator to score")
     p.add_argument("--checkpoint", help="model checkpoint (sing/ablated generators)")
     p.add_argument("--model-config", help="model config file (default: next to checkpoint)")
-    p.add_argument("--generations", type=int, default=3, help="generations per test piece")
+    p.add_argument("--generations", type=int, default=evaluation.GENERATIONS_PER_PIECE,
+                   help="generations per test piece")
     p.add_argument("--ablated", action="store_true", help="shorthand for --generator ablated")
     model_flags(p, with_arch=False)
     batching_flags(p)
@@ -184,6 +177,12 @@ def _load_rolls(directory: str | Path) -> list[midi_io.PianoRoll]:
     if not rolls:
         raise FileNotFoundError(f"no .proll files in {directory}")
     return rolls
+
+
+def _model_config(args, **extra) -> ModelConfig:
+    """ModelConfig from the model flags this verb has; other fields keep defaults."""
+    flags = {f.name: getattr(args, f.name) for f in _MODEL_FIELDS if f.name in vars(args)}
+    return ModelConfig(**flags, **extra)
 
 
 def _model_config_for(checkpoint: Path, explicit: str | None) -> ModelConfig:
@@ -246,18 +245,9 @@ def _cmd_train(args) -> int:
     rolls_by_id = {roll.source_id: roll for roll in rolls}
     items = training.items_from_plan(plan, rolls_by_id, max_len=args.max_len)
 
-    cfg = ModelConfig(
-        hidden_size=args.hidden,
-        combiner_mode=args.combiner,
-        seed_len=args.seed_len,
-        top_k=args.top_k,
-        max_notes=args.max_notes,
-        pitch_lo=args.pitch_lo,
-        pitch_hi=args.pitch_hi,
-        attention_enabled=not args.ablated,
-    )
+    cfg = _model_config(args, attention_enabled=not args.ablated)
     tcfg = training.TrainConfig(
-        p_feedback=args.p_feedback, lr=args.lr, epochs=args.epochs, seed=args.seed
+        **{f.name: getattr(args, f.name) for f in fields(training.TrainConfig)}
     )
     rng = np.random.default_rng(args.seed)
     model = Model(cfg, rng=rng)
@@ -327,13 +317,7 @@ def _cmd_evaluate(args) -> int:
     if args.ablated:
         args.generator = "ablated"
     if args.generator == "random":
-        cfg = ModelConfig(
-            seed_len=args.seed_len,
-            top_k=args.top_k,
-            max_notes=args.max_notes,
-            pitch_lo=args.pitch_lo,
-            pitch_hi=args.pitch_hi,
-        )
+        cfg = _model_config(args)
         model = None
     else:
         if not args.checkpoint:
@@ -400,14 +384,14 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("SING_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
     try:
-        defaults = _load_config(argv)
+        defaults = _load_defaults(argv)
         parser = _build_parser(defaults)
         args = parser.parse_args(argv)
         return _HANDLERS[args.verb](args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, training.TrainingError) as exc:
+    except (ValueError, KeyError, OSError, training.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,3 +35,8 @@ def parse_bool(value: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {value!r}")
+
+
+def cast_like(default: object, value: str) -> object:
+    """Parse value as the type of default (booleans via parse_bool)."""
+    return parse_bool(value) if isinstance(default, bool) else type(default)(value)

@@ -398,17 +398,17 @@ def proll_to_bytes(roll: PianoRoll) -> bytes:
 def proll_from_bytes(data: bytes, source_id: str = "") -> PianoRoll:
     if data[: len(PROLL_MAGIC)] != PROLL_MAGIC:
         raise ValueError("not a PRoll container (bad magic)")
-    pos = len(PROLL_MAGIC)
-    n_samples, n_pitches = struct.unpack_from("<II", data, pos)
-    pos += 8
-    (tempo,) = struct.unpack_from("<d", data, pos)
-    pos += 8
+    pos = len(PROLL_MAGIC) + 16
+    if len(data) < pos:
+        raise ValueError("PRoll header truncated")
+    n_samples, n_pitches, tempo = struct.unpack_from("<IId", data, len(PROLL_MAGIC))
     if n_pitches != N_PITCHES:
         raise ValueError(f"PRoll pitch count must be 128, got {n_pitches}")
-    expected = n_samples * N_PITCHES
-    payload = data[pos : pos + expected]
-    if len(payload) != expected:
-        raise ValueError("PRoll payload truncated")
+    payload = data[pos:]
+    if len(payload) != n_samples * N_PITCHES:
+        raise ValueError(
+            f"PRoll payload is {len(payload)} bytes, expected {n_samples * N_PITCHES}"
+        )
     grid = np.frombuffer(payload, dtype=np.uint8).reshape(n_samples, N_PITCHES)
     return PianoRoll(data=grid.T.copy(), tempo=tempo, source_id=source_id)
 

@@ -9,7 +9,7 @@ same LSTM with the attention path removed and a plain dense head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ class ModelConfig:
     pitch_lo: int = 20
     pitch_hi: int = 107
     attention_enabled: bool = True
-    lstm_output_sparsemax: bool = False  # optional hook, off by default
 
     def __post_init__(self):
         if not 0 <= self.pitch_lo <= self.pitch_hi <= 127:
@@ -47,38 +46,15 @@ class ModelConfig:
             raise ValueError("hidden_size must be >= 1")
 
     def to_text(self) -> str:
-        return cfgio.format_kv(
-            {
-                "hidden_size": self.hidden_size,
-                "combiner_mode": self.combiner_mode,
-                "seed_len": self.seed_len,
-                "top_k": self.top_k,
-                "max_notes": self.max_notes,
-                "pitch_lo": self.pitch_lo,
-                "pitch_hi": self.pitch_hi,
-                "attention_enabled": self.attention_enabled,
-                "lstm_output_sparsemax": self.lstm_output_sparsemax,
-            }
-        )
+        return cfgio.format_kv(asdict(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
+        """Parse a saved config; keys that are not fields are ignored."""
         kv = cfgio.parse_kv(text)
-        kwargs = {}
-        for fname, caster in (
-            ("hidden_size", int),
-            ("combiner_mode", str),
-            ("seed_len", int),
-            ("top_k", int),
-            ("max_notes", int),
-            ("pitch_lo", int),
-            ("pitch_hi", int),
-            ("attention_enabled", cfgio.parse_bool),
-            ("lstm_output_sparsemax", cfgio.parse_bool),
-        ):
-            if fname in kv:
-                kwargs[fname] = caster(kv[fname])
-        return cls(**kwargs)
+        return cls(
+            **{f.name: cfgio.cast_like(f.default, kv[f.name]) for f in fields(cls) if f.name in kv}
+        )
 
 
 @dataclass
@@ -90,10 +66,7 @@ class StepTrace:
     d: np.ndarray  # 128 combined logits
     prob: np.ndarray  # sigmoid(d)
     a: np.ndarray | None = None  # attention vector
-    w: np.ndarray | None = None  # sparsemax weights over steps < t
-    fed_back: bool | None = None  # scheduled-sampling draw for the next input
     _combine_cache: tuple | None = field(default=None, repr=False)
-    _z_raw: np.ndarray | None = field(default=None, repr=False)
 
 
 class Model:
@@ -208,19 +181,15 @@ def forward_step(
     h, c, lstm_cache = nn.lstm_cell_forward(
         p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], np.asarray(prev_sample, np.float64), *state
     )
-    z_raw = h
-    z = nn.sparsemax(z_raw) if model.cfg.lstm_output_sparsemax else z_raw
     if model.cfg.attention_enabled:
         if S is None:
             raise ValueError("attention model needs an SSM")
-        w, a = attention_step(S, t, history)
-        d, combine_cache = combine_forward(p, model.cfg.combiner_mode, a, z)
-        trace = StepTrace(
-            t=t, z=z, d=d, prob=nn.sigmoid(d), a=a, w=w, _combine_cache=combine_cache, _z_raw=z_raw
-        )
+        _, a = attention_step(S, t, history)
+        d, combine_cache = combine_forward(p, model.cfg.combiner_mode, a, h)
+        trace = StepTrace(t=t, z=h, d=d, prob=nn.sigmoid(d), a=a, _combine_cache=combine_cache)
     else:
-        d = nn.dense_forward(p["head.W"], p["head.b"], z)
-        trace = StepTrace(t=t, z=z, d=d, prob=nn.sigmoid(d), _z_raw=z_raw)
+        d = nn.dense_forward(p["head.W"], p["head.b"], h)
+        trace = StepTrace(t=t, z=h, d=d, prob=nn.sigmoid(d))
     return d, (h, c), trace, lstm_cache
 
 
@@ -233,8 +202,6 @@ def head_backward(model: Model, trace: StepTrace, upstream: np.ndarray) -> np.nd
         dW, db, dz = nn.dense_backward(p["head.W"], trace.z, upstream)
         p.accumulate("head.W", dW)
         p.accumulate("head.b", db)
-    if model.cfg.lstm_output_sparsemax:
-        dz = nn.sparsemax_backward(trace.z, dz)
     return dz
 
 
@@ -307,4 +274,20 @@ def save_model(model: Model, checkpoint_path: str | Path) -> None:
 
 
 def load_model(checkpoint_path: str | Path, cfg: ModelConfig) -> Model:
-    return Model(cfg, params=nn.load_checkpoint(checkpoint_path))
+    """Load a checkpoint whose tensors must match the layout Model(cfg) creates."""
+    params = nn.load_checkpoint(checkpoint_path)
+    layout = Model(cfg, rng=np.random.default_rng(0)).params
+    want = {name: layout[name].shape for name in layout.names()}
+    got = {name: params[name].shape for name in params.names()}
+    problems = [f"missing {name} {shape}" for name, shape in want.items() if name not in got]
+    problems += [f"unexpected {name} {shape}" for name, shape in got.items() if name not in want]
+    problems += [
+        f"{name} is {got[name]}, expected {shape}"
+        for name, shape in want.items()
+        if got.get(name, shape) != shape
+    ]
+    if problems:
+        raise ValueError(
+            f"checkpoint {checkpoint_path} does not match its model config: " + "; ".join(problems)
+        )
+    return Model(cfg, params=params)

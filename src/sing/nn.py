@@ -111,18 +111,11 @@ def sparsemax(q: np.ndarray) -> np.ndarray:
     cumulative = np.cumsum(sorted_desc)
     ks = np.arange(1, size + 1)
     feasible = 1.0 + ks * sorted_desc > cumulative
+    if not feasible.any():  # only non-finite input leaves no feasible support
+        raise ValueError("sparsemax input must be finite")
     k = int(ks[feasible][-1])
     tau = (cumulative[k - 1] - 1.0) / k
     return np.maximum(q - tau, 0.0)
-
-
-def sparsemax_backward(p: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Jacobian-vector product on the support set of the projection."""
-    support = p > 0.0
-    mean_on_support = upstream[support].mean()
-    dq = np.zeros_like(upstream)
-    dq[support] = upstream[support] - mean_on_support
-    return dq
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +237,25 @@ def checkpoint_from_bytes(data: bytes) -> ParamSet:
     if data[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError("not a checkpoint (bad magic)")
     pos = len(CKPT_MAGIC)
-    version, count = struct.unpack_from("<II", data, pos)
-    pos += 8
-    if version != CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        rows, cols = struct.unpack_from("<II", data, pos)
+    try:
+        version, count = struct.unpack_from("<II", data, pos)
         pos += 8
-        n_values = rows * max(cols, 1)
-        values = np.frombuffer(data, dtype="<f8", count=n_values, offset=pos).copy()
-        pos += n_values * 8
-        tensors[name] = values if cols == 0 else values.reshape(rows, cols)
+        if version != CKPT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<I", data, pos)
+            pos += 4
+            name = data[pos : pos + name_len].decode("utf-8")
+            pos += name_len
+            rows, cols = struct.unpack_from("<II", data, pos)
+            pos += 8
+            n_values = rows * max(cols, 1)
+            values = np.frombuffer(data, dtype="<f8", count=n_values, offset=pos).copy()
+            pos += n_values * 8
+            tensors[name] = values if cols == 0 else values.reshape(rows, cols)
+    except struct.error:
+        raise ValueError(f"checkpoint truncated at byte {pos}") from None
     if pos != len(data):
         raise ValueError("trailing bytes after last tensor")
 

@@ -63,13 +63,17 @@ class SynthSpec:
                 raise ValueError(f"block level {level} outside [0, 1]")
 
 
+def fold_pitch_classes(rows: np.ndarray) -> np.ndarray:
+    """(128, m) float64 -> (12, m): sum the pitch rows of each pitch class."""
+    out = np.zeros((N_CHROMA, rows.shape[1]))
+    for cls in range(N_CHROMA):
+        out[cls] = rows[cls::N_CHROMA].sum(axis=0)
+    return out
+
+
 def chroma(roll: PianoRoll) -> np.ndarray:
     """Fold a piano roll into per-sample pitch-class counts, (12, n)."""
-    data = roll.data.astype(np.float64)
-    out = np.zeros((N_CHROMA, roll.n_samples))
-    for cls in range(N_CHROMA):
-        out[cls] = data[cls::N_CHROMA].sum(axis=0)
-    return out
+    return fold_pitch_classes(roll.data.astype(np.float64))
 
 
 def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
@@ -198,11 +202,15 @@ def ssm_to_bytes(matrix: SelfSimilarityMatrix) -> bytes:
 def ssm_from_bytes(data: bytes, role: str = "template") -> SelfSimilarityMatrix:
     if data[: len(SSM_MAGIC)] != SSM_MAGIC:
         raise ValueError("not an SSM container (bad magic)")
+    if len(data) < len(SSM_MAGIC) + 4:
+        raise ValueError("SSM header truncated")
     (n,) = struct.unpack_from("<I", data, len(SSM_MAGIC))
     payload = data[len(SSM_MAGIC) + 4 :]
     if len(payload) != n * n * 4:
         raise ValueError("SSM payload size mismatch")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, n)
+    if not np.isfinite(values).all():
+        raise ValueError("SSM holds non-finite values")
     return SelfSimilarityMatrix(values=values, role=role)
 
 

@@ -19,10 +19,23 @@ from pathlib import Path
 import numpy as np
 
 from sing import nn
-from sing.batching import BatchPlan, apply_edit, make_batches, build_grid, slice_long
+from sing.batching import (
+    BATCH_CAP,
+    GRID_COUNT,
+    GRID_K,
+    GRID_MAX_LEN,
+    MAX_EDIT_FRACTION,
+    Assignment,
+    BatchPlan,
+    apply_edit,
+    assign,
+    build_grid,
+    make_batches,
+    slice_long,
+)
 from sing.midi_io import N_PITCHES, PianoRoll
 from sing.model import Model, ModelConfig, StepTrace, forward_step, head_backward, sample_notes
-from sing.structure import N_CHROMA, SelfSimilarityMatrix, chroma, ssm
+from sing.structure import N_CHROMA, SelfSimilarityMatrix, chroma, fold_pitch_classes, ssm
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +51,6 @@ class TrainConfig:
     p_feedback: float = 0.8
     lr: float = 0.001
     epochs: int = 30
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.p_feedback <= 1.0:
@@ -77,7 +89,6 @@ class PieceTrace:
 
     n: int
     seed_len: int
-    inputs: np.ndarray  # (n-1, 128) inputs as fed (seed, then scheduled)
     steps: list[StepTrace]  # generated steps, t = seed_len .. n-1
     lstm_caches: list = field(repr=False, default_factory=list)
 
@@ -134,19 +145,9 @@ def forward_piece(
         d, state, trace, cache = forward_step(model, inputs[t - 1], S, t, inputs[:t], state)
         caches.append(cache)
         if t <= n - 2:
-            inputs[t], trace.fed_back = scheduled_step(
-                d, target_samples[t], cfg, rng, p_feedback
-            )
+            inputs[t], _ = scheduled_step(d, target_samples[t], cfg, rng, p_feedback)
         steps.append(trace)
-    return PieceTrace(n=n, seed_len=cfg.seed_len, inputs=inputs, steps=steps, lstm_caches=caches)
-
-
-def _fold_columns(matrix: np.ndarray) -> np.ndarray:
-    """(128, m) -> (12, m): sum rows by pitch class."""
-    out = np.zeros((N_CHROMA, matrix.shape[1]))
-    for cls in range(N_CHROMA):
-        out[cls] = matrix[cls::N_CHROMA].sum(axis=0)
-    return out
+    return PieceTrace(n=n, seed_len=cfg.seed_len, steps=steps, lstm_caches=caches)
 
 
 def piece_loss(
@@ -177,7 +178,7 @@ def piece_loss(
     # Structural term on chroma of [target seed | predicted probabilities].
     prob_cols = np.stack([s.prob for s in trace.steps], axis=1)  # (128, n - seed_len)
     cols = np.concatenate([target_samples[:seed_len].T, prob_cols], axis=1)
-    U = _fold_columns(cols)
+    U = fold_pitch_classes(cols)
     norms = np.linalg.norm(U, axis=0)
     nonzero = norms > 0.0
     V = U / np.where(nonzero, norms, 1.0)
@@ -348,11 +349,11 @@ def train(
 def prepare_corpus(
     rolls: list[PianoRoll],
     rng: np.random.Generator,
-    k: int = 10,
-    count: int = 16,
-    max_len: int = 700,
-    batch_cap: int = 100,
-    max_edit_fraction: float = 0.04,
+    k: int = GRID_K,
+    count: int = GRID_COUNT,
+    max_len: int = GRID_MAX_LEN,
+    batch_cap: int = BATCH_CAP,
+    max_edit_fraction: float = MAX_EDIT_FRACTION,
     with_items: bool = True,
 ) -> tuple[BatchPlan, list[TrainItem], list[str]]:
     """Slice, grid, assign, and batch a corpus; returns excluded segment ids.
@@ -361,8 +362,6 @@ def prepare_corpus(
     each carries the edited roll and the SSM computed from it. Pass
     with_items=False to plan without materializing rolls and SSMs.
     """
-    from sing.batching import Assignment, assign_with_bound
-
     segments: list[tuple[str, int, PianoRoll]] = []
     for roll in rolls:
         parts = slice_long(roll, max_len)
@@ -374,7 +373,7 @@ def prepare_corpus(
     items: list[TrainItem] = []
     excluded: list[str] = []
     for piece_id, seg_idx, seg in segments:
-        result = assign_with_bound(seg.n_samples, grid, max_edit_fraction)
+        result = assign(seg.n_samples, grid, max_edit_fraction)
         if result is None:
             excluded.append(f"{piece_id}[{seg_idx}]")
             continue
@@ -397,7 +396,7 @@ def prepare_corpus(
 
 
 def items_from_plan(
-    plan: BatchPlan, rolls_by_id: dict[str, PianoRoll], max_len: int = 700
+    plan: BatchPlan, rolls_by_id: dict[str, PianoRoll], max_len: int = GRID_MAX_LEN
 ) -> list[TrainItem]:
     """Rebuild edited training items for a stored plan from source rolls."""
     items: list[TrainItem] = []

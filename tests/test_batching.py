@@ -7,7 +7,6 @@ from sing.batching import (
     Assignment,
     apply_edit,
     assign,
-    assign_with_bound,
     build_grid,
     load_plan,
     make_batches,
@@ -108,7 +107,7 @@ class TestAssign:
     def test_ties_take_smaller_target(self):
         grid = build_grid([100] * 10, k=10, count=2, max_len=100)
         # both grid entries equal: the first (smaller index) wins
-        assert assign_with_bound(100, grid, 1.0) == (100, "none", 0.0)
+        assert assign(100, grid, 1.0) == (100, "none", 0.0)
 
     def test_truncate_direction(self):
         target, edit, fraction = assign(440, grid_255_700())

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sing.cli import main
+from sing.cli import _CONFIG_KEYS, main
 from sing.midi_io import PianoRoll, load_proll, save_proll, to_midi
-from sing.structure import load_ssm
+from sing.model import Model, ModelConfig, save_model
+from sing.structure import SelfSimilarityMatrix, SynthSpec, load_ssm, save_ssm, synth_ssm
 
 
 def write_corpus_midi(directory, n_pieces=3, n=40, seed=0):
@@ -29,6 +30,29 @@ def write_corpus_prolls(directory, n_pieces=4, n=24, seed=0):
             data[root, s] = 1
             data[root + 4 + (s % 2), s] = 1
         save_proll(PianoRoll(data=data, tempo=120.0), directory / f"piece{i}.proll")
+
+
+def write_untrained_model(directory, **overrides):
+    """An initialized checkpoint plus its model_config.txt; returns the .ckpt path."""
+    cfg = ModelConfig(**overrides)
+    directory.mkdir(parents=True, exist_ok=True)
+    save_model(Model(cfg, rng=np.random.default_rng(0)), directory / "best.ckpt")
+    (directory / "model_config.txt").write_text(cfg.to_text())
+    return directory / "best.ckpt"
+
+
+def single_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def flag_help(text: str, flag: str) -> str:
+    """The options-section entry of one flag, whitespace collapsed."""
+    flat = " ".join(text.split())
+    start = flat.rindex(f" {flag} ")
+    end = flat.find(" --", start + 1)
+    return flat[start:] if end < 0 else flat[start:end]
 
 
 class TestSynthAndRender:
@@ -189,12 +213,6 @@ class TestArgumentHandling:
         assert main(["render-ssm", "--config", str(cfg), "--in", "x", "--out", "y"]) == 1
         assert "nonsense.key" in capsys.readouterr().err
 
-    def test_jobs_flag_accepted_everywhere(self, tmp_path):
-        spec = tmp_path / "spec.txt"
-        spec.write_text("length=4\n")
-        assert main(["synth-ssm", "--jobs", "4", "--in", str(spec),
-                     "--out", str(tmp_path / "x.ssm")]) == 0
-
     def test_sing_log_env_controls_verbosity(self, tmp_path, monkeypatch, caplog):
         import logging
 
@@ -244,3 +262,78 @@ class TestAblatedFlag:
                      "--out", str(tmp_path / "gen"), "--ablated"])
         assert code == 1
         assert "attention" in capsys.readouterr().err
+
+
+class TestBadInputs:
+    def test_nan_template_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        save_ssm(SelfSimilarityMatrix(values=np.full((20, 20), np.nan)), tmp_path / "nan.ssm")
+        code = main(["generate", "--checkpoint", str(ckpt),
+                     "--in", str(tmp_path / "corpus" / "piece0.proll"),
+                     "--template", str(tmp_path / "nan.ssm"), "--out", str(tmp_path / "gen")])
+        assert code == 1
+        assert "non-finite" in single_error_line(capsys)
+
+    def test_directory_as_input_file_is_an_error(self, tmp_path, capsys):
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+        save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        for argv in (
+            ["generate", "--checkpoint", str(ckpt), "--in", str(folder),
+             "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "gen")],
+            ["render-ssm", "--in", str(folder), "--out", str(tmp_path / "x.pgm")],
+        ):
+            assert main(argv) == 1, argv[0]
+            assert "folder" in single_error_line(capsys)
+
+    def test_checkpoint_config_mismatch_names_tensors(self, tmp_path, capsys):
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+        ablated = tmp_path / "ablated.txt"
+        ablated.write_text(ModelConfig(hidden_size=6, seed_len=4, attention_enabled=False).to_text())
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
+        code = main(["generate", "--checkpoint", str(ckpt), "--model-config", str(ablated),
+                     "--in", str(tmp_path / "corpus" / "piece0.proll"),
+                     "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "gen")])
+        assert code == 1
+        assert "missing head.W" in single_error_line(capsys)
+
+
+# --config key -> (a verb with the flag it maps to, that flag, a non-default value)
+CONFIG_CASES = {
+    "grid.k": ("batch-plan", "--grid-k", "3"),
+    "grid.count": ("batch-plan", "--grid-count", "5"),
+    "grid.max_len": ("batch-plan", "--max-len", "321"),
+    "batch.cap": ("batch-plan", "--batch-cap", "7"),
+    "edit.max_fraction": ("batch-plan", "--max-edit", "0.125"),
+    "model.hidden_size": ("train", "--hidden", "64"),
+    "model.combiner_mode": ("train", "--combiner", "per_pitch"),
+    "model.seed_len": ("train", "--seed-len", "6"),
+    "model.top_k": ("evaluate", "--top-k", "40"),
+    "model.max_notes": ("evaluate", "--max-notes", "2"),
+    "model.pitch_lo": ("evaluate", "--pitch-lo", "30"),
+    "model.pitch_hi": ("evaluate", "--pitch-hi", "90"),
+    "train.p_feedback": ("train", "--p-feedback", "0.5"),
+    "train.lr": ("train", "--lr", "0.02"),
+    "train.epochs": ("train", "--epochs", "4"),
+}
+
+
+def test_config_cases_cover_every_key():
+    assert set(CONFIG_CASES) == set(_CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_CASES))
+def test_config_key_sets_its_flag_default(key, tmp_path, capsys):
+    verb, flag, value = CONFIG_CASES[key]
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    assert f"(default: {value})" not in flag_help(capsys.readouterr().out, flag)
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(f"{key} = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", str(cfg), "--help"])
+    assert exc.value.code == 0
+    assert f"(default: {value})" in flag_help(capsys.readouterr().out, flag)

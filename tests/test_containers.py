@@ -1,0 +1,51 @@
+"""All three binary container readers reject damaged input with ValueError."""
+
+import numpy as np
+import pytest
+
+from sing.midi_io import PianoRoll, proll_from_bytes, proll_to_bytes
+from sing.nn import ParamSet, checkpoint_from_bytes, checkpoint_to_bytes
+from sing.structure import SelfSimilarityMatrix, ssm_from_bytes, ssm_to_bytes
+
+
+def _proll_blob() -> bytes:
+    data = np.zeros((128, 2), dtype=np.uint8)
+    data[60, 0] = 1
+    return proll_to_bytes(PianoRoll(data=data, tempo=120.0))
+
+
+def _ssm_blob() -> bytes:
+    return ssm_to_bytes(SelfSimilarityMatrix(values=np.eye(2)))
+
+
+def _checkpoint_blob() -> bytes:
+    params = ParamSet()
+    params.add("w", np.arange(3.0))
+    return checkpoint_to_bytes(params)
+
+
+READERS = {
+    "proll": (_proll_blob, proll_from_bytes),
+    "ssm": (_ssm_blob, ssm_from_bytes),
+    "checkpoint": (_checkpoint_blob, checkpoint_from_bytes),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_truncated_and_padded_containers_rejected(kind):
+    make, read = READERS[kind]
+    blob = make()
+    read(blob)  # the intact container loads
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            read(blob[:cut])
+    with pytest.raises(ValueError):
+        read(blob + b"\x00")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_ssm_rejected(bad):
+    blob = bytearray(_ssm_blob())
+    blob[12:16] = np.array([bad], dtype="<f4").tobytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        ssm_from_bytes(bytes(blob))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,27 @@ class TestModelConfigText:
         cfg = ModelConfig(hidden_size=32, seed_len=5, attention_enabled=False)
         assert ModelConfig.from_text(cfg.to_text()) == cfg
 
+    def test_round_trip_every_field_off_default(self):
+        # per_pitch needs the default hidden size, so two configs cover every field
+        configs = [
+            ModelConfig(combiner_mode="per_pitch", seed_len=7, top_k=20, max_notes=2,
+                        pitch_lo=30, pitch_hi=90, attention_enabled=False),
+            ModelConfig(hidden_size=64),
+        ]
+        default = ModelConfig()
+        for f in fields(ModelConfig):
+            assert any(getattr(c, f.name) != getattr(default, f.name) for c in configs), f.name
+        for cfg in configs:
+            assert ModelConfig.from_text(cfg.to_text()) == cfg
+
+    def test_older_file_with_removed_key_loads(self):
+        text = (
+            "hidden_size = 32\ncombiner_mode = dense\nseed_len = 5\ntop_k = 50\n"
+            "max_notes = 3\npitch_lo = 20\npitch_hi = 107\nattention_enabled = True\n"
+            "lstm_output_sparsemax = False\n"
+        )
+        assert ModelConfig.from_text(text) == ModelConfig(hidden_size=32, seed_len=5)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(pitch_lo=50, pitch_hi=20)
@@ -318,3 +341,19 @@ class TestCheckpointIo:
         d1, _, _, _ = forward_step(model, prev, S, 2, history, model.initial_state())
         d2, _, _, _ = forward_step(again, prev, S, 2, history, again.initial_state())
         assert np.array_equal(d1, d2)
+
+    def test_attention_checkpoint_with_ablated_config_rejected(self, tmp_path):
+        save_model(Model(small_config(), rng=np.random.default_rng(28)), tmp_path / "m.ckpt")
+        with pytest.raises(ValueError) as exc:
+            load_model(tmp_path / "m.ckpt", small_config(attention_enabled=False))
+        message = str(exc.value)
+        assert "missing head.W (128, 8)" in message
+        assert "unexpected combine.W (128, 136)" in message
+
+    def test_hidden_size_mismatch_rejected(self, tmp_path):
+        save_model(Model(small_config(), rng=np.random.default_rng(29)), tmp_path / "m.ckpt")
+        with pytest.raises(ValueError) as exc:
+            load_model(tmp_path / "m.ckpt", small_config(hidden_size=6))
+        message = str(exc.value)
+        assert "lstm.W_h is (32, 8), expected (24, 6)" in message
+        assert "missing" not in message and "unexpected" not in message

@@ -109,7 +109,7 @@ class TestPieceLoss:
                       prob=samples[t].copy())
             for t in range(2, 8)
         ]
-        trace = PieceTrace(n=8, seed_len=2, inputs=None, steps=steps)
+        trace = PieceTrace(n=8, seed_len=2, steps=steps)
         loss = piece_loss(model, trace, target, template, with_grad=False)
         assert loss.structural <= 1e-12
         assert loss.bce <= 1e-12
@@ -130,7 +130,7 @@ class TestPieceLoss:
                 StepTrace(t=t + 2, z=None, d=np.log(p / (1 - p)), prob=p.copy())
                 for t, p in enumerate(prob_rows)
             ]
-            trace = PieceTrace(n=8, seed_len=2, inputs=None, steps=steps)
+            trace = PieceTrace(n=8, seed_len=2, steps=steps)
             return piece_loss(model, trace, target, template, with_grad=False).structural
 
         assert structural_of(probs) == pytest.approx(structural_of(shifted), abs=1e-12)
@@ -272,7 +272,7 @@ class TestTrainDeterminism:
         model = Model(cfg, rng=np.random.default_rng(100))
         items = toy_items(3, 12, np.random.default_rng(101))
         plan = single_batch_plan(items)
-        tcfg = TrainConfig(lr=0.005, epochs=2, seed=100)
+        tcfg = TrainConfig(lr=0.005, epochs=2)
         out = tmp_path / tag
         train(model, plan, items, items, tcfg, out, np.random.default_rng(100))
         return [(p.name, p.read_bytes()) for p in sorted(out.glob("*.ckpt"))]
