@@ -64,6 +64,8 @@ def evaluate(
         raise ValueError(f"unknown generator {generator!r}")
     if generator != "random" and model is None:
         raise ValueError(f"generator {generator!r} needs a model")
+    if generations < 1:
+        raise ValueError(f"generations must be >= 1, got {generations}")
     run = EvalRun(generator=generator)
     for item in items:
         n = item.roll.n_samples

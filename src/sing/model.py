@@ -9,7 +9,7 @@ same LSTM with the attention path removed and a plain dense head.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,18 +55,6 @@ class ModelConfig:
         return cls(
             **{f.name: cfgio.cast_like(f.default, kv[f.name]) for f in fields(cls) if f.name in kv}
         )
-
-
-@dataclass
-class StepTrace:
-    """Everything recorded while predicting one sample."""
-
-    t: int
-    z: np.ndarray  # LSTM output fed to the head/combiner
-    d: np.ndarray  # 128 combined logits
-    prob: np.ndarray  # sigmoid(d)
-    a: np.ndarray | None = None  # attention vector
-    _combine_cache: tuple | None = field(default=None, repr=False)
 
 
 class Model:
@@ -132,35 +120,51 @@ def attention_step(
     return w, w @ history
 
 
-def combine_forward(
-    params: nn.ParamSet, mode: str, a: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, tuple]:
+def combine_forward(params: nn.ParamSet, mode: str, a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Merge attention vector and LSTM output into 128 logits."""
     if mode == "dense":
-        az = np.concatenate([a, z])
-        d = nn.dense_forward(params["combine.W"], params["combine.b"], az)
-        return d, ("dense", az, a.shape[0])
+        return nn.dense_forward(params["combine.W"], params["combine.b"], np.concatenate([a, z]))
     w_a = params["combine.w_a"][0]
     w_z = params["combine.w_z"][0]
-    d = w_a * a + w_z * z + params["combine.b"][0]
-    return d, ("per_pitch", a, z)
+    return w_a * a + w_z * z + params["combine.b"][0]
 
 
 def combine_backward(
-    params: nn.ParamSet, cache: tuple, upstream: np.ndarray
+    params: nn.ParamSet, mode: str, A: np.ndarray, Z: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulates combiner parameter gradients; returns (da, dz)."""
-    if cache[0] == "dense":
-        _, az, n_a = cache
-        dW, db, daz = nn.dense_backward(params["combine.W"], az, upstream)
+    """Backprop stacked steps: rows of A, Z and upstream belong to one step.
+
+    Accumulates the combiner gradients summed over the rows; returns (dA, dZ).
+    """
+    if mode == "dense":
+        dW, db, dAZ = nn.dense_backward(params["combine.W"], np.hstack([A, Z]), upstream)
         params.accumulate("combine.W", dW)
         params.accumulate("combine.b", db)
-        return daz[:n_a], daz[n_a:]
-    _, a, z = cache
-    params.accumulate("combine.w_a", np.array([float(upstream @ a)]))
-    params.accumulate("combine.w_z", np.array([float(upstream @ z)]))
+        return dAZ[:, : A.shape[1]], dAZ[:, A.shape[1] :]
+    params.accumulate("combine.w_a", np.array([float(np.sum(upstream * A))]))
+    params.accumulate("combine.w_z", np.array([float(np.sum(upstream * Z))]))
     params.accumulate("combine.b", np.array([float(upstream.sum())]))
     return params["combine.w_a"][0] * upstream, params["combine.w_z"][0] * upstream
+
+
+def warm_up(
+    model: Model, inputs: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple]]:
+    """Run the LSTM from its initial state over the rows of inputs.
+
+    Returns the (h, c) states, starting with the initial one, and the
+    cache of each step.
+    """
+    p = model.params
+    states = [model.initial_state()]
+    caches = []
+    for x in inputs:
+        h, c, cache = nn.lstm_cell_forward(
+            p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], x, *states[-1]
+        )
+        states.append((h, c))
+        caches.append(cache)
+    return states, caches
 
 
 def forward_step(
@@ -170,12 +174,12 @@ def forward_step(
     t: int,
     history: np.ndarray,
     state: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], StepTrace, tuple]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray | None, tuple]:
     """Advance the LSTM on the previous sample and emit logits for sample t.
 
-    Returns (d, new_state, trace, lstm_cache). With attention enabled the
-    logits combine the SSM-attention vector with the LSTM output; otherwise
-    the dense head maps the LSTM output alone and S is ignored.
+    Returns (d, new_state, a, lstm_cache). With attention enabled the logits
+    combine the SSM-attention vector a with the LSTM output; otherwise the
+    dense head maps the LSTM output alone, S is ignored and a is None.
     """
     p = model.params
     h, c, lstm_cache = nn.lstm_cell_forward(
@@ -185,24 +189,24 @@ def forward_step(
         if S is None:
             raise ValueError("attention model needs an SSM")
         _, a = attention_step(S, t, history)
-        d, combine_cache = combine_forward(p, model.cfg.combiner_mode, a, h)
-        trace = StepTrace(t=t, z=h, d=d, prob=nn.sigmoid(d), a=a, _combine_cache=combine_cache)
-    else:
-        d = nn.dense_forward(p["head.W"], p["head.b"], h)
-        trace = StepTrace(t=t, z=h, d=d, prob=nn.sigmoid(d))
-    return d, (h, c), trace, lstm_cache
+        return combine_forward(p, model.cfg.combiner_mode, a, h), (h, c), a, lstm_cache
+    return nn.dense_forward(p["head.W"], p["head.b"], h), (h, c), None, lstm_cache
 
 
-def head_backward(model: Model, trace: StepTrace, upstream: np.ndarray) -> np.ndarray:
-    """Backprop logits -> LSTM output for one step; accumulates param grads."""
+def head_backward(
+    model: Model, A: np.ndarray | None, Z: np.ndarray, dD: np.ndarray
+) -> np.ndarray:
+    """Backprop stacked logit rows dD to the LSTM outputs Z; accumulates param grads.
+
+    A holds the matching attention rows (None for the ablated model).
+    """
     p = model.params
     if model.cfg.attention_enabled:
-        _, dz = combine_backward(p, trace._combine_cache, upstream)
-    else:
-        dW, db, dz = nn.dense_backward(p["head.W"], trace.z, upstream)
-        p.accumulate("head.W", dW)
-        p.accumulate("head.b", db)
-    return dz
+        return combine_backward(p, model.cfg.combiner_mode, A, Z, dD)[1]
+    dW, db, dZ = nn.dense_backward(p["head.W"], Z, dD)
+    p.accumulate("head.W", dW)
+    p.accumulate("head.b", db)
+    return dZ
 
 
 def sample_notes(d: np.ndarray, cfg: ModelConfig, rng: np.random.Generator) -> np.ndarray:
@@ -251,22 +255,13 @@ def generate(
         raise ValueError(f"seed must be ({cfg.seed_len}, 128), got {seed.shape}")
     if n <= cfg.seed_len:
         raise ValueError(f"template length {n} must exceed seed length {cfg.seed_len}")
-    out = np.zeros((n, N_PITCHES), dtype=np.uint8)
+    out = np.zeros((n, N_PITCHES))
     out[: cfg.seed_len] = seed
-    state = model.initial_state()
-    for i in range(cfg.seed_len - 1):  # warm up on all but the last seed sample
-        h, c, _ = nn.lstm_cell_forward(
-            model.params["lstm.W_x"],
-            model.params["lstm.W_h"],
-            model.params["lstm.b"],
-            out[i].astype(np.float64),
-            *state,
-        )
-        state = (h, c)
+    state = warm_up(model, out[: cfg.seed_len - 1])[0][-1]  # all but the last seed sample
     for t in range(cfg.seed_len, n):
-        d, state, _, _ = forward_step(model, out[t - 1], S, t, out[:t].astype(np.float64), state)
+        d, state, _, _ = forward_step(model, out[t - 1], S, t, out[:t], state)
         out[t] = sample_notes(d, cfg, rng)
-    return PianoRoll(data=out.T.copy(), tempo=tempo, source_id=source_id)
+    return PianoRoll(data=out.T.astype(np.uint8, order="C"), tempo=tempo, source_id=source_id)
 
 
 def save_model(model: Model, checkpoint_path: str | Path) -> None:

@@ -41,10 +41,13 @@ def dense_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def dense_backward(
-    W: np.ndarray, x: np.ndarray, upstream: np.ndarray
+    W: np.ndarray, X: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dW, db, dx) of y = Wx + b given dL/dy."""
-    return np.outer(upstream, x), upstream.copy(), W.T @ upstream
+    """Gradients (dW, db, dX) of the rows y_i = W x_i + b given the rows dL/dy_i.
+
+    X and upstream stack one row per input; dW and db sum over the rows.
+    """
+    return upstream.T @ X, upstream.sum(axis=0), upstream @ W
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +75,20 @@ def lstm_cell_forward(
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    cache = (W_x, W_h, x, h_prev, c_prev, i, f, g, o, tc)
+    cache = (W_x, W_h, c_prev, i, f, g, o, tc)
     return h, c, cache
 
 
 def lstm_cell_backward(
     cache: tuple, dh: np.ndarray, dc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dx, dh_prev, dc_prev, dW_x, dW_h, db)."""
-    W_x, W_h, x, h_prev, c_prev, i, f, g, o, tc = cache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (dh_prev, dc_prev, dpre).
+
+    dpre is the gradient of the stacked gate pre-activations; the step's
+    weight gradients are outer(dpre, x), outer(dpre, h_prev) and dpre, which
+    a caller sums over many steps as one matrix product.
+    """
+    _, W_h, c_prev, i, f, g, o, tc = cache
     do = dh * tc
     dct = dc + dh * o * (1.0 - tc * tc)
     di = dct * g
@@ -90,11 +98,7 @@ def lstm_cell_backward(
     dpre = np.concatenate(
         [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)]
     )
-    dW_x = np.outer(dpre, x)
-    dW_h = np.outer(dpre, h_prev)
-    dx = W_x.T @ dpre
-    dh_prev = W_h.T @ dpre
-    return dx, dh_prev, dc_prev, dW_x, dW_h, dpre
+    return W_h.T @ dpre, dc_prev, dpre
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from sing.batching import (
     slice_long,
 )
 from sing.midi_io import N_PITCHES, PianoRoll
-from sing.model import Model, ModelConfig, StepTrace, forward_step, head_backward, sample_notes
+from sing.model import Model, ModelConfig, forward_step, head_backward, sample_notes, warm_up
 from sing.structure import N_CHROMA, SelfSimilarityMatrix, chroma, fold_pitch_classes, ssm
 
 log = logging.getLogger(__name__)
@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValueError("p_feedback must be in [0, 1]")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -78,6 +80,11 @@ class TrainItem:
     roll: PianoRoll
     template: SelfSimilarityMatrix
 
+    @classmethod
+    def from_roll(cls, piece_id: str, segment_index: int, roll: PianoRoll) -> "TrainItem":
+        """An item whose template is the chroma SSM of its own roll."""
+        return cls(piece_id, segment_index, roll, ssm(chroma(roll)))
+
     @property
     def label(self) -> str:
         return f"{self.piece_id}[{self.segment_index}]"
@@ -85,12 +92,20 @@ class TrainItem:
 
 @dataclass
 class PieceTrace:
-    """Forward pass record for one piece: traces plus backward caches."""
+    """Forward pass record for one piece, one row per LSTM step.
+
+    Step t (1 <= t < n) reads input X[t - 1] and state H[t - 1] and yields
+    H[t]; the generated steps t = seed_len .. n-1 also yield the logits
+    D[t - seed_len] and, with attention, the attention vector A[t - seed_len].
+    """
 
     n: int
     seed_len: int
-    steps: list[StepTrace]  # generated steps, t = seed_len .. n-1
-    lstm_caches: list = field(repr=False, default_factory=list)
+    X: np.ndarray  # (n - 1, 128) LSTM inputs
+    H: np.ndarray  # (n, hidden) hidden states; H[0] is the initial state
+    A: np.ndarray | None  # (n - seed_len, 128) attention vectors; None when ablated
+    D: np.ndarray  # (n - seed_len, 128) logits
+    lstm_caches: list = field(repr=False, default_factory=list)  # one per step t
 
 
 @dataclass
@@ -128,26 +143,25 @@ def forward_piece(
     if n <= cfg.seed_len:
         raise ValueError(f"piece length {n} must exceed seed length {cfg.seed_len}")
     target_samples = target.data.T.astype(np.float64)  # (n, 128)
-    inputs = np.zeros((n - 1, N_PITCHES))
-    inputs[: cfg.seed_len] = target_samples[: cfg.seed_len]
+    X = np.zeros((n - 1, N_PITCHES))
+    X[: cfg.seed_len] = target_samples[: cfg.seed_len]
+    H = np.zeros((n, cfg.hidden_size))
+    D = np.zeros((n - cfg.seed_len, N_PITCHES))
+    A = np.zeros_like(D) if cfg.attention_enabled else None
 
-    state = model.initial_state()
-    caches: list = []
-    steps: list[StepTrace] = []
-    p = model.params
-    for t in range(1, cfg.seed_len):  # warm-up: no prediction needed yet
-        h, c, cache = nn.lstm_cell_forward(
-            p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], inputs[t - 1], *state
-        )
-        state = (h, c)
-        caches.append(cache)
+    states, caches = warm_up(model, X[: cfg.seed_len - 1])  # no prediction needed yet
+    H[: cfg.seed_len] = [h for h, _ in states]
+    state = states[-1]
     for t in range(cfg.seed_len, n):
-        d, state, trace, cache = forward_step(model, inputs[t - 1], S, t, inputs[:t], state)
+        row = t - cfg.seed_len
+        D[row], state, a, cache = forward_step(model, X[t - 1], S, t, X[:t], state)
+        H[t] = state[0]
+        if A is not None:
+            A[row] = a
         caches.append(cache)
         if t <= n - 2:
-            inputs[t], _ = scheduled_step(d, target_samples[t], cfg, rng, p_feedback)
-        steps.append(trace)
-    return PieceTrace(n=n, seed_len=cfg.seed_len, steps=steps, lstm_caches=caches)
+            X[t], _ = scheduled_step(D[row], target_samples[t], cfg, rng, p_feedback)
+    return PieceTrace(n=n, seed_len=cfg.seed_len, X=X, H=H, A=A, D=D, lstm_caches=caches)
 
 
 def piece_loss(
@@ -167,17 +181,11 @@ def piece_loss(
     if target.n_samples != n or S.n != n:
         raise ValueError("trace, target, and SSM lengths disagree")
     target_samples = target.data.T.astype(np.float64)
-
-    bce_total = 0.0
-    d_grads: list[np.ndarray] = []
-    for trace_step in trace.steps:
-        loss_t, grad_t = nn.bce_with_logits(trace_step.d, target_samples[trace_step.t])
-        bce_total += loss_t
-        d_grads.append(grad_t)
+    bce_total, dD = nn.bce_with_logits(trace.D, target_samples[seed_len:])
+    P = nn.sigmoid(trace.D)
 
     # Structural term on chroma of [target seed | predicted probabilities].
-    prob_cols = np.stack([s.prob for s in trace.steps], axis=1)  # (128, n - seed_len)
-    cols = np.concatenate([target_samples[:seed_len].T, prob_cols], axis=1)
+    cols = np.concatenate([target_samples[:seed_len].T, P.T], axis=1)
     U = fold_pitch_classes(cols)
     norms = np.linalg.norm(U, axis=0)
     nonzero = norms > 0.0
@@ -197,39 +205,30 @@ def piece_loss(
         nz_gen = nonzero[seed_len:]
         du = (dvg - vg * np.sum(vg * dvg, axis=0)) / np.where(nz_gen, norms[seed_len:], 1.0)
         du[:, ~nz_gen] = 0.0
-        dcols = du[PITCH_CLASSES, :]  # unfold pitch classes back to 128 rows
-        for idx, trace_step in enumerate(trace.steps):
-            prob = trace_step.prob
-            d_grads[idx] += dcols[:, idx] * prob * (1.0 - prob)
-        _backward_through_time(model, trace, d_grads)
+        dD += du[PITCH_CLASSES, :].T * P * (1.0 - P)  # unfold pitch classes to 128
+        _backward_through_time(model, trace, dD)
     return PieceLoss(total=total, bce=bce_total, structural=structural)
 
 
-def _backward_through_time(
-    model: Model, trace: PieceTrace, d_grads: list[np.ndarray]
-) -> None:
+def _backward_through_time(model: Model, trace: PieceTrace, dD: np.ndarray) -> None:
+    """Backprop the logit gradients dD through the head and the LSTM steps.
+
+    The recurrence runs step by step; each weight gradient is then one
+    matrix product over the stacked steps.
+    """
     p = model.params
-    hidden = model.cfg.hidden_size
-    dz_by_step = {}
-    for trace_step, dd in zip(trace.steps, d_grads):
-        dz_by_step[trace_step.t] = head_backward(model, trace_step, dd)
-    dW_x = np.zeros_like(p["lstm.W_x"])
-    dW_h = np.zeros_like(p["lstm.W_h"])
-    db = np.zeros_like(p["lstm.b"])
-    dh = np.zeros(hidden)
-    dc = np.zeros(hidden)
-    for t in range(trace.n - 1, 0, -1):
-        if t in dz_by_step:
-            dh = dh + dz_by_step[t]
-        _, dh, dc, dW_x_t, dW_h_t, db_t = nn.lstm_cell_backward(
-            trace.lstm_caches[t - 1], dh, dc
-        )
-        dW_x += dW_x_t
-        dW_h += dW_h_t
-        db += db_t
-    p.accumulate("lstm.W_x", dW_x)
-    p.accumulate("lstm.W_h", dW_h)
-    p.accumulate("lstm.b", db)
+    n, seed_len = trace.n, trace.seed_len
+    dZ = head_backward(model, trace.A, trace.H[seed_len:], dD)
+    dpre = np.zeros((n - 1, p["lstm.b"].shape[0]))  # row t-1: step t's gate pre-activations
+    dh = np.zeros(model.cfg.hidden_size)
+    dc = np.zeros(model.cfg.hidden_size)
+    for t in range(n - 1, 0, -1):
+        if t >= seed_len:
+            dh = dh + dZ[t - seed_len]
+        dh, dc, dpre[t - 1] = nn.lstm_cell_backward(trace.lstm_caches[t - 1], dh, dc)
+    p.accumulate("lstm.W_x", dpre.T @ trace.X)
+    p.accumulate("lstm.W_h", dpre.T @ trace.H[:-1])
+    p.accumulate("lstm.b", dpre.sum(axis=0))
 
 
 def train_epoch(
@@ -382,15 +381,7 @@ def prepare_corpus(
             Assignment(piece_id, seg_idx, seg.n_samples, target_len, edit, fraction)
         )
         if with_items:
-            edited = apply_edit(seg, target_len)
-            items.append(
-                TrainItem(
-                    piece_id=piece_id,
-                    segment_index=seg_idx,
-                    roll=edited,
-                    template=ssm(chroma(edited)),
-                )
-            )
+            items.append(TrainItem.from_roll(piece_id, seg_idx, apply_edit(seg, target_len)))
     plan = make_batches(assignments, batch_cap, rng)
     return plan, items, excluded
 
@@ -411,12 +402,5 @@ def items_from_plan(
                 f"{assignment.piece_id!r}, which has {len(segs)} segments"
             )
         edited = apply_edit(segs[assignment.segment_index], assignment.target_length)
-        items.append(
-            TrainItem(
-                piece_id=assignment.piece_id,
-                segment_index=assignment.segment_index,
-                roll=edited,
-                template=ssm(chroma(edited)),
-            )
-        )
+        items.append(TrainItem.from_roll(assignment.piece_id, assignment.segment_index, edited))
     return items

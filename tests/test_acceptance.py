@@ -87,7 +87,8 @@ def test_gradient_integrity():
     b = rng.normal(size=8)
     x = rng.normal(size=8)
     upstream = rng.normal(size=8)
-    dW, db, dx = nn.dense_backward(W, x, upstream)
+    dW, db, dX = nn.dense_backward(W, x[None], upstream[None])
+    dx = dX[0]
     assert relative_error(central_difference(lambda w: upstream @ (w @ x + b), W), dW) < 1e-4
     assert relative_error(central_difference(lambda bb: upstream @ (W @ x + bb), b), db) < 1e-4
     assert relative_error(central_difference(lambda xx: upstream @ (W @ xx + b), x), dx) < 1e-4
@@ -105,8 +106,9 @@ def test_gradient_integrity():
         total = 0.0
         caches = []
         for t in range(T):
+            h_prev = h
             h, c, cache = nn.lstm_cell_forward(W_x, W_h, b_l, xs[t], h, c)
-            caches.append((cache, h))
+            caches.append((cache, xs[t], h_prev, h))
             total += float(h @ h)
         return total, caches
 
@@ -114,11 +116,11 @@ def test_gradient_integrity():
     grads = [np.zeros_like(W_x), np.zeros_like(W_h), np.zeros_like(b_l)]
     dh = np.zeros(H)
     dc = np.zeros(H)
-    for cache, h_t in reversed(caches):
-        _, dh, dc, g0, g1, g2 = nn.lstm_cell_backward(cache, dh + 2 * h_t, dc)
-        grads[0] += g0
-        grads[1] += g1
-        grads[2] += g2
+    for cache, x_t, h_prev, h_t in reversed(caches):
+        dh, dc, dpre = nn.lstm_cell_backward(cache, dh + 2 * h_t, dc)
+        grads[0] += np.outer(dpre, x_t)
+        grads[1] += np.outer(dpre, h_prev)
+        grads[2] += dpre
     params = [W_x, W_h, b_l]
     for i in range(3):
         def loss_of(p, _i=i):
@@ -141,13 +143,12 @@ def test_gradient_integrity():
         a = rng.random(128)
         z = rng.random(128)
         up = rng.normal(size=128)
-        _, cache = combine_forward(pset, mode, a, z)
-        combine_backward(pset, cache, up)
+        combine_backward(pset, mode, a[None], z[None], up[None])
         for name in pset.names():
             def loss_of(p, _name=name):
                 saved = pset.values[_name]
                 pset.values[_name] = p
-                out, _ = combine_forward(pset, mode, a, z)
+                out = combine_forward(pset, mode, a, z)
                 pset.values[_name] = saved
                 return float(up @ out)
 

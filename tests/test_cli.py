@@ -288,6 +288,32 @@ class TestBadInputs:
             assert main(argv) == 1, argv[0]
             assert "folder" in single_error_line(capsys)
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_evaluate_needs_at_least_one_generation(self, tmp_path, capsys, count):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=3, n=24)
+        result = tmp_path / "eval.csv"
+        code = main(["evaluate", "--in", str(tmp_path / "corpus"), "--out", str(result),
+                     "--generator", "random", "--grid-k", "2", "--grid-count", "4",
+                     "--max-len", "24", "--seed-len", "4", "--generations", count])
+        assert code == 1
+        assert "generations" in single_error_line(capsys)
+        assert not result.exists()
+
+    def test_train_needs_at_least_one_epoch_and_writes_nothing(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        write_corpus_prolls(corpus, n_pieces=4, n=24)
+        plan = tmp_path / "plan.txt"
+        assert main(["batch-plan", "--in", str(corpus), "--out", str(plan),
+                     "--grid-k", "2", "--grid-count", "4", "--max-len", "24"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "ckpt"
+        out.mkdir()
+        code = main(["train", "--in", str(corpus), "--plan", str(plan), "--out", str(out),
+                     "--epochs", "0", "--hidden", "6", "--seed-len", "4", "--max-len", "24"])
+        assert code == 1
+        assert "epochs" in single_error_line(capsys)
+        assert list(out.iterdir()) == []
+
     def test_checkpoint_config_mismatch_names_tensors(self, tmp_path, capsys):
         ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
         ablated = tmp_path / "ablated.txt"

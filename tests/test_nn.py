@@ -47,10 +47,24 @@ class TestDense:
         x = rng.normal(size=8)
         upstream = rng.normal(size=8)
 
-        dW, db, dx = dense_backward(W, x, upstream)
+        dW, db, dX = dense_backward(W, x[None], upstream[None])
+        dx = dX[0]
         assert relative_error(central_difference(lambda w: upstream @ (w @ x + b), W), dW) < 1e-6
         assert relative_error(central_difference(lambda bb: upstream @ (W @ x + bb), b), db) < 1e-6
         assert relative_error(central_difference(lambda xx: upstream @ (W @ xx + b), x), dx) < 1e-6
+
+    def test_stacked_rows_equal_sum_of_per_row_outer_products(self):
+        rng = np.random.default_rng(1)
+        W = rng.normal(size=(6, 5))
+        X = rng.normal(size=(9, 5))
+        upstream = rng.normal(size=(9, 6))
+
+        dW, db, dX = dense_backward(W, X, upstream)
+        assert relative_error(dW, sum(np.outer(u, x) for u, x in zip(upstream, X))) <= 1e-12
+        assert relative_error(db, sum(upstream)) <= 1e-12
+        assert dX.shape == X.shape
+        for u, dx in zip(upstream, dX):
+            assert relative_error(dx, W.T @ u) <= 1e-12
 
 
 class TestLstmCell:
@@ -92,8 +106,9 @@ class TestLstmCell:
             caches = []
             loss = 0.0
             for t in range(T):
+                h_prev = h
                 h, c, cache = lstm_cell_forward(W_x, W_h, b, xs[t], h, c)
-                caches.append((cache, h))
+                caches.append((cache, xs[t], h_prev, h))
                 loss += float(h @ h)
             return loss, caches
 
@@ -103,11 +118,11 @@ class TestLstmCell:
         db = np.zeros_like(b)
         dh = np.zeros(H)
         dc = np.zeros(H)
-        for cache, h_t in reversed(caches):
-            _, dh, dc, dW_x_t, dW_h_t, db_t = lstm_cell_backward(cache, dh + 2 * h_t, dc)
-            dW_x += dW_x_t
-            dW_h += dW_h_t
-            db += db_t
+        for cache, x_t, h_prev, h_t in reversed(caches):
+            dh, dc, dpre = lstm_cell_backward(cache, dh + 2 * h_t, dc)
+            dW_x += np.outer(dpre, x_t)
+            dW_h += np.outer(dpre, h_prev)
+            db += dpre
 
         for name, param, grad in (("W_x", W_x, dW_x), ("W_h", W_h, dW_h), ("b", b, db)):
             def loss_of(p, _name=name):

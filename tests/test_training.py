@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import relative_error
+from oracles import piece_gradients_per_step, relative_error
 from sing.batching import Assignment, BatchPlan, make_batches
 from sing.midi_io import PianoRoll
-from sing.model import Model, ModelConfig, StepTrace
+from sing.model import Model, ModelConfig
 from sing.structure import chroma, ssm
 from sing.training import (
     EpochReport,
@@ -104,12 +104,8 @@ class TestPieceLoss:
         target = chord_roll(8, [60, 64, 67])
         template = ssm(chroma(target))
         samples = target.data.T.astype(np.float64)
-        steps = [
-            StepTrace(t=t, z=None, d=np.where(samples[t] > 0, 60.0, -60.0),
-                      prob=samples[t].copy())
-            for t in range(2, 8)
-        ]
-        trace = PieceTrace(n=8, seed_len=2, steps=steps)
+        D = np.where(samples[2:] > 0, 60.0, -60.0)
+        trace = PieceTrace(n=8, seed_len=2, X=None, H=None, A=None, D=D)
         loss = piece_loss(model, trace, target, template, with_grad=False)
         assert loss.structural <= 1e-12
         assert loss.bce <= 1e-12
@@ -126,11 +122,8 @@ class TestPieceLoss:
         shifted[:, [60, 72]] = shifted[:, [72, 60]]  # same pitch class
 
         def structural_of(prob_rows):
-            steps = [
-                StepTrace(t=t + 2, z=None, d=np.log(p / (1 - p)), prob=p.copy())
-                for t, p in enumerate(prob_rows)
-            ]
-            trace = PieceTrace(n=8, seed_len=2, steps=steps)
+            D = np.log(prob_rows / (1 - prob_rows))
+            trace = PieceTrace(n=8, seed_len=2, X=None, H=None, A=None, D=D)
             return piece_loss(model, trace, target, template, with_grad=False).structural
 
         assert structural_of(probs) == pytest.approx(structural_of(shifted), abs=1e-12)
@@ -194,6 +187,36 @@ class TestPieceLossGradient:
         target = chord_roll(8, [60, 64, 67])
         template = ssm(chroma(target))
         fd_check_piece_loss(model, target, template, stride_big=16, tol=1e-3)
+
+
+class TestPieceGradientMatchesPerStepReference:
+    """The per-piece matrix products equal a step-by-step sum of outer products."""
+
+    @pytest.mark.parametrize("head, hidden", [("dense", 8), ("per_pitch", 128), ("ablated", 8)])
+    def test_under_scheduled_sampling(self, head, hidden):
+        cfg = ModelConfig(
+            hidden_size=hidden,
+            seed_len=4,
+            combiner_mode="per_pitch" if head == "per_pitch" else "dense",
+            attention_enabled=head != "ablated",
+        )
+        model = Model(cfg, rng=np.random.default_rng(20))
+        data = (np.random.default_rng(21).random((128, 40)) < 0.05).astype(np.uint8)
+        data[60, ::2] = 1
+        target = PianoRoll(data=data, tempo=120.0)
+        template = ssm(chroma(target))
+        samples = target.data.T.astype(np.float64)
+
+        trace = forward_piece(model, target, template, 0.8, np.random.default_rng(22))
+        assert not np.array_equal(trace.X[cfg.seed_len :], samples[cfg.seed_len : -1])
+        piece_loss(model, trace, target, template, with_grad=True)
+        logits, expected = piece_gradients_per_step(
+            model.params.values, head, cfg.seed_len, trace.X, trace.A, samples, template.values
+        )
+        assert relative_error(logits, trace.D) <= 1e-12
+        assert sorted(expected) == sorted(model.params.names())
+        for name, grad in expected.items():
+            assert relative_error(model.params.grads[name], grad) <= 1e-12, name
 
 
 class TestTrainEpoch:
