@@ -1,10 +1,12 @@
 """The generation model: LSTM backbone plus SSM-driven attention.
 
 At step t the attention weights are the sparsemax projection of the first
-t entries of row t of a user-supplied self-similarity matrix; the attention
-vector is the weighted sum of the previous input samples. A linear combiner
-merges it with the LSTM output into 128 logits. The ablated baseline is the
-same LSTM with the attention path removed and a plain dense head.
+t entries of row t of a user-supplied self-similarity matrix; they depend on
+the template alone, so a forward pass projects every row it needs before its
+step loop. The attention vector is the weighted sum of the previous input
+samples. A linear combiner merges it with the LSTM output into 128 logits.
+The ablated baseline is the same LSTM with the attention path removed and a
+plain dense head.
 """
 
 from __future__ import annotations
@@ -100,24 +102,44 @@ class Model:
         return np.zeros(hidden), np.zeros(hidden)
 
 
-def attention_step(
-    S: SelfSimilarityMatrix | np.ndarray, t: int, history: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sparsemax the first t entries of row t of S, then weight the history.
+ATTENTION_BLOCK_ROWS = 64  # rows per sparsemax call: temporaries stay at 64 x n
 
-    history is (t, 128): the input samples at steps 0..t-1 in order.
-    Returns (weights over those steps, 128-dim attention vector).
+
+def attention_weights(S: SelfSimilarityMatrix | np.ndarray, first_row: int) -> np.ndarray:
+    """The attention weights of steps first_row..n-1 of template S.
+
+    Returns (n - first_row, n - 1): row i holds sparsemax(S[t, :t]) for
+    t = first_row + i in its first t entries, then zeros. Rows are
+    projected in blocks, with each block's entries at and right of the
+    diagonal masked to -inf.
     """
-    values = S.values if isinstance(S, SelfSimilarityMatrix) else np.asarray(S)
-    if t < 1:
-        raise ValueError("attention needs at least one past step (t >= 1)")
-    if t >= values.shape[0]:
-        raise ValueError(f"SSM of size {values.shape[0]} has no row {t}")
-    history = np.asarray(history, dtype=np.float64)
-    if history.shape != (t, N_PITCHES):
-        raise ValueError(f"history must be ({t}, 128), got {history.shape}")
-    w = nn.sparsemax(values[t, :t])
-    return w, w @ history
+    values = S.values if isinstance(S, SelfSimilarityMatrix) else np.asarray(S, np.float64)
+    n = values.shape[0]
+    if values.shape != (n, n):
+        raise ValueError(f"SSM must be square, got {values.shape}")
+    if not 1 <= first_row < n:
+        raise ValueError(f"SSM of size {n} has no attention rows from {first_row}")
+    W = np.zeros((n - first_row, n - 1))
+    for start in range(first_row, n, ATTENTION_BLOCK_ROWS):
+        stop = min(start + ATTENTION_BLOCK_ROWS, n)
+        width = stop - 1  # the block's longest prefix
+        prefix = np.arange(width) < np.arange(start, stop)[:, None]
+        masked = np.where(prefix, values[start:stop, :width], -np.inf)
+        W[start - first_row : stop - first_row, :width] = nn.sparsemax(masked)
+    return W
+
+
+def attention_step(w: np.ndarray, history: np.ndarray) -> np.ndarray:
+    """The 128-dim attention vector of step t: weights w times the history.
+
+    w is (t,): the first t entries of the step's row of attention_weights.
+    history is (t, 128): the input samples at steps 0..t-1 in order.
+    """
+    if not (isinstance(w, np.ndarray) and w.ndim == 1 and w.shape[0] >= 1):
+        raise ValueError("attention needs one non-empty row of attention weights, not an SSM")
+    if history.shape != (w.shape[0], N_PITCHES):
+        raise ValueError(f"history must be ({w.shape[0]}, 128), got {history.shape}")
+    return w @ history
 
 
 def combine_forward(params: nn.ParamSet, mode: str, a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -170,26 +192,29 @@ def warm_up(
 def forward_step(
     model: Model,
     prev_sample: np.ndarray,
-    S: SelfSimilarityMatrix | np.ndarray | None,
-    t: int,
+    w: np.ndarray | None,
     history: np.ndarray,
     state: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray | None, tuple]:
     """Advance the LSTM on the previous sample and emit logits for sample t.
 
+    history holds samples 0..t-1 and w the step's attention weights over
+    them (see attention_step); the ablated model takes w = None.
     Returns (d, new_state, a, lstm_cache). With attention enabled the logits
-    combine the SSM-attention vector a with the LSTM output; otherwise the
-    dense head maps the LSTM output alone, S is ignored and a is None.
+    combine the attention vector a with the LSTM output; otherwise the
+    dense head maps the LSTM output alone and a is None.
     """
     p = model.params
     h, c, lstm_cache = nn.lstm_cell_forward(
         p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], np.asarray(prev_sample, np.float64), *state
     )
     if model.cfg.attention_enabled:
-        if S is None:
-            raise ValueError("attention model needs an SSM")
-        _, a = attention_step(S, t, history)
+        if w is None:
+            raise ValueError("attention model needs attention weights")
+        a = attention_step(w, history)
         return combine_forward(p, model.cfg.combiner_mode, a, h), (h, c), a, lstm_cache
+    if w is not None:
+        raise ValueError("the ablated model takes no attention weights")
     return nn.dense_forward(p["head.W"], p["head.b"], h), (h, c), None, lstm_cache
 
 
@@ -218,20 +243,19 @@ def sample_notes(d: np.ndarray, cfg: ModelConfig, rng: np.random.Generator) -> n
     active pitches.
     """
     probs = nn.sigmoid(np.asarray(d, dtype=np.float64))
-    allowed = np.arange(cfg.pitch_lo, cfg.pitch_hi + 1)
-    # stable sort on (-prob, pitch): lexsort uses the last key as primary
-    order = np.lexsort((allowed, -probs[allowed]))
-    top = allowed[order[: cfg.top_k]]
+    # a stable sort of the allowed range keeps tied pitches in ascending order
+    order = np.argsort(-probs[cfg.pitch_lo : cfg.pitch_hi + 1], kind="stable")
+    top = order[: cfg.top_k] + cfg.pitch_lo
     mass = probs[top]
     total = mass.sum()
     if total <= 0.0:
-        top = allowed  # degenerate logits: uniform over the allowed range
-        weights = np.full(len(allowed), 1.0 / len(allowed))
+        top = np.arange(cfg.pitch_lo, cfg.pitch_hi + 1)  # degenerate logits: uniform
+        weights = np.full(len(top), 1.0 / len(top))
     else:
         weights = mass / total
     draws = rng.choice(top, size=cfg.max_notes, replace=True, p=weights)
     sample = np.zeros(N_PITCHES, dtype=np.uint8)
-    sample[np.unique(draws)] = 1
+    sample[draws] = 1
     return sample
 
 
@@ -257,9 +281,11 @@ def generate(
         raise ValueError(f"template length {n} must exceed seed length {cfg.seed_len}")
     out = np.zeros((n, N_PITCHES))
     out[: cfg.seed_len] = seed
+    W = attention_weights(S, cfg.seed_len) if cfg.attention_enabled else None
     state = warm_up(model, out[: cfg.seed_len - 1])[0][-1]  # all but the last seed sample
     for t in range(cfg.seed_len, n):
-        d, state, _, _ = forward_step(model, out[t - 1], S, t, out[:t], state)
+        w = None if W is None else W[t - cfg.seed_len, :t]
+        d, state, _, _ = forward_step(model, out[t - 1], w, out[:t], state)
         out[t] = sample_notes(d, cfg, rng)
     return PianoRoll(data=out.T.astype(np.uint8, order="C"), tempo=tempo, source_id=source_id)
 

@@ -22,12 +22,9 @@ ADAM_EPS = 1e-8
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) without overflow: exp is only taken of -|x| <= 0."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +65,11 @@ def lstm_cell_forward(
     if x.shape[0] != W_x.shape[1]:
         raise ValueError(f"input size {x.shape[0]} != {W_x.shape[1]}")
     pre = W_x @ x + W_h @ h_prev + b
-    i = sigmoid(pre[:hidden])
-    f = sigmoid(pre[hidden : 2 * hidden])
+    gates = sigmoid(pre)  # one call for all four blocks; the candidate block is unused
+    i = gates[:hidden]
+    f = gates[hidden : 2 * hidden]
     g = np.tanh(pre[2 * hidden : 3 * hidden])
-    o = sigmoid(pre[3 * hidden :])
+    o = gates[3 * hidden :]
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -106,19 +104,23 @@ def lstm_cell_backward(
 
 
 def sparsemax(q: np.ndarray) -> np.ndarray:
-    """Project q onto {p : p >= 0, sum p = 1} by sort-and-threshold."""
+    """Project q onto {p : p >= 0, sum p = 1} by sort-and-threshold.
+
+    A 2-D q is projected row by row. -inf entries get zero weight, so a
+    row can be masked to a prefix; every row needs one finite entry.
+    """
     q = np.asarray(q, dtype=np.float64)
-    size = q.shape[0]
+    size = q.shape[-1]
     if size == 0:
         raise ValueError("sparsemax needs at least one entry")
-    sorted_desc = np.sort(q)[::-1]
-    cumulative = np.cumsum(sorted_desc)
+    sorted_desc = np.sort(q, axis=-1)[..., ::-1]
+    cumulative = np.cumsum(sorted_desc, axis=-1)
     ks = np.arange(1, size + 1)
     feasible = 1.0 + ks * sorted_desc > cumulative
-    if not feasible.any():  # only non-finite input leaves no feasible support
+    if not feasible.any(axis=-1).all():  # only non-finite input leaves no feasible support
         raise ValueError("sparsemax input must be finite")
-    k = int(ks[feasible][-1])
-    tau = (cumulative[k - 1] - 1.0) / k
+    k = size - np.argmax(feasible[..., ::-1], axis=-1, keepdims=True)  # last feasible size
+    tau = (np.take_along_axis(cumulative, k - 1, axis=-1) - 1.0) / k
     return np.maximum(q - tau, 0.0)
 
 
@@ -126,12 +128,17 @@ def sparsemax(q: np.ndarray) -> np.ndarray:
 # multi-label binary cross-entropy from logits
 
 
-def bce_with_logits(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Stable BCE summed over entries; returns (loss, dloss/dx)."""
+def bce_with_logits(
+    x: np.ndarray, y: np.ndarray, probs: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Stable BCE summed over entries; returns (loss, dloss/dx).
+
+    probs is sigmoid(x), passed by a caller that already has it.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     loss = float(np.sum(np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))))
-    return loss, sigmoid(x) - y
+    return loss, (sigmoid(x) if probs is None else probs) - y
 
 
 # ---------------------------------------------------------------------------

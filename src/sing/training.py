@@ -34,7 +34,15 @@ from sing.batching import (
     slice_long,
 )
 from sing.midi_io import N_PITCHES, PianoRoll
-from sing.model import Model, ModelConfig, forward_step, head_backward, sample_notes, warm_up
+from sing.model import (
+    Model,
+    ModelConfig,
+    attention_weights,
+    forward_step,
+    head_backward,
+    sample_notes,
+    warm_up,
+)
 from sing.structure import N_CHROMA, SelfSimilarityMatrix, chroma, fold_pitch_classes, ssm
 
 log = logging.getLogger(__name__)
@@ -148,13 +156,15 @@ def forward_piece(
     H = np.zeros((n, cfg.hidden_size))
     D = np.zeros((n - cfg.seed_len, N_PITCHES))
     A = np.zeros_like(D) if cfg.attention_enabled else None
+    W = attention_weights(S, cfg.seed_len) if cfg.attention_enabled else None
 
     states, caches = warm_up(model, X[: cfg.seed_len - 1])  # no prediction needed yet
     H[: cfg.seed_len] = [h for h, _ in states]
     state = states[-1]
     for t in range(cfg.seed_len, n):
         row = t - cfg.seed_len
-        D[row], state, a, cache = forward_step(model, X[t - 1], S, t, X[:t], state)
+        w = None if W is None else W[row, :t]
+        D[row], state, a, cache = forward_step(model, X[t - 1], w, X[:t], state)
         H[t] = state[0]
         if A is not None:
             A[row] = a
@@ -181,8 +191,8 @@ def piece_loss(
     if target.n_samples != n or S.n != n:
         raise ValueError("trace, target, and SSM lengths disagree")
     target_samples = target.data.T.astype(np.float64)
-    bce_total, dD = nn.bce_with_logits(trace.D, target_samples[seed_len:])
     P = nn.sigmoid(trace.D)
+    bce_total, dD = nn.bce_with_logits(trace.D, target_samples[seed_len:], P)
 
     # Structural term on chroma of [target seed | predicted probabilities].
     cols = np.concatenate([target_samples[:seed_len].T, P.T], axis=1)

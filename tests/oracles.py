@@ -2,6 +2,9 @@
 
 These deliberately avoid the library's own algorithms so that the tests
 check against a second derivation, not a mirror of the implementation.
+The step-by-step references at the end are the forms the vectorized forward
+kernels replaced (masked sigmoid, one sparsemax per attention row, lexsort
+sampler); the tests require bit-for-bit equal results from both.
 """
 
 from __future__ import annotations
@@ -172,3 +175,119 @@ def piece_gradients_per_step(
         dh_next = W_h.T @ dpre
         dc_next = dc * f
     return np.array(logits), grads
+
+
+# ---------------------------------------------------------------------------
+# step-by-step forward references
+
+
+def sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    """Sigmoid by two masked branches, exp(-x) for x >= 0 and exp(x) below."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sparsemax_1d(q: np.ndarray) -> np.ndarray:
+    """Sort-and-threshold simplex projection of one vector."""
+    q = np.asarray(q, dtype=np.float64)
+    sorted_desc = np.sort(q)[::-1]
+    cumulative = np.cumsum(sorted_desc)
+    ks = np.arange(1, q.shape[0] + 1)
+    k = int(ks[1.0 + ks * sorted_desc > cumulative][-1])
+    tau = (cumulative[k - 1] - 1.0) / k
+    return np.maximum(q - tau, 0.0)
+
+
+def attention_weights_per_row(S: np.ndarray, first_row: int) -> np.ndarray:
+    """Row t - first_row holds sparsemax_1d(S[t, :t]), zero-padded to n - 1."""
+    n = S.shape[0]
+    W = np.zeros((n - first_row, n - 1))
+    for t in range(first_row, n):
+        W[t - first_row, :t] = sparsemax_1d(S[t, :t])
+    return W
+
+
+def sample_notes_lexsort(d: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
+    """Top-k sampler ranking the allowed pitches by lexsort on (-prob, pitch)."""
+    probs = sigmoid_masked(np.asarray(d, dtype=np.float64))
+    allowed = np.arange(cfg.pitch_lo, cfg.pitch_hi + 1)
+    order = np.lexsort((allowed, -probs[allowed]))
+    top = allowed[order[: cfg.top_k]]
+    mass = probs[top]
+    total = mass.sum()
+    if total <= 0.0:
+        top = allowed
+        weights = np.full(len(allowed), 1.0 / len(allowed))
+    else:
+        weights = mass / total
+    draws = rng.choice(top, size=cfg.max_notes, replace=True, p=weights)
+    sample = np.zeros(128, dtype=np.uint8)
+    sample[np.unique(draws)] = 1
+    return sample
+
+
+def _lstm_step(params, x, state):
+    W_x, W_h, b = params["lstm.W_x"], params["lstm.W_h"], params["lstm.b"]
+    hidden = W_h.shape[1]
+    h, c = state
+    pre = W_x @ x + W_h @ h + b
+    i = sigmoid_masked(pre[:hidden])
+    f = sigmoid_masked(pre[hidden : 2 * hidden])
+    g = np.tanh(pre[2 * hidden : 3 * hidden])
+    o = sigmoid_masked(pre[3 * hidden :])
+    c = f * c + i * g
+    return o * np.tanh(c), c
+
+
+def _logits(params, cfg, z, S, t, history):
+    """(logits, attention vector) of step t; the attention row is projected here."""
+    if not cfg.attention_enabled:
+        return params["head.W"] @ z + params["head.b"], None
+    a = sparsemax_1d(S[t, :t]) @ history
+    if cfg.combiner_mode == "dense":
+        return params["combine.W"] @ np.concatenate([a, z]) + params["combine.b"], a
+    return params["combine.w_a"][0] * a + params["combine.w_z"][0] * z + params["combine.b"][0], a
+
+
+def forward_piece_per_step(params, cfg, target, S, p_feedback, rng):
+    """Scheduled-sampling forward pass, one step at a time.
+
+    target is the (n, 128) float sample matrix. Returns (X, D, A) laid out
+    as in training.PieceTrace.
+    """
+    n, seed_len = target.shape[0], cfg.seed_len
+    X = np.zeros((n - 1, 128))
+    X[:seed_len] = target[:seed_len]
+    state = (np.zeros(cfg.hidden_size), np.zeros(cfg.hidden_size))
+    for t in range(1, seed_len):
+        state = _lstm_step(params, X[t - 1], state)
+    D, A = [], []
+    for t in range(seed_len, n):
+        state = _lstm_step(params, X[t - 1], state)
+        d, a = _logits(params, cfg, state[0], S, t, X[:t])
+        D.append(d)
+        A.append(a)
+        if t <= n - 2:
+            if rng.random() < p_feedback:
+                X[t] = sample_notes_lexsort(d, cfg, rng).astype(np.float64)
+            else:
+                X[t] = target[t]
+    return X, np.array(D), np.array(A) if cfg.attention_enabled else None
+
+
+def generate_per_step(params, cfg, seed, S, rng):
+    """Continue seed to the template's length, one step at a time; (128, n) uint8."""
+    n, seed_len = S.shape[0], cfg.seed_len
+    out = np.zeros((n, 128))
+    out[:seed_len] = seed
+    state = (np.zeros(cfg.hidden_size), np.zeros(cfg.hidden_size))
+    for t in range(1, n):
+        state = _lstm_step(params, out[t - 1], state)
+        if t >= seed_len:
+            d, _ = _logits(params, cfg, state[0], S, t, out[:t])
+            out[t] = sample_notes_lexsort(d, cfg, rng)
+    return out.T.astype(np.uint8)

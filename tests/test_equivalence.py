@@ -1,0 +1,161 @@
+"""The vectorized forward kernels give bit-for-bit the results of the
+step-by-step references in oracles.py, RNG draws included."""
+
+import numpy as np
+import pytest
+
+from oracles import (
+    attention_weights_per_row,
+    forward_piece_per_step,
+    generate_per_step,
+    sample_notes_lexsort,
+    sigmoid_masked,
+    sparsemax_1d,
+)
+from sing import nn
+from sing.midi_io import PianoRoll
+from sing.model import (
+    ATTENTION_BLOCK_ROWS,
+    Model,
+    ModelConfig,
+    attention_weights,
+    generate,
+    sample_notes,
+)
+from sing.structure import SelfSimilarityMatrix, SynthSpec, synth_ssm
+from sing.training import forward_piece
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bit patterns (any NaN matches any NaN)."""
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    keep = ~np.isnan(a)
+    return np.array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
+
+
+class TestSigmoidMatchesMasked:
+    def test_special_values(self):
+        tiny = np.finfo(np.float64).tiny
+        x = np.array([
+            0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0, 709.78, -709.78,
+            36.8, -36.8, 5e-324, -5e-324, tiny, -tiny, tiny / 3, -tiny / 3, 1.0, -1.0,
+        ])
+        assert same_bits(nn.sigmoid(x), sigmoid_masked(x))
+        assert same_bits(nn.sigmoid(x[::-1]), sigmoid_masked(x[::-1]))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1e-2, 1.0, 4.0, 30.0, 1e3, 1e300])
+    def test_random_scales(self, scale):
+        x = np.random.default_rng(int(np.log10(scale) + 400)).normal(scale=scale, size=(7, 129))
+        assert same_bits(nn.sigmoid(x), sigmoid_masked(x))
+        assert same_bits(nn.sigmoid(x[:, ::3]), sigmoid_masked(x[:, ::3]))  # strided view
+
+
+def tied_template(n: int, rng) -> np.ndarray:
+    """Random SSM with repeated values, an all-zero row and a constant row."""
+    S = np.round(rng.random((n, n)) * 4) / 4
+    S[n // 2] = 0.0
+    S[n - 1] = 0.5
+    return S
+
+
+class TestAttentionWeightsMatchPerRow:
+    @pytest.mark.parametrize(
+        "n", [2, 3, ATTENTION_BLOCK_ROWS - 1, ATTENTION_BLOCK_ROWS, ATTENTION_BLOCK_ROWS + 1,
+              ATTENTION_BLOCK_ROWS + 2, 2 * ATTENTION_BLOCK_ROWS + 1, 301]
+    )
+    def test_matches_one_sparsemax_per_row(self, n):
+        rng = np.random.default_rng(n)
+        block = synth_ssm(SynthSpec(length=n, blocks=[(0, n // 2, 0.8), (n // 3, n, 0.3)],
+                                    background=0.1)).values
+        for S in (rng.random((n, n)), tied_template(n, rng), block, np.zeros((n, n))):
+            for first in sorted({1, min(10, n - 1), n - 1}):
+                assert same_bits(attention_weights(S, first), attention_weights_per_row(S, first))
+
+    def test_accepts_ssm_container(self):
+        values = np.random.default_rng(1).random((20, 20))
+        S = SelfSimilarityMatrix(values=values, role="template")
+        assert same_bits(attention_weights(S, 3), attention_weights_per_row(values, 3))
+
+    def test_sparsemax_vector_and_masked_rows(self):
+        rng = np.random.default_rng(2)
+        for size in (1, 2, 5, 40, 300):
+            for q in (rng.normal(size=size), np.round(rng.random(size) * 3), np.zeros(size)):
+                expected = sparsemax_1d(q)
+                assert same_bits(nn.sparsemax(q), expected)
+                padded = np.concatenate([q, np.full(7, -np.inf)])
+                assert same_bits(nn.sparsemax(padded[None])[0], np.concatenate([expected, np.zeros(7)]))
+
+    def test_row_without_finite_entry_rejected(self):
+        q = np.zeros((3, 4))
+        q[1] = -np.inf
+        with pytest.raises(ValueError):
+            nn.sparsemax(q)
+
+
+class TestSampleNotesMatchesLexsort:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModelConfig(),
+            ModelConfig(top_k=88, max_notes=5),
+            ModelConfig(top_k=3, max_notes=3, pitch_lo=60, pitch_hi=64),
+        ],
+    )
+    def test_samples_and_rng_state_match(self, cfg):
+        for seed in range(150):
+            logits_rng = np.random.default_rng(seed)
+            kind = seed % 5
+            if kind == 0:
+                d = logits_rng.normal(scale=4.0, size=128)
+            elif kind == 1:
+                d = np.round(logits_rng.normal(size=128))  # many ties
+            elif kind == 2:
+                d = np.zeros(128)
+            elif kind == 3:
+                d = np.full(128, -800.0)  # probabilities underflow: uniform fallback
+            else:
+                d = logits_rng.normal(scale=40.0, size=128)
+            fast, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+            for _ in range(3):
+                assert np.array_equal(sample_notes(d, cfg, fast), sample_notes_lexsort(d, cfg, ref))
+            assert fast.bit_generator.state == ref.bit_generator.state
+
+
+MODELS = [
+    ModelConfig(hidden_size=16, seed_len=5),
+    ModelConfig(hidden_size=128, combiner_mode="per_pitch", seed_len=5),
+    ModelConfig(hidden_size=8, seed_len=5, attention_enabled=False),
+]
+
+
+def model_and_piece(cfg, n=150):
+    model = Model(cfg, rng=np.random.default_rng(31))
+    rng = np.random.default_rng(32)
+    data = (rng.random((128, n)) < 0.04).astype(np.uint8)
+    data[:, n // 2 : n // 2 + 30] = data[:, :30]  # a repeat, so the template has structure
+    roll = PianoRoll(data=data, tempo=120.0, source_id="piece")
+    S = SelfSimilarityMatrix(values=tied_template(n, rng), role="template")
+    return model, roll, S
+
+
+@pytest.mark.parametrize("cfg", MODELS, ids=["dense", "per_pitch", "ablated"])
+class TestForwardMatchesStepReference:
+    def test_forward_piece(self, cfg):
+        model, roll, S = model_and_piece(cfg)
+        trace = forward_piece(model, roll, S, 0.5, np.random.default_rng(33))
+        X, D, A = forward_piece_per_step(model.params.values, cfg, roll.data.T.astype(np.float64),
+                                         S.values, 0.5, np.random.default_rng(33))
+        assert same_bits(trace.X, X)
+        assert same_bits(trace.D, D)
+        assert (trace.A is None) == (A is None)
+        assert A is None or same_bits(trace.A, A)
+
+    def test_generate(self, cfg):
+        model, roll, S = model_and_piece(cfg)
+        seed = roll.data.T[: cfg.seed_len]
+        fast, ref = np.random.default_rng(34), np.random.default_rng(34)
+        out = generate(model, seed, S, fast)
+        assert np.array_equal(out.data, generate_per_step(model.params.values, cfg, seed, S.values, ref))
+        assert fast.bit_generator.state == ref.bit_generator.state

@@ -8,6 +8,7 @@ from sing.model import (
     Model,
     ModelConfig,
     attention_step,
+    attention_weights,
     combine_backward,
     combine_forward,
     forward_step,
@@ -30,15 +31,20 @@ def random_history(rng, t):
     return (rng.random((t, 128)) < 0.05).astype(np.float64)
 
 
+def weights_row(S, t):
+    """Step t's attention weights over its t past steps."""
+    return attention_weights(S, t)[0, :t]
+
+
 class TestAttentionStep:
     def test_single_past_step_gets_full_weight(self):
         S = np.zeros((4, 4))
         S[1, 0] = 0.7
         history = np.zeros((1, 128))
         history[0, 60] = 1.0
-        w, a = attention_step(S, 1, history)
-        assert w.tolist() == [1.0]
-        assert np.array_equal(a, history[0])
+        W = attention_weights(S, 1)
+        assert W[0].tolist() == [1.0, 0.0, 0.0]
+        assert np.array_equal(attention_step(W[0, :1], history), history[0])
 
     def test_simplex_row_passes_through(self):
         S = np.zeros((4, 4))
@@ -46,34 +52,42 @@ class TestAttentionStep:
         history = np.zeros((2, 128))
         history[0, 10] = 1.0
         history[1, 20] = 1.0
-        w, a = attention_step(S, 2, history)
+        w = weights_row(S, 2)
+        a = attention_step(w, history)
         assert np.allclose(w, [0.9, 0.1])
         assert a[10] == pytest.approx(0.9)
         assert a[20] == pytest.approx(0.1)
 
     def test_zero_history_zero_vector(self):
         S = np.full((5, 5), 0.5)
-        w, a = attention_step(S, 3, np.zeros((3, 128)))
+        w = weights_row(S, 3)
+        a = attention_step(w, np.zeros((3, 128)))
         assert a.sum() == 0.0
         assert w.sum() == pytest.approx(1.0)
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
-            attention_step(np.eye(3), 0, np.zeros((0, 128)))
+            attention_weights(np.eye(3), 0)
+        with pytest.raises(ValueError):
+            attention_step(np.zeros(0), np.zeros((0, 128)))
 
     def test_row_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            attention_step(np.eye(3), 3, np.zeros((3, 128)))
+            attention_weights(np.eye(3), 3)
+        with pytest.raises(ValueError):
+            attention_step(np.full(2, 0.5), np.zeros((3, 128)))
 
     def test_weights_nonnegative_sum_one_sparse(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(2, 30))
-            t = int(rng.integers(1, n))
-            S = rng.random((n, n))
-            w, _ = attention_step(S, t, random_history(rng, t))
-            assert w.min() >= 0.0
-            assert w.sum() == pytest.approx(1.0, abs=1e-9)
+            first = int(rng.integers(1, n))
+            W = attention_weights(rng.random((n, n)), first)
+            assert W.shape == (n - first, n - 1)
+            assert W.min() >= 0.0
+            assert np.allclose(W.sum(axis=1), 1.0, atol=1e-9)
+            steps = np.arange(first, n)[:, None]
+            assert not W[np.arange(n - 1) >= steps].any()  # nothing on or past the diagonal
 
 
 class TestCombine:
@@ -136,15 +150,27 @@ class TestForwardStep:
     def test_ablated_output_ignores_ssm(self):
         cfg = small_config(attention_enabled=False)
         model = Model(cfg, rng=np.random.default_rng(4))
-        rng = np.random.default_rng(5)
-        prev = (rng.random(128) < 0.1).astype(np.float64)
-        history = random_history(rng, 3)
-        state = model.initial_state()
-        S1 = np.random.default_rng(6).random((8, 8))
-        S2 = np.random.default_rng(7).random((8, 8))
-        d1, _, _, _ = forward_step(model, prev, S1, 3, history, state)
-        d2, _, _, _ = forward_step(model, prev, S2, 3, history, state)
-        assert np.array_equal(d1, d2)
+        seed = (np.random.default_rng(5).random((cfg.seed_len, 128)) < 0.1).astype(np.uint8)
+        rolls = [
+            generate(model, seed, synth_ssm(SynthSpec(length=8, blocks=[(0, 4, level)])),
+                     np.random.default_rng(7))
+            for level in (0.2, 0.9)
+        ]
+        assert np.array_equal(rolls[0].data, rolls[1].data)
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_raw_ssm_rejected(self, attention):
+        model = Model(small_config(attention_enabled=attention), rng=np.random.default_rng(4))
+        S = np.random.default_rng(6).random((8, 8))
+        for w in (S, attention_weights(S, 3)):
+            with pytest.raises(ValueError):
+                forward_step(model, np.zeros(128), w, np.zeros((3, 128)), model.initial_state())
+
+    def test_ablated_model_rejects_weights(self):
+        model = Model(small_config(attention_enabled=False), rng=np.random.default_rng(4))
+        with pytest.raises(ValueError):
+            forward_step(model, np.zeros(128), np.full(3, 1 / 3), np.zeros((3, 128)),
+                         model.initial_state())
 
     def test_zero_model_gives_half_probabilities(self):
         cfg = small_config()
@@ -153,7 +179,7 @@ class TestForwardStep:
             model.params.values[name][...] = 0.0
         rng = np.random.default_rng(9)
         d, _, _, _ = forward_step(
-            model, rng.random(128), np.full((4, 4), 0.5), 2, random_history(rng, 2),
+            model, rng.random(128), weights_row(np.full((4, 4), 0.5), 2), random_history(rng, 2),
             model.initial_state(),
         )
         assert np.array_equal(d, np.zeros(128))
@@ -165,17 +191,16 @@ class TestForwardStep:
         rng = np.random.default_rng(11)
         prev = rng.random(128)
         history = random_history(rng, 2)
-        S = np.random.default_rng(12).random((5, 5))
+        w = weights_row(np.random.default_rng(12).random((5, 5)), 2)
         state = model.initial_state()
-        d1, _, _, _ = forward_step(model, prev, S, 2, history, state)
-        d2, _, _, _ = forward_step(model, prev, S, 2, history, state)
+        d1, _, _, _ = forward_step(model, prev, w, history, state)
+        d2, _, _, _ = forward_step(model, prev, w, history, state)
         assert np.array_equal(d1, d2)
 
     def test_attention_model_requires_ssm(self):
         model = Model(small_config(), rng=np.random.default_rng(13))
         with pytest.raises(ValueError):
-            forward_step(model, np.zeros(128), None, 2, np.zeros((2, 128)),
-                         model.initial_state())
+            forward_step(model, np.zeros(128), None, np.zeros((2, 128)), model.initial_state())
 
 
 class TestPerPitchMatchesAblatedBaseline:
@@ -198,11 +223,12 @@ class TestPerPitchMatchesAblatedBaseline:
         S = np.random.default_rng(17).random((6, 6))
         state_a = sing_model.initial_state()
         state_b = ablated.initial_state()
+        W = attention_weights(S, 1)
         history = random_history(rng, 5)
         for t in (1, 2, 3):
             prev = history[t - 1]
-            d_a, state_a, _, _ = forward_step(sing_model, prev, S, t, history[:t], state_a)
-            d_b, state_b, _, _ = forward_step(ablated, prev, S, t, history[:t], state_b)
+            d_a, state_a, _, _ = forward_step(sing_model, prev, W[t - 1, :t], history[:t], state_a)
+            d_b, state_b, _, _ = forward_step(ablated, prev, None, history[:t], state_b)
             assert np.allclose(d_a, d_b, atol=1e-12)
 
 
@@ -337,9 +363,9 @@ class TestCheckpointIo:
         rng = np.random.default_rng(26)
         prev = rng.random(128)
         history = random_history(rng, 2)
-        S = np.random.default_rng(27).random((5, 5))
-        d1, _, _, _ = forward_step(model, prev, S, 2, history, model.initial_state())
-        d2, _, _, _ = forward_step(again, prev, S, 2, history, again.initial_state())
+        w = weights_row(np.random.default_rng(27).random((5, 5)), 2)
+        d1, _, _, _ = forward_step(model, prev, w, history, model.initial_state())
+        d2, _, _, _ = forward_step(again, prev, w, history, again.initial_state())
         assert np.array_equal(d1, d2)
 
     def test_attention_checkpoint_with_ablated_config_rejected(self, tmp_path):
