@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sing.midi_io import N_PITCHES, PianoRoll
+from sing.midi_io import MAX_SAMPLES, N_PITCHES, PianoRoll
 
 GRID_K = 10
 GRID_COUNT = 16
@@ -67,17 +67,19 @@ def segment_lengths(n: int, max_len: int) -> list[int]:
 def slice_long(roll: PianoRoll, max_len: int) -> list[PianoRoll]:
     """Slice a piano roll into consecutive equal-length segments."""
     parts = segment_lengths(roll.n_samples, max_len)
-    if len(parts) == 1:
-        return [roll]
-    seg = parts[0]
-    return [
-        PianoRoll(
-            data=roll.data[:, i * seg : (i + 1) * seg],
-            tempo=roll.tempo,
-            source_id=f"{roll.source_id}#{i}" if roll.source_id else f"#{i}",
-        )
-        for i in range(len(parts))
-    ]
+    return [cut_segment(roll, i, parts[0]) for i in range(len(parts))]
+
+
+def cut_segment(roll: PianoRoll, index: int, length: int) -> PianoRoll:
+    """Samples [index * length, (index + 1) * length) of a roll; the roll
+    itself when the segment is all of it."""
+    if length == roll.n_samples:
+        return roll
+    return PianoRoll(
+        data=roll.data[:, index * length : (index + 1) * length],
+        tempo=roll.tempo,
+        source_id=f"{roll.source_id}#{index}" if roll.source_id else f"#{index}",
+    )
 
 
 def build_grid(
@@ -194,12 +196,15 @@ def plan_from_text(text: str) -> BatchPlan:
         piece_id, segment_s, target_s, edit, fraction_s = parts
         if edit not in ("pad", "truncate", "none"):
             raise ValueError(f"line {lineno}: unknown edit {edit!r}")
-        target = int(target_s)
-        fraction = float(fraction_s)
+        segment, target, fraction = int(segment_s), int(target_s), float(fraction_s)
+        if segment < 0 or not 1 <= target <= MAX_SAMPLES:
+            raise ValueError(f"line {lineno}: segment {segment} or target {target} out of range")
+        if not (math.isfinite(fraction) and fraction >= 0) or (edit == "none" and fraction != 0):
+            raise ValueError(f"line {lineno}: edit fraction {fraction_s} invalid for {edit!r}")
         source = _source_length(target, edit, fraction)
-        assignments.append(
-            Assignment(piece_id, int(segment_s), source, target, edit, fraction)
-        )
+        if source < 1:
+            raise ValueError(f"line {lineno}: edit fraction {fraction_s} implies an empty segment")
+        assignments.append(Assignment(piece_id, segment, source, target, edit, fraction))
     for batch in batches:
         for idx in batch:
             if not 0 <= idx < len(assignments):
@@ -208,11 +213,10 @@ def plan_from_text(text: str) -> BatchPlan:
 
 
 def _source_length(target: int, edit: str, fraction: float) -> int:
-    if edit == "none" or fraction == 0.0:
-        return target
+    """The segment length the edit started from; 0 when no length fits."""
     # |source - target| / source = fraction, sign given by the edit kind
-    source = target / (1 - fraction) if edit == "truncate" else target / (1 + fraction)
-    return int(round(source))
+    scale = {"none": 1.0, "truncate": 1.0 - fraction, "pad": 1.0 + fraction}[edit]
+    return int(round(target / scale)) if scale > 0 else 0
 
 
 def save_plan(plan: BatchPlan, path: str | Path) -> None:

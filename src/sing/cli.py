@@ -60,24 +60,6 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
     common.add_argument("--config", help="key = value config file overriding defaults")
     common.add_argument("--seed", type=int, default=0, help="RNG seed for all randomness")
 
-    def model_flags(p: argparse.ArgumentParser, with_arch: bool = True):
-        if with_arch:
-            p.add_argument("--hidden", dest="hidden_size", metavar="HIDDEN", type=int,
-                           default=defaults["hidden_size"], help="LSTM hidden size")
-            p.add_argument(
-                "--combiner",
-                dest="combiner_mode",
-                choices=["dense", "per_pitch"],
-                default=defaults["combiner_mode"],
-                help="how attention and LSTM outputs merge",
-            )
-            p.add_argument("--ablated", action="store_true", help="attention-free baseline model")
-        p.add_argument("--seed-len", type=int, default=defaults["seed_len"], help="samples fed before generation")
-        p.add_argument("--top-k", type=int, default=defaults["top_k"], help="sample from the k most probable pitches")
-        p.add_argument("--max-notes", type=int, default=defaults["max_notes"], help="categorical draws per sample")
-        p.add_argument("--pitch-lo", type=int, default=defaults["pitch_lo"], help="lowest sampleable pitch")
-        p.add_argument("--pitch-hi", type=int, default=defaults["pitch_hi"], help="highest sampleable pitch")
-
     def batching_flags(p: argparse.ArgumentParser):
         p.add_argument("--grid-k", type=int, default=defaults["grid_k"], help="rank of the shortest standard length")
         p.add_argument("--grid-count", type=int, default=defaults["grid_count"], help="number of standard lengths")
@@ -124,8 +106,21 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
         default=defaults["p_feedback"],
         help="probability of feeding back the model's own sample",
     )
-    p.add_argument("--max-len", type=int, default=defaults["max_len"], help="must match the plan's slicing length")
-    model_flags(p)
+    p.add_argument("--hidden", dest="hidden_size", metavar="HIDDEN", type=int,
+                   default=defaults["hidden_size"], help="LSTM hidden size")
+    p.add_argument(
+        "--combiner",
+        dest="combiner_mode",
+        choices=["dense", "per_pitch"],
+        default=defaults["combiner_mode"],
+        help="how attention and LSTM outputs merge",
+    )
+    p.add_argument("--ablated", action="store_true", help="attention-free baseline model")
+    p.add_argument("--seed-len", type=int, default=defaults["seed_len"], help="samples fed before generation")
+    p.add_argument("--top-k", type=int, default=defaults["top_k"], help="sample from the k most probable pitches")
+    p.add_argument("--max-notes", type=int, default=defaults["max_notes"], help="categorical draws per sample")
+    p.add_argument("--pitch-lo", type=int, default=defaults["pitch_lo"], help="lowest sampleable pitch")
+    p.add_argument("--pitch-hi", type=int, default=defaults["pitch_hi"], help="highest sampleable pitch")
 
     p = sub.add_parser("generate", parents=[common], formatter_class=fmt,
                        help="checkpoint + seed + template SSM -> piano roll and MIDI")
@@ -141,14 +136,13 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
                        help="checkpoint(s) + test corpus -> standardized-MSE CSV")
     p.add_argument("--in", dest="input_path", required=True, help="directory of test .proll files")
     p.add_argument("--out", dest="output_path", required=True, help="CSV file to write")
-    p.add_argument("--generator", choices=["sing", "ablated", "random"], default="sing",
+    p.add_argument("--generator", choices=evaluation.GENERATORS, default="sing",
                    help="which generator to score")
     p.add_argument("--checkpoint", help="model checkpoint (sing/ablated generators)")
-    p.add_argument("--model-config", help="model config file (default: next to checkpoint)")
+    p.add_argument("--model-config",
+                   help="model config file (default: next to checkpoint, else built-in defaults)")
     p.add_argument("--generations", type=int, default=evaluation.GENERATIONS_PER_PIECE,
                    help="generations per test piece")
-    p.add_argument("--ablated", action="store_true", help="shorthand for --generator ablated")
-    model_flags(p, with_arch=False)
     batching_flags(p)
 
     p = sub.add_parser("render-ssm", parents=[common], formatter_class=fmt,
@@ -179,13 +173,10 @@ def _load_rolls(directory: str | Path) -> list[midi_io.PianoRoll]:
     return rolls
 
 
-def _model_config(args, **extra) -> ModelConfig:
-    """ModelConfig from the model flags this verb has; other fields keep defaults."""
-    flags = {f.name: getattr(args, f.name) for f in _MODEL_FIELDS if f.name in vars(args)}
-    return ModelConfig(**flags, **extra)
-
-
-def _model_config_for(checkpoint: Path, explicit: str | None) -> ModelConfig:
+def _model_config_for(checkpoint: Path | None, explicit: str | None) -> ModelConfig:
+    """--model-config, else the model_config.txt next to the checkpoint, else defaults."""
+    if not (explicit or checkpoint):
+        return ModelConfig()
     cfg_path = Path(explicit) if explicit else checkpoint.parent / "model_config.txt"
     return ModelConfig.from_text(_require(cfg_path).read_text())
 
@@ -243,9 +234,10 @@ def _cmd_train(args) -> int:
     rolls = _load_rolls(args.input_path)
     plan = batching.load_plan(_require(args.plan))
     rolls_by_id = {roll.source_id: roll for roll in rolls}
-    items = training.items_from_plan(plan, rolls_by_id, max_len=args.max_len)
+    items = training.items_from_plan(plan, rolls_by_id)
 
-    cfg = _model_config(args, attention_enabled=not args.ablated)
+    flags = {f.name: getattr(args, f.name) for f in _MODEL_FIELDS}
+    cfg = ModelConfig(**flags, attention_enabled=not args.ablated)
     tcfg = training.TrainConfig(
         **{f.name: getattr(args, f.name) for f in fields(training.TrainConfig)}
     )
@@ -307,18 +299,13 @@ def _cmd_generate(args) -> int:
 def _cmd_evaluate(args) -> int:
     rolls = _load_rolls(args.input_path)
     rng = np.random.default_rng(args.seed)
-    if args.ablated:
-        args.generator = "ablated"
-    if args.generator == "random":
-        cfg = _model_config(args)
-        model = None
-    else:
-        if not args.checkpoint:
+    ckpt = _require(args.checkpoint) if args.checkpoint else None
+    cfg = _model_config_for(ckpt, args.model_config)
+    model = None
+    if args.generator != "random":
+        if ckpt is None:
             raise ValueError(f"generator {args.generator!r} needs --checkpoint")
-        ckpt = _require(args.checkpoint)
-        cfg = _model_config_for(ckpt, args.model_config)
-        expected_attention = args.generator == "sing"
-        if cfg.attention_enabled != expected_attention:
+        if cfg.attention_enabled != (args.generator == "sing"):
             raise ValueError(
                 f"checkpoint is {'an attention' if cfg.attention_enabled else 'an ablated'} "
                 f"model but --generator={args.generator}"
@@ -335,9 +322,7 @@ def _cmd_evaluate(args) -> int:
     )
     for label in excluded:
         log.warning("excluded %s from evaluation", label)
-    run = evaluation.evaluate(
-        args.generator, items, cfg, rng, model=model, generations=args.generations
-    )
+    run = evaluation.evaluate(items, cfg, rng, model=model, generations=args.generations)
     Path(args.output_path).write_text(evaluation.eval_run_to_csv(run))
     print(
         f"evaluate[{run.generator}]: mean standardized MSE {run.mean:.4f} over "

@@ -52,21 +52,20 @@ def random_baseline(n: int, cfg: ModelConfig, rng: np.random.Generator) -> Piano
 
 
 def evaluate(
-    generator: str,
     items: list[TrainItem],
     cfg: ModelConfig,
     rng: np.random.Generator,
     model: Model | None = None,
     generations: int = GENERATIONS_PER_PIECE,
 ) -> EvalRun:
-    """Score one generator over a processed test corpus."""
-    if generator not in GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}")
-    if generator != "random" and model is None:
-        raise ValueError(f"generator {generator!r} needs a model")
+    """Score the model (sing or ablated, by cfg.attention_enabled), or the
+    random baseline when there is none, over a processed test corpus."""
+    if model is not None and model.cfg != cfg:
+        raise ValueError(f"model config {model.cfg} differs from {cfg}")
     if generations < 1:
         raise ValueError(f"generations must be >= 1, got {generations}")
-    run = EvalRun(generator=generator)
+    label = "sing" if cfg.attention_enabled else "ablated"
+    run = EvalRun(generator="random" if model is None else label)
     for item in items:
         n = item.roll.n_samples
         if n <= cfg.seed_len:
@@ -77,16 +76,14 @@ def evaluate(
         scores = []
         try:
             for _ in range(generations):
-                if generator == "random":
+                if model is None:
                     roll = random_baseline(n, cfg, rng)
                 else:
                     roll = generate(model, seed, item.template, rng, tempo=item.roll.tempo)
                 generated = ssm(chroma(roll), role="generated")
                 scores.append(standardized_mse(item.template, generated))
-        except (ValueError, FloatingPointError) as exc:
-            run.skipped.append(item.label)
-            log.warning("skipping %s: %s", item.label, exc)
-            continue
+        except ValueError as exc:
+            raise ValueError(f"piece {item.label}: {exc}") from exc
         run.piece_ids.append(item.label)
         run.mses.append(scores)
     return run

@@ -30,6 +30,9 @@ TEMPO_MIN = 40.0
 TEMPO_MAX = 300.0
 TEMPO_FALLBACK = 120.0
 NOTE_VELOCITY = 80
+# Longest piece, in samples, any input may name: its n x n float64 SSM is
+# 2 GiB, and it lasts 55 minutes at the TEMPO_MAX sample rate.
+MAX_SAMPLES = 16_384
 WRITE_TICKS_PER_QUARTER = 9600
 
 # Sampling tolerance as a fraction of the sample period. Note boundaries in
@@ -334,6 +337,8 @@ def to_piano_roll(events: list[NoteEvent], tempo: float, source_id: str = "") ->
     period = 60.0 / tempo
     last_offset = max(e.offset for e in events)
     n_samples = max(1, math.ceil(last_offset / period - SAMPLE_EPS))
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"piece spans {n_samples} samples, more than {MAX_SAMPLES}")
     data = np.zeros((N_PITCHES, n_samples), dtype=np.uint8)
     for event in events:
         start = max(0, math.ceil(event.onset / period - SAMPLE_EPS))

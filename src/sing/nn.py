@@ -264,6 +264,8 @@ def checkpoint_from_bytes(data: bytes) -> ParamSet:
             n_values = rows * max(cols, 1)
             values = np.frombuffer(data, dtype="<f8", count=n_values, offset=pos).copy()
             pos += n_values * 8
+            if not np.isfinite(values).all():
+                raise ValueError(f"checkpoint tensor {name!r} holds non-finite values")
             tensors[name] = values if cols == 0 else values.reshape(rows, cols)
     except struct.error:
         raise ValueError(f"checkpoint truncated at byte {pos}") from None

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sing.midi_io import PianoRoll
+from sing.midi_io import MAX_SAMPLES, PianoRoll
 
 N_CHROMA = 12
 SSM_MAGIC = b"SINGSSM\x00"
@@ -52,8 +52,8 @@ class SynthSpec:
     background: float = 0.0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
+        if not 1 <= self.length <= MAX_SAMPLES:
+            raise ValueError(f"length {self.length} outside 1..{MAX_SAMPLES}")
         if not 0.0 <= self.background <= 1.0:
             raise ValueError(f"background {self.background} outside [0, 1]")
         for start, end, level in self.blocks:

@@ -30,6 +30,7 @@ from sing.batching import (
     apply_edit,
     assign,
     build_grid,
+    cut_segment,
     make_batches,
     slice_long,
 )
@@ -241,6 +242,28 @@ def _backward_through_time(model: Model, trace: PieceTrace, dD: np.ndarray) -> N
     p.accumulate("lstm.b", dpre.sum(axis=0))
 
 
+def _finite_loss(
+    model: Model,
+    item: TrainItem,
+    tcfg: TrainConfig,
+    rng: np.random.Generator,
+    epoch: int,
+    with_grad: bool,
+) -> float:
+    """One piece's total loss; a failed forward pass or a non-finite loss
+    raises TrainingError naming the piece and the epoch."""
+    try:
+        trace = forward_piece(model, item.roll, item.template, tcfg.p_feedback, rng)
+        loss = piece_loss(model, trace, item.roll, item.template, with_grad=with_grad)
+    except ValueError as exc:
+        raise TrainingError(
+            f"non-finite forward pass on piece {item.label} (epoch {epoch}): {exc}"
+        ) from exc
+    if not math.isfinite(loss.total):
+        raise TrainingError(f"non-finite loss on piece {item.label} (epoch {epoch})")
+    return loss.total
+
+
 def train_epoch(
     model: Model,
     plan: BatchPlan,
@@ -256,19 +279,7 @@ def train_epoch(
     losses: list[float] = []
     for batch in plan.batches:
         for idx in batch:
-            item = items[idx]
-            try:
-                trace = forward_piece(model, item.roll, item.template, tcfg.p_feedback, rng)
-                loss = piece_loss(model, trace, item.roll, item.template, with_grad=True)
-            except (ValueError, FloatingPointError) as exc:
-                raise TrainingError(
-                    f"non-finite forward pass on piece {item.label} (epoch {epoch}): {exc}"
-                ) from exc
-            if not math.isfinite(loss.total):
-                raise TrainingError(
-                    f"non-finite loss on piece {item.label} (epoch {epoch})"
-                )
-            losses.append(loss.total)
+            losses.append(_finite_loss(model, items[idx], tcfg, rng, epoch, with_grad=True))
         nn.adam_step(model.params, tcfg.lr)
     elapsed = time.perf_counter() - started
     mean_loss = float(np.mean(losses)) if losses else float("nan")
@@ -289,14 +300,12 @@ def validate(
     items: list[TrainItem],
     tcfg: TrainConfig,
     rng: np.random.Generator,
+    epoch: int = 0,
 ) -> float:
     """Mean piece loss under the training regime (same p_feedback), no grads."""
     if not items:
         return float("nan")
-    losses = []
-    for item in items:
-        trace = forward_piece(model, item.roll, item.template, tcfg.p_feedback, rng)
-        losses.append(piece_loss(model, trace, item.roll, item.template, with_grad=False).total)
+    losses = [_finite_loss(model, item, tcfg, rng, epoch, with_grad=False) for item in items]
     return float(np.mean(losses))
 
 
@@ -332,7 +341,7 @@ def train(
     ckpt_paths: list[Path] = []
     for epoch in range(tcfg.epochs):
         report = train_epoch(model, plan, items, tcfg, rng, epoch=epoch)
-        report.val_loss = validate(model, val_items, tcfg, rng)
+        report.val_loss = validate(model, val_items, tcfg, rng, epoch=epoch)
         reports.append(report)
         path = ckpt_dir / f"epoch_{epoch}.ckpt"
         nn.save_checkpoint(model.params, path)
@@ -396,21 +405,25 @@ def prepare_corpus(
     return plan, items, excluded
 
 
-def items_from_plan(
-    plan: BatchPlan, rolls_by_id: dict[str, PianoRoll], max_len: int = GRID_MAX_LEN
-) -> list[TrainItem]:
-    """Rebuild edited training items for a stored plan from source rolls."""
+def items_from_plan(plan: BatchPlan, rolls_by_id: dict[str, PianoRoll]) -> list[TrainItem]:
+    """Rebuild edited training items for a stored plan from source rolls.
+
+    Segment i of a piece is samples [i * s, (i + 1) * s) of its roll, where
+    s is the segment length the plan records: the cut `slice_long` made
+    when the plan was written.
+    """
     items: list[TrainItem] = []
     for assignment in plan.assignments:
         if assignment.piece_id not in rolls_by_id:
             raise KeyError(f"plan references unknown piece {assignment.piece_id!r}")
         roll = rolls_by_id[assignment.piece_id]
-        segs = slice_long(roll, max_len)
-        if assignment.segment_index >= len(segs):
+        n, s, i = roll.n_samples, assignment.source_length, assignment.segment_index
+        # equal slicing into m segments makes them n // m samples long
+        if (i + 1) * s > n or n // (n // s) != s:
             raise ValueError(
-                f"plan references segment {assignment.segment_index} of "
-                f"{assignment.piece_id!r}, which has {len(segs)} segments"
+                f"plan segment {i} of {assignment.piece_id!r} ({s} samples) is not one "
+                f"of the equal segments of its {n}-sample roll"
             )
-        edited = apply_edit(segs[assignment.segment_index], assignment.target_length)
-        items.append(TrainItem.from_roll(assignment.piece_id, assignment.segment_index, edited))
+        edited = apply_edit(cut_segment(roll, i, s), assignment.target_length)
+        items.append(TrainItem.from_roll(assignment.piece_id, i, edited))
     return items

@@ -298,11 +298,11 @@ def test_structure_replication(desk_models):
     means = {}
     for name in ("sing", "ablated"):
         cfg, model = desk_models["models"][name]
-        run = evaluate(name, held_out, cfg, np.random.default_rng(DESK_SEED + 3), model=model)
+        run = evaluate(held_out, cfg, np.random.default_rng(DESK_SEED + 3), model=model)
         assert all(len(scores) == 3 for scores in run.mses)
         means[name] = run.mean
     random_cfg = ModelConfig(hidden_size=DESK_HIDDEN, seed_len=10)
-    random_run = evaluate("random", held_out, random_cfg, np.random.default_rng(DESK_SEED + 4))
+    random_run = evaluate(held_out, random_cfg, np.random.default_rng(DESK_SEED + 4))
 
     total = desk_models["train_seconds"] + (time.perf_counter() - started)
     assert means["sing"] < means["ablated"], means
@@ -427,7 +427,7 @@ def test_end_to_end_determinism(tmp_path):
         ckpt_dir = tmp_path / f"ckpt_{tag}"
         assert cli_main(["train", "--in", str(corpus), "--plan", str(plan),
                          "--out", str(ckpt_dir), "--epochs", "2", "--hidden", "6",
-                         "--seed-len", "4", "--max-len", "24", "--lr", "0.01",
+                         "--seed-len", "4", "--lr", "0.01",
                          "--seed", "9"]) == 0
         gen = tmp_path / f"gen_{tag}"
         assert cli_main(["generate", "--checkpoint", str(ckpt_dir / "best.ckpt"),

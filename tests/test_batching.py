@@ -8,6 +8,7 @@ from sing.batching import (
     apply_edit,
     assign,
     build_grid,
+    cut_segment,
     load_plan,
     make_batches,
     plan_from_text,
@@ -16,7 +17,7 @@ from sing.batching import (
     segment_lengths,
     slice_long,
 )
-from sing.midi_io import PianoRoll
+from sing.midi_io import MAX_SAMPLES, PianoRoll
 
 
 def grid_255_700():
@@ -199,3 +200,35 @@ class TestPlanText:
     def test_bad_edit_rejected(self):
         with pytest.raises(ValueError, match="unknown edit"):
             plan_from_text("x,0,100,stretch,0.0\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "x,0,0,none,0.0",  # target below 1
+            f"x,0,{MAX_SAMPLES + 1},none,0.0",  # target past the length cap
+            "x,-1,100,none,0.0",  # negative segment index
+            "x,0,100,pad,-0.01",  # negative fraction
+            "x,0,100,pad,nan",
+            "x,0,100,truncate,inf",
+            "x,0,100,none,0.5",  # no edit, yet a nonzero fraction
+            "x,0,100,pad,1000.0",  # source round(100 / 1001) = 0
+            "x,0,100,truncate,1.0",  # source 100 / 0
+            "x,0,100,truncate,1.5",  # negative source
+        ],
+    )
+    def test_values_the_reader_trusts_are_checked(self, line):
+        with pytest.raises(ValueError, match="line 1"):
+            plan_from_text(line + "\n")
+
+
+class TestCutSegment:
+    @pytest.mark.parametrize("n, max_len", [(700, 700), (701, 700), (1000, 300), (97, 10)])
+    def test_matches_slice_long(self, n, max_len):
+        roll = make_roll(n)
+        roll.data[:, :] = np.random.default_rng(n).integers(0, 2, roll.data.shape)
+        parts = slice_long(roll, max_len)
+        seg = parts[0].n_samples
+        for i, part in enumerate(parts):
+            cut = cut_segment(roll, i, seg)
+            assert cut.source_id == part.source_id
+            assert np.array_equal(cut.data, part.data)

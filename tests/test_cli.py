@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import smf
+from sing import evaluation
 from sing.cli import _CONFIG_KEYS, main
 from sing.midi_io import PianoRoll, load_proll, save_proll, to_midi
-from sing.model import Model, ModelConfig, save_model
+from sing.model import Model, ModelConfig, load_model, save_model
 from sing.structure import SelfSimilarityMatrix, SynthSpec, load_ssm, save_ssm, synth_ssm
 
 
@@ -92,6 +94,14 @@ class TestPreprocess:
                      "--out", str(tmp_path / "rolls")]) == 0
         assert len(list((tmp_path / "rolls").glob("*.proll"))) == 2
 
+    def test_file_naming_an_over_long_piece_excluded(self, tmp_path, caplog):
+        write_corpus_midi(tmp_path / "midi", n_pieces=1)
+        (tmp_path / "midi" / "huge.mid").write_bytes(smf.single_note_file(tpq=1, off=0x0FFFFFFF))
+        assert main(["preprocess", "--in", str(tmp_path / "midi"),
+                     "--out", str(tmp_path / "rolls")]) == 0
+        assert [p.name for p in (tmp_path / "rolls").glob("*.proll")] == ["piece0.proll"]
+        assert "excluded huge.mid" in caplog.text
+
     def test_roll_and_ssm_agree(self, tmp_path):
         write_corpus_midi(tmp_path / "midi", n_pieces=1)
         main(["preprocess", "--in", str(tmp_path / "midi"), "--out", str(tmp_path / "rolls")])
@@ -112,7 +122,7 @@ class TestEndToEnd:
                          "--batch-cap", "2", "--seed", str(seed)]) == 0
         args = ["train", "--in", str(corpus), "--plan", str(plan),
                 "--out", str(tmp_path / out_name), "--epochs", "2", "--hidden", "6",
-                "--seed-len", "4", "--max-len", "24", "--seed", str(seed), "--lr", "0.01"]
+                "--seed-len", "4", "--seed", str(seed), "--lr", "0.01"]
         args += list(extra)
         assert main(args) == 0
         return tmp_path / out_name
@@ -151,7 +161,7 @@ class TestEndToEnd:
                      "--out", str(result), "--generator", "sing",
                      "--checkpoint", str(out / "best.ckpt"),
                      "--grid-k", "2", "--grid-count", "4", "--max-len", "24",
-                     "--seed-len", "4", "--seed", "3"]) == 0
+                     "--seed", "3"]) == 0
         lines = result.read_text().strip().splitlines()
         assert lines[0] == "piece_id,generation_index,std_mse"
         assert lines[-1].startswith("mean,sing,")
@@ -162,16 +172,62 @@ class TestEndToEnd:
         result = tmp_path / "eval.csv"
         assert main(["evaluate", "--in", str(corpus), "--out", str(result),
                      "--generator", "random", "--grid-k", "2", "--grid-count", "4",
-                     "--max-len", "24", "--seed-len", "4", "--seed", "3"]) == 0
+                     "--max-len", "24", "--seed", "3"]) == 0
         assert "mean,random," in result.read_text()
 
     def test_generator_checkpoint_mismatch_rejected(self, tmp_path, capsys):
         out = self._train(tmp_path, "ckpt")  # attention model
         code = main(["evaluate", "--in", str(tmp_path / "corpus"),
                      "--out", str(tmp_path / "eval.csv"), "--generator", "ablated",
-                     "--checkpoint", str(out / "best.ckpt"), "--seed-len", "4"])
+                     "--checkpoint", str(out / "best.ckpt")])
         assert code == 1
         assert "ablated" in capsys.readouterr().err
+
+
+class TestOneSourcePerSetting:
+    def test_removed_flags_are_gone(self, capsys):
+        for verb, gone in {
+            "train": ["--max-len"],
+            "evaluate": ["--seed-len", "--top-k", "--max-notes", "--pitch-lo", "--pitch-hi",
+                         "--ablated"],
+        }.items():
+            with pytest.raises(SystemExit):
+                main([verb, "--help"])
+            text = capsys.readouterr().out
+            for flag in gone:
+                assert f"{flag} " not in text, (verb, flag)
+
+    def test_random_generator_reads_model_config(self, tmp_path, monkeypatch):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=3, n=24)
+        model_cfg = ModelConfig(seed_len=6, top_k=5, max_notes=1, pitch_lo=60, pitch_hi=64)
+        (tmp_path / "model.txt").write_text(model_cfg.to_text())
+        seen, real = [], evaluation.random_baseline
+
+        def spy(n, cfg, rng):
+            seen.append(cfg)
+            return real(n, cfg, rng)
+
+        monkeypatch.setattr(evaluation, "random_baseline", spy)
+        assert main(["evaluate", "--in", str(tmp_path / "corpus"),
+                     "--out", str(tmp_path / "eval.csv"), "--generator", "random",
+                     "--model-config", str(tmp_path / "model.txt"), "--grid-k", "2",
+                     "--grid-count", "4", "--max-len", "24"]) == 0
+        assert seen and all(cfg == model_cfg for cfg in seen)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["piece0,0,20,truncate,0.3333333333333333", "piece0,0,10,none,0.0"],
+    )
+    def test_plan_segment_that_does_not_fit_fails_before_writing(self, tmp_path, capsys, line):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"{line}\nbatch: 0\n")
+        out = tmp_path / "ckpt"
+        code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
+                     "--out", str(out), "--epochs", "1", "--hidden", "6", "--seed-len", "4"])
+        assert code == 1
+        assert "'piece0'" in single_error_line(capsys)
+        assert not out.exists()
 
 
 class TestArgumentHandling:
@@ -182,9 +238,9 @@ class TestArgumentHandling:
 
     def test_help_lists_documented_defaults(self, capsys):
         for verb, expectations in {
-            "train": ["0.8", "0.001", "128", "10"],
+            "train": ["0.8", "0.001", "128", "10", "50", "20", "107"],
             "batch-plan": ["10", "16", "700", "100", "0.04"],
-            "evaluate": ["50", "3", "20", "107"],
+            "evaluate": ["3"],
         }.items():
             with pytest.raises(SystemExit) as exc:
                 main([verb, "--help"])
@@ -234,13 +290,13 @@ class TestAblatedFlag:
         out = tmp_path / "ckpt"
         assert main(["train", "--in", str(corpus), "--plan", str(plan),
                      "--out", str(out), "--epochs", "1", "--hidden", "6",
-                     "--seed-len", "4", "--max-len", "24", "--seed", "5",
+                     "--seed-len", "4", "--seed", "5",
                      "--ablated"]) == 0
         result = tmp_path / "eval.csv"
         assert main(["evaluate", "--in", str(corpus), "--out", str(result),
-                     "--ablated", "--checkpoint", str(out / "best.ckpt"),
+                     "--generator", "ablated", "--checkpoint", str(out / "best.ckpt"),
                      "--grid-k", "2", "--grid-count", "4", "--max-len", "24",
-                     "--seed-len", "4", "--seed", "3"]) == 0
+                     "--seed", "3"]) == 0
         assert "mean,ablated," in result.read_text()
 
     def test_generate_ablated_mismatch_rejected(self, tmp_path, capsys):
@@ -251,7 +307,7 @@ class TestAblatedFlag:
               "--grid-count", "4", "--max-len", "24", "--batch-cap", "2", "--seed", "5"])
         out = tmp_path / "ckpt"
         main(["train", "--in", str(corpus), "--plan", str(plan), "--out", str(out),
-              "--epochs", "1", "--hidden", "6", "--seed-len", "4", "--max-len", "24",
+              "--epochs", "1", "--hidden", "6", "--seed-len", "4",
               "--seed", "5"])
         spec = tmp_path / "spec.txt"
         spec.write_text("length=20\n")
@@ -294,7 +350,7 @@ class TestBadInputs:
         result = tmp_path / "eval.csv"
         code = main(["evaluate", "--in", str(tmp_path / "corpus"), "--out", str(result),
                      "--generator", "random", "--grid-k", "2", "--grid-count", "4",
-                     "--max-len", "24", "--seed-len", "4", "--generations", count])
+                     "--max-len", "24", "--generations", count])
         assert code == 1
         assert "generations" in single_error_line(capsys)
         assert not result.exists()
@@ -309,10 +365,27 @@ class TestBadInputs:
         out = tmp_path / "ckpt"
         out.mkdir()
         code = main(["train", "--in", str(corpus), "--plan", str(plan), "--out", str(out),
-                     "--epochs", "0", "--hidden", "6", "--seed-len", "4", "--max-len", "24"])
+                     "--epochs", "0", "--hidden", "6", "--seed-len", "4"])
         assert code == 1
         assert "epochs" in single_error_line(capsys)
         assert list(out.iterdir()) == []
+
+    def test_nan_checkpoint_is_an_error_and_writes_nothing(self, tmp_path, capsys):
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+        model = load_model(ckpt, ModelConfig(hidden_size=6, seed_len=4))
+        model.params["lstm.W_h"][1, 2] = np.nan
+        save_model(model, ckpt)
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=3, n=24)
+        save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
+        for argv in (
+            ["evaluate", "--in", str(tmp_path / "corpus"), "--out", str(tmp_path / "eval.csv"),
+             "--checkpoint", str(ckpt), "--grid-k", "2", "--grid-count", "4", "--max-len", "24"],
+            ["generate", "--checkpoint", str(ckpt), "--in", str(tmp_path / "corpus" / "piece0.proll"),
+             "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "gen")],
+        ):
+            assert main(argv) == 1, argv[0]
+            assert "'lstm.W_h' holds non-finite" in single_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "corpus", "t.ssm"]
 
     def test_checkpoint_config_mismatch_names_tensors(self, tmp_path, capsys):
         ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
@@ -337,10 +410,10 @@ CONFIG_CASES = {
     "model.hidden_size": ("train", "--hidden", "64"),
     "model.combiner_mode": ("train", "--combiner", "per_pitch"),
     "model.seed_len": ("train", "--seed-len", "6"),
-    "model.top_k": ("evaluate", "--top-k", "40"),
-    "model.max_notes": ("evaluate", "--max-notes", "2"),
-    "model.pitch_lo": ("evaluate", "--pitch-lo", "30"),
-    "model.pitch_hi": ("evaluate", "--pitch-hi", "90"),
+    "model.top_k": ("train", "--top-k", "40"),
+    "model.max_notes": ("train", "--max-notes", "2"),
+    "model.pitch_lo": ("train", "--pitch-lo", "30"),
+    "model.pitch_hi": ("train", "--pitch-hi", "90"),
     "train.p_feedback": ("train", "--p-feedback", "0.5"),
     "train.lr": ("train", "--lr", "0.02"),
     "train.epochs": ("train", "--epochs", "4"),

@@ -49,3 +49,11 @@ def test_non_finite_ssm_rejected(bad):
     blob[12:16] = np.array([bad], dtype="<f4").tobytes()
     with pytest.raises(ValueError, match="non-finite"):
         ssm_from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_checkpoint_tensor_rejected_by_name(bad):
+    params = ParamSet()
+    params.add("w", np.array([0.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="'w'.*non-finite"):
+        checkpoint_from_bytes(checkpoint_to_bytes(params))

@@ -65,7 +65,7 @@ class TestEvaluate:
             raise AssertionError("unknown template")
 
         monkeypatch.setattr("sing.evaluation.generate", replay)
-        run = evaluate("sing", items, cfg, np.random.default_rng(4), model=model)
+        run = evaluate(items, cfg, np.random.default_rng(4), model=model)
         assert run.mean == pytest.approx(0.0, abs=1e-12)
         assert all(len(scores) == 3 for scores in run.mses)
 
@@ -73,7 +73,7 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         items = [block_piece(256, rng, f"p{i}") for i in range(2)]
         cfg = ModelConfig(seed_len=10)
-        run = evaluate("random", items, cfg, np.random.default_rng(6))
+        run = evaluate(items, cfg, np.random.default_rng(6))
         assert run.mean == pytest.approx(2.0, abs=0.15)
 
     def test_short_pieces_skipped_and_logged(self):
@@ -84,25 +84,42 @@ class TestEvaluate:
                              PianoRoll(data=items[1].roll.data, tempo=120.0, source_id="short"),
                              ssm(chroma(PianoRoll(data=items[1].roll.data, tempo=120.0))))
         cfg = ModelConfig(seed_len=10)
-        run = evaluate("random", items, cfg, np.random.default_rng(8))
+        run = evaluate(items, cfg, np.random.default_rng(8))
         assert run.piece_ids == ["ok[0]"]
         assert run.skipped == ["short[0]"]
 
-    def test_unknown_generator_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate("oracle", [], ModelConfig(), np.random.default_rng(0))
+    def test_model_config_must_match_cfg(self):
+        rng = np.random.default_rng(12)
+        items = [block_piece(40, rng, "p0")]
+        model = Model(ModelConfig(hidden_size=8, seed_len=4), rng=rng)
+        with pytest.raises(ValueError, match="differs"):
+            evaluate(items, ModelConfig(hidden_size=8, seed_len=6), rng, model=model)
 
-    def test_model_generator_requires_model(self):
-        with pytest.raises(ValueError):
-            evaluate("sing", [], ModelConfig(), np.random.default_rng(0), model=None)
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_label_follows_the_model(self, attention):
+        rng = np.random.default_rng(13)
+        items = [block_piece(20, rng, "p0")]
+        cfg = ModelConfig(hidden_size=4, seed_len=4, attention_enabled=attention)
+        run = evaluate(items, cfg, rng, model=Model(cfg, rng=rng), generations=1)
+        assert run.generator == ("sing" if attention else "ablated")
+        assert evaluate(items, cfg, rng, generations=1).generator == "random"
+
+    def test_failed_generation_names_the_piece(self):
+        rng = np.random.default_rng(14)
+        items = [block_piece(20, rng, "ok"), block_piece(20, rng, "also")]
+        cfg = ModelConfig(hidden_size=4, seed_len=4)
+        model = Model(cfg, rng=rng)
+        model.params["lstm.b"][0] = np.nan
+        with pytest.raises(ValueError, match=r"ok\[0\]"):
+            evaluate(items, cfg, rng, model=model)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         items = [block_piece(40, rng, "p0")]
         cfg = ModelConfig(hidden_size=8, seed_len=4)
         model = Model(cfg, rng=np.random.default_rng(10))
-        run_a = evaluate("sing", items, cfg, np.random.default_rng(11), model=model)
-        run_b = evaluate("sing", items, cfg, np.random.default_rng(11), model=model)
+        run_a = evaluate(items, cfg, np.random.default_rng(11), model=model)
+        run_b = evaluate(items, cfg, np.random.default_rng(11), model=model)
         assert run_a.mses == run_b.mses
 
     def test_mean_is_arithmetic_mean_of_stored_values(self):

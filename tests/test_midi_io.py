@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import smf
 from sing import midi_io
 from sing.midi_io import (
+    MAX_SAMPLES,
     MidiParseError,
     NoteEvent,
     PianoRoll,
@@ -172,6 +173,22 @@ class TestToPianoRoll:
             to_piano_roll([], 120.0)
 
 
+    def test_length_capped_before_allocating(self):
+        at_cap = to_piano_roll([NoteEvent(60, 0.0, MAX_SAMPLES * 0.5, 64)], 120.0)
+        assert at_cap.n_samples == MAX_SAMPLES
+        with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+            to_piano_roll([NoteEvent(60, 0.0, MAX_SAMPLES * 0.5 + 0.5, 64)], 120.0)
+
+    def test_tiny_file_naming_a_huge_piece_rejected(self):
+        # 37 bytes: division 1, one note held 0x0FFFFFFF ticks, which the
+        # sampler would make a 268,435,455-sample (34 GB) roll
+        data = smf.single_note_file(tpq=1, on=0, off=0x0FFFFFFF)
+        assert len(data) == 37
+        events = parse_midi(data).events
+        with pytest.raises(ValueError, match="268435455 samples"):
+            to_piano_roll(events, estimate_tempo(events))
+
+
 class TestToMidi:
     def test_runs_become_notes(self):
         roll = make_roll({60: [0, 1, 3]}, 4)
@@ -210,6 +227,55 @@ def test_round_trip_property(seed, n, tempo):
     reparsed = to_piano_roll(parse_midi(to_midi(roll, tempo)).events, tempo)
     assert reparsed.n_samples == n
     assert (reparsed.data == roll.data).all()
+
+
+def _parses_or_raises_midi_error(data: bytes) -> None:
+    try:
+        parse_midi(data)
+    except MidiParseError:
+        pass
+
+
+class TestParseFuzz:
+    """Whatever the bytes, parse_midi returns or raises MidiParseError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.binary(max_size=120))
+    def test_arbitrary_bytes(self, data):
+        _parses_or_raises_midi_error(data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2), st.integers(0, 3), st.integers(0, 0xFFFF), st.binary(max_size=120))
+    def test_arbitrary_track_bodies(self, fmt, n_tracks, division, body):
+        track = b"MTrk" + len(body).to_bytes(4, "big") + body
+        _parses_or_raises_midi_error(smf.header(fmt, n_tracks, division) + track * n_tracks)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(st.sampled_from(["overwrite", "delete", "insert"]),
+                      st.integers(0, 10_000), st.integers(0, 255)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_damaged_valid_files(self, seed, edits):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        data = (rng.random((128, n)) < 0.03).astype(np.uint8)
+        data[int(rng.integers(0, 128)), n - 1] = 1
+        blob = bytearray(to_midi(PianoRoll(data=data, tempo=float(rng.uniform(40, 300)))))
+        for kind, pos, value in edits:
+            pos %= len(blob) + 1
+            if kind == "insert":
+                blob.insert(pos, value)
+            elif pos < len(blob):
+                if kind == "delete":
+                    del blob[pos]
+                else:
+                    blob[pos] = value
+        _parses_or_raises_midi_error(bytes(blob))
 
 
 class TestPRollContainer:

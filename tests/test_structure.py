@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sing.midi_io import PianoRoll
+from sing.midi_io import MAX_SAMPLES, PianoRoll
 from sing.structure import (
     SelfSimilarityMatrix,
     SynthSpec,
@@ -185,6 +185,11 @@ class TestSynthSsm:
             SynthSpec(length=4, blocks=[(0, 5, 0.5)])
         with pytest.raises(ValueError):
             SynthSpec(length=4, background=1.5)
+
+    def test_length_capped_before_allocating(self):
+        assert SynthSpec(length=MAX_SAMPLES).length == MAX_SAMPLES
+        with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+            parse_synth_spec(f"length={MAX_SAMPLES + 1}\n")
 
 
 class TestSynthSpecText:

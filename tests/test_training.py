@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import piece_gradients_per_step, relative_error
-from sing.batching import Assignment, BatchPlan, make_batches
+from sing.batching import Assignment, BatchPlan, make_batches, plan_from_text, plan_to_text
 from sing.midi_io import PianoRoll
 from sing.model import Model, ModelConfig
 from sing.structure import chroma, ssm
@@ -312,6 +312,14 @@ class TestValidate:
         value = validate(model, items, TrainConfig(), np.random.default_rng(0))
         assert math.isfinite(value) and value > 0
 
+    def test_non_finite_loss_names_piece_and_epoch(self):
+        cfg = ModelConfig(hidden_size=4, seed_len=2)
+        model = Model(cfg, rng=np.random.default_rng(28))
+        model.params["lstm.b"][0] = np.nan
+        items = toy_items(2, 10, np.random.default_rng(29))
+        with pytest.raises(TrainingError, match=r"toy0\[0\] \(epoch 3\)"):
+            validate(model, items, TrainConfig(p_feedback=0.0), np.random.default_rng(0), epoch=3)
+
     def test_empty_is_nan(self):
         cfg = ModelConfig(hidden_size=4, seed_len=2)
         model = Model(cfg, rng=np.random.default_rng(24))
@@ -341,8 +349,40 @@ class TestPrepareCorpus:
         plan, items, _ = prepare_corpus(
             rolls, rng, k=2, count=3, max_len=100, batch_cap=10, max_edit_fraction=0.08
         )
-        rebuilt = items_from_plan(plan, {r.source_id: r for r in rolls}, max_len=100)
+        rebuilt = items_from_plan(plan, {r.source_id: r for r in rolls})
         assert len(rebuilt) == len(items)
         for a, b in zip(rebuilt, items):
             assert a.roll == b.roll
             assert np.array_equal(a.template.values, b.template.values)
+
+    @pytest.mark.parametrize("max_len", [40, 64, 100, 150, 700])
+    def test_saved_plan_rebuilds_items_at_its_own_slicing(self, max_len):
+        rng = np.random.default_rng(27)
+        rolls = [PianoRoll(data=rng.integers(0, 2, (128, n), dtype=np.uint8), tempo=120.0,
+                           source_id=f"p{i}")
+                 for i, n in enumerate([38, 40, 41, 63, 64, 97, 100, 150, 151, 299, 300, 1000])]
+        plan, items, _ = prepare_corpus(
+            rolls, rng, k=3, count=4, max_len=max_len, batch_cap=4, max_edit_fraction=0.2
+        )
+        assert len(items) >= 5
+        saved = plan_from_text(plan_to_text(plan))
+        rebuilt = items_from_plan(saved, {r.source_id: r for r in rolls})
+        assert [(a.piece_id, a.segment_index) for a in rebuilt] == [
+            (b.piece_id, b.segment_index) for b in items
+        ]
+        for a, b in zip(rebuilt, items):
+            assert np.array_equal(a.roll.data, b.roll.data)
+            assert np.array_equal(a.template.values, b.template.values)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "p0,0,20,truncate,0.3333333333333333",  # a 30-sample segment of a 24-sample roll
+            "p0,0,10,none,0.0",  # 24 samples do not split into equal segments of 10
+            "p0,2,12,none,0.0",  # the third 12-sample segment starts past the end
+        ],
+    )
+    def test_segment_that_does_not_fit_names_the_piece(self, line):
+        rolls = {"p0": chord_roll(24, [60, 64, 67], source_id="p0")}
+        with pytest.raises(ValueError, match="'p0'"):
+            items_from_plan(plan_from_text(line + "\n"), rolls)
