@@ -409,6 +409,8 @@ def proll_from_bytes(data: bytes, source_id: str = "") -> PianoRoll:
     n_samples, n_pitches, tempo = struct.unpack_from("<IId", data, len(PROLL_MAGIC))
     if n_pitches != N_PITCHES:
         raise ValueError(f"PRoll pitch count must be 128, got {n_pitches}")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"PRoll holds {n_samples} samples, more than {MAX_SAMPLES}")
     payload = data[pos:]
     if len(payload) != n_samples * N_PITCHES:
         raise ValueError(

@@ -2,17 +2,18 @@
 
 At step t the attention weights are the sparsemax projection of the first
 t entries of row t of a user-supplied self-similarity matrix; they depend on
-the template alone, so a forward pass projects every row it needs before its
-step loop. The attention vector is the weighted sum of the previous input
-samples. A linear combiner merges it with the LSTM output into 128 logits.
-The ablated baseline is the same LSTM with the attention path removed and a
-plain dense head.
+the template alone, so the step loop (`unroll`) projects them one block of
+rows at a time, ahead of the steps that read them. The attention vector is
+the weighted sum of the previous input samples. A linear combiner merges
+it with the LSTM output into 128 logits. The ablated baseline is the same
+LSTM with the attention path removed and a plain dense head.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -97,36 +98,23 @@ class Model:
             p.add("head.b", np.zeros(N_PITCHES))
         self.params = p
 
-    def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
-        hidden = self.cfg.hidden_size
-        return np.zeros(hidden), np.zeros(hidden)
-
 
 ATTENTION_BLOCK_ROWS = 64  # rows per sparsemax call: temporaries stay at 64 x n
 
 
-def attention_weights(S: SelfSimilarityMatrix | np.ndarray, first_row: int) -> np.ndarray:
-    """The attention weights of steps first_row..n-1 of template S.
+def attention_weights(S: SelfSimilarityMatrix, start: int, stop: int) -> np.ndarray:
+    """The attention weights of steps start..stop-1 of template S.
 
-    Returns (n - first_row, n - 1): row i holds sparsemax(S[t, :t]) for
-    t = first_row + i in its first t entries, then zeros. Rows are
-    projected in blocks, with each block's entries at and right of the
-    diagonal masked to -inf.
+    Returns (stop - start, stop - 1): row i holds sparsemax(S[t, :t]) for
+    t = start + i in its first t entries, then zeros. The rows are one
+    sparsemax call, with the entries at and right of the diagonal masked
+    to -inf.
     """
-    values = S.values if isinstance(S, SelfSimilarityMatrix) else np.asarray(S, np.float64)
-    n = values.shape[0]
-    if values.shape != (n, n):
-        raise ValueError(f"SSM must be square, got {values.shape}")
-    if not 1 <= first_row < n:
-        raise ValueError(f"SSM of size {n} has no attention rows from {first_row}")
-    W = np.zeros((n - first_row, n - 1))
-    for start in range(first_row, n, ATTENTION_BLOCK_ROWS):
-        stop = min(start + ATTENTION_BLOCK_ROWS, n)
-        width = stop - 1  # the block's longest prefix
-        prefix = np.arange(width) < np.arange(start, stop)[:, None]
-        masked = np.where(prefix, values[start:stop, :width], -np.inf)
-        W[start - first_row : stop - first_row, :width] = nn.sparsemax(masked)
-    return W
+    if not 1 <= start < stop <= S.n:
+        raise ValueError(f"SSM of size {S.n} has no attention rows {start}..{stop - 1}")
+    width = stop - 1  # the longest prefix
+    prefix = np.arange(width) < np.arange(start, stop)[:, None]
+    return nn.sparsemax(np.where(prefix, S.values[start:stop, :width], -np.inf))
 
 
 def attention_step(w: np.ndarray, history: np.ndarray) -> np.ndarray:
@@ -169,53 +157,33 @@ def combine_backward(
     return params["combine.w_a"][0] * upstream, params["combine.w_z"][0] * upstream
 
 
-def warm_up(
-    model: Model, inputs: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple]]:
-    """Run the LSTM from its initial state over the rows of inputs.
-
-    Returns the (h, c) states, starting with the initial one, and the
-    cache of each step.
-    """
-    p = model.params
-    states = [model.initial_state()]
-    caches = []
-    for x in inputs:
-        h, c, cache = nn.lstm_cell_forward(
-            p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], x, *states[-1]
-        )
-        states.append((h, c))
-        caches.append(cache)
-    return states, caches
-
-
 def forward_step(
     model: Model,
     prev_sample: np.ndarray,
     w: np.ndarray | None,
     history: np.ndarray,
     state: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray | None, tuple]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray | None, np.ndarray]:
     """Advance the LSTM on the previous sample and emit logits for sample t.
 
     history holds samples 0..t-1 and w the step's attention weights over
     them (see attention_step); the ablated model takes w = None.
-    Returns (d, new_state, a, lstm_cache). With attention enabled the logits
+    Returns (d, (h, c), a, gates). With attention enabled the logits
     combine the attention vector a with the LSTM output; otherwise the
     dense head maps the LSTM output alone and a is None.
     """
     p = model.params
-    h, c, lstm_cache = nn.lstm_cell_forward(
+    h, c, gates = nn.lstm_cell_forward(
         p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], np.asarray(prev_sample, np.float64), *state
     )
     if model.cfg.attention_enabled:
         if w is None:
             raise ValueError("attention model needs attention weights")
         a = attention_step(w, history)
-        return combine_forward(p, model.cfg.combiner_mode, a, h), (h, c), a, lstm_cache
+        return combine_forward(p, model.cfg.combiner_mode, a, h), (h, c), a, gates
     if w is not None:
         raise ValueError("the ablated model takes no attention weights")
-    return nn.dense_forward(p["head.W"], p["head.b"], h), (h, c), None, lstm_cache
+    return nn.dense_forward(p["head.W"], p["head.b"], h), (h, c), None, gates
 
 
 def head_backward(
@@ -259,6 +227,70 @@ def sample_notes(d: np.ndarray, cfg: ModelConfig, rng: np.random.Generator) -> n
     return sample
 
 
+@dataclass
+class PieceTrace:
+    """Forward pass record for one piece, one row per LSTM step.
+
+    Step t (1 <= t < n) reads input X[t - 1] and state (H[t - 1], C[t - 1])
+    and yields H[t], C[t] and its gate activations G[t - 1]; the generated
+    steps t = seed_len .. n-1 also yield the logits D[t - seed_len] and,
+    with attention, the attention vector A[t - seed_len].
+    """
+
+    n: int
+    seed_len: int
+    X: np.ndarray  # (n - 1, 128) LSTM inputs
+    H: np.ndarray  # (n, hidden) hidden states; H[0] is the initial state
+    C: np.ndarray  # (n, hidden) cell states; C[0] is the initial state
+    G: np.ndarray  # (n - 1, 4 * hidden) gate activations, as nn.lstm_cell_forward returns
+    A: np.ndarray | None  # (n - seed_len, 128) attention vectors; None when ablated
+    D: np.ndarray  # (n - seed_len, 128) logits
+
+
+def unroll(
+    model: Model,
+    X: np.ndarray,
+    S: SelfSimilarityMatrix,
+    next_input: Callable[[int, np.ndarray], np.ndarray],
+) -> PieceTrace:
+    """Run LSTM steps 1..n-1 over the (n - 1, 128) input buffer X.
+
+    X holds the seed in its first seed_len rows; after each generated step
+    t <= n - 2, X[t] = next_input(t, d) with d that step's logits. Attention
+    weights are projected one ATTENTION_BLOCK_ROWS block at a time, as the
+    loop reaches it.
+    """
+    cfg = model.cfg
+    p = model.params
+    n, seed_len, hidden = X.shape[0] + 1, cfg.seed_len, cfg.hidden_size
+    H = np.zeros((n, hidden))
+    C = np.zeros((n, hidden))
+    G = np.zeros((n - 1, 4 * hidden))
+    D = np.zeros((n - seed_len, N_PITCHES))
+    A = np.zeros_like(D) if cfg.attention_enabled else None
+    state, w = (H[0], C[0]), None
+    for t in range(1, n):
+        if t < seed_len:  # warm-up: no prediction yet
+            h, c, G[t - 1] = nn.lstm_cell_forward(
+                p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], X[t - 1], *state
+            )
+        else:
+            row = t - seed_len
+            if A is not None:
+                offset = row % ATTENTION_BLOCK_ROWS
+                if offset == 0:
+                    block = attention_weights(S, t, min(t + ATTENTION_BLOCK_ROWS, n))
+                w = block[offset, :t]
+            d, (h, c), a, G[t - 1] = forward_step(model, X[t - 1], w, X[:t], state)
+            D[row] = d
+            if A is not None:
+                A[row] = a
+            if t <= n - 2:
+                X[t] = next_input(t, d)
+        H[t], C[t] = state = h, c
+    return PieceTrace(n=n, seed_len=seed_len, X=X, H=H, C=C, G=G, A=A, D=D)
+
+
 def generate(
     model: Model,
     seed: np.ndarray,
@@ -279,14 +311,10 @@ def generate(
         raise ValueError(f"seed must be ({cfg.seed_len}, 128), got {seed.shape}")
     if n <= cfg.seed_len:
         raise ValueError(f"template length {n} must exceed seed length {cfg.seed_len}")
-    out = np.zeros((n, N_PITCHES))
-    out[: cfg.seed_len] = seed
-    W = attention_weights(S, cfg.seed_len) if cfg.attention_enabled else None
-    state = warm_up(model, out[: cfg.seed_len - 1])[0][-1]  # all but the last seed sample
-    for t in range(cfg.seed_len, n):
-        w = None if W is None else W[t - cfg.seed_len, :t]
-        d, state, _, _ = forward_step(model, out[t - 1], w, out[:t], state)
-        out[t] = sample_notes(d, cfg, rng)
+    X = np.zeros((n - 1, N_PITCHES))
+    X[: cfg.seed_len] = seed
+    D = unroll(model, X, S, lambda t, d: sample_notes(d, cfg, rng)).D
+    out = np.vstack([X, sample_notes(D[-1], cfg, rng)])
     return PianoRoll(data=out.T.astype(np.uint8, order="C"), tempo=tempo, source_id=source_id)
 
 

@@ -58,35 +58,40 @@ def lstm_cell_forward(
     x: np.ndarray,
     h_prev: np.ndarray,
     c_prev: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, tuple]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step; returns (h, c, gates), gates being the stacked activations
+    [i, f, g, o]: sigmoid of the input, forget and output blocks, tanh of g."""
     hidden = h_prev.shape[0]
     if W_x.shape[0] != 4 * hidden or W_h.shape != (4 * hidden, hidden):
         raise ValueError(f"LSTM shapes inconsistent: W_x {W_x.shape}, W_h {W_h.shape}")
     if x.shape[0] != W_x.shape[1]:
         raise ValueError(f"input size {x.shape[0]} != {W_x.shape[1]}")
     pre = W_x @ x + W_h @ h_prev + b
-    gates = sigmoid(pre)  # one call for all four blocks; the candidate block is unused
+    gates = sigmoid(pre)  # one call for all four blocks; the candidate block is replaced
     i = gates[:hidden]
     f = gates[hidden : 2 * hidden]
-    g = np.tanh(pre[2 * hidden : 3 * hidden])
+    g = np.tanh(pre[2 * hidden : 3 * hidden], out=gates[2 * hidden : 3 * hidden])
     o = gates[3 * hidden :]
     c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = (W_x, W_h, c_prev, i, f, g, o, tc)
-    return h, c, cache
+    h = o * np.tanh(c)
+    return h, c, gates
 
 
 def lstm_cell_backward(
-    cache: tuple, dh: np.ndarray, dc: np.ndarray
+    step: tuple, dh: np.ndarray, dc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dh_prev, dc_prev, dpre).
+    """Returns (dh_prev, dc_prev, dpre) for step = (W_x, W_h, c_prev, gates, tanh(c)).
 
     dpre is the gradient of the stacked gate pre-activations; the step's
     weight gradients are outer(dpre, x), outer(dpre, h_prev) and dpre, which
     a caller sums over many steps as one matrix product.
     """
-    _, W_h, c_prev, i, f, g, o, tc = cache
+    _, W_h, c_prev, gates, tc = step
+    hidden = tc.shape[0]
+    i = gates[:hidden]
+    f = gates[hidden : 2 * hidden]
+    g = gates[2 * hidden : 3 * hidden]
+    o = gates[3 * hidden :]
     do = dh * tc
     dct = dc + dh * o * (1.0 - tc * tc)
     di = dct * g

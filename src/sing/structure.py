@@ -205,6 +205,8 @@ def ssm_from_bytes(data: bytes, role: str = "template") -> SelfSimilarityMatrix:
     if len(data) < len(SSM_MAGIC) + 4:
         raise ValueError("SSM header truncated")
     (n,) = struct.unpack_from("<I", data, len(SSM_MAGIC))
+    if n > MAX_SAMPLES:
+        raise ValueError(f"SSM is {n} x {n}, more than {MAX_SAMPLES} samples")
     payload = data[len(SSM_MAGIC) + 4 :]
     if len(payload) != n * n * 4:
         raise ValueError("SSM payload size mismatch")

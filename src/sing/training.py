@@ -13,7 +13,7 @@ import csv
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,11 @@ from sing.midi_io import N_PITCHES, PianoRoll
 from sing.model import (
     Model,
     ModelConfig,
-    attention_weights,
-    forward_step,
+    PieceTrace,
+    forward_step,  # unused here; perfbench/spans.py wraps sing.training.forward_step
     head_backward,
     sample_notes,
-    warm_up,
+    unroll,
 )
 from sing.structure import N_CHROMA, SelfSimilarityMatrix, chroma, fold_pitch_classes, ssm
 
@@ -76,8 +76,6 @@ class EpochReport:
     train_loss: float
     val_loss: float
     seconds: float
-    n_batches: int = 0
-    n_pieces: int = 0
 
 
 @dataclass
@@ -100,24 +98,6 @@ class TrainItem:
 
 
 @dataclass
-class PieceTrace:
-    """Forward pass record for one piece, one row per LSTM step.
-
-    Step t (1 <= t < n) reads input X[t - 1] and state H[t - 1] and yields
-    H[t]; the generated steps t = seed_len .. n-1 also yield the logits
-    D[t - seed_len] and, with attention, the attention vector A[t - seed_len].
-    """
-
-    n: int
-    seed_len: int
-    X: np.ndarray  # (n - 1, 128) LSTM inputs
-    H: np.ndarray  # (n, hidden) hidden states; H[0] is the initial state
-    A: np.ndarray | None  # (n - seed_len, 128) attention vectors; None when ablated
-    D: np.ndarray  # (n - seed_len, 128) logits
-    lstm_caches: list = field(repr=False, default_factory=list)  # one per step t
-
-
-@dataclass
 class PieceLoss:
     total: float
     bce: float
@@ -130,11 +110,11 @@ def scheduled_step(
     cfg: ModelConfig,
     rng: np.random.Generator,
     p_feedback: float,
-) -> tuple[np.ndarray, bool]:
+) -> np.ndarray:
     """Pick the next input: the model's own sample (probability p) or truth."""
     if rng.random() < p_feedback:
-        return sample_notes(d, cfg, rng).astype(np.float64), True
-    return np.asarray(target_sample, dtype=np.float64), False
+        return sample_notes(d, cfg, rng)
+    return target_sample
 
 
 def forward_piece(
@@ -154,25 +134,9 @@ def forward_piece(
     target_samples = target.data.T.astype(np.float64)  # (n, 128)
     X = np.zeros((n - 1, N_PITCHES))
     X[: cfg.seed_len] = target_samples[: cfg.seed_len]
-    H = np.zeros((n, cfg.hidden_size))
-    D = np.zeros((n - cfg.seed_len, N_PITCHES))
-    A = np.zeros_like(D) if cfg.attention_enabled else None
-    W = attention_weights(S, cfg.seed_len) if cfg.attention_enabled else None
-
-    states, caches = warm_up(model, X[: cfg.seed_len - 1])  # no prediction needed yet
-    H[: cfg.seed_len] = [h for h, _ in states]
-    state = states[-1]
-    for t in range(cfg.seed_len, n):
-        row = t - cfg.seed_len
-        w = None if W is None else W[row, :t]
-        D[row], state, a, cache = forward_step(model, X[t - 1], w, X[:t], state)
-        H[t] = state[0]
-        if A is not None:
-            A[row] = a
-        caches.append(cache)
-        if t <= n - 2:
-            X[t], _ = scheduled_step(D[row], target_samples[t], cfg, rng, p_feedback)
-    return PieceTrace(n=n, seed_len=cfg.seed_len, X=X, H=H, A=A, D=D, lstm_caches=caches)
+    return unroll(
+        model, X, S, lambda t, d: scheduled_step(d, target_samples[t], cfg, rng, p_feedback)
+    )
 
 
 def piece_loss(
@@ -230,13 +194,15 @@ def _backward_through_time(model: Model, trace: PieceTrace, dD: np.ndarray) -> N
     p = model.params
     n, seed_len = trace.n, trace.seed_len
     dZ = head_backward(model, trace.A, trace.H[seed_len:], dD)
-    dpre = np.zeros((n - 1, p["lstm.b"].shape[0]))  # row t-1: step t's gate pre-activations
+    W_x, W_h, C, G = p["lstm.W_x"], p["lstm.W_h"], trace.C, trace.G
+    TC = np.tanh(C)  # once per piece, not once per step
+    dpre = np.zeros_like(G)  # row t-1: step t's gate pre-activations
     dh = np.zeros(model.cfg.hidden_size)
     dc = np.zeros(model.cfg.hidden_size)
     for t in range(n - 1, 0, -1):
         if t >= seed_len:
             dh = dh + dZ[t - seed_len]
-        dh, dc, dpre[t - 1] = nn.lstm_cell_backward(trace.lstm_caches[t - 1], dh, dc)
+        dh, dc, dpre[t - 1] = nn.lstm_cell_backward((W_x, W_h, C[t - 1], G[t - 1], TC[t]), dh, dc)
     p.accumulate("lstm.W_x", dpre.T @ trace.X)
     p.accumulate("lstm.W_h", dpre.T @ trace.H[:-1])
     p.accumulate("lstm.b", dpre.sum(axis=0))
@@ -285,14 +251,7 @@ def train_epoch(
     mean_loss = float(np.mean(losses)) if losses else float("nan")
     if not losses:
         log.warning("epoch %d saw an empty plan; loss undefined", epoch)
-    return EpochReport(
-        epoch=epoch,
-        train_loss=mean_loss,
-        val_loss=float("nan"),
-        seconds=elapsed,
-        n_batches=len(plan.batches),
-        n_pieces=len(losses),
-    )
+    return EpochReport(epoch=epoch, train_loss=mean_loss, val_loss=float("nan"), seconds=elapsed)
 
 
 def validate(

@@ -106,9 +106,9 @@ def test_gradient_integrity():
         total = 0.0
         caches = []
         for t in range(T):
-            h_prev = h
-            h, c, cache = nn.lstm_cell_forward(W_x, W_h, b_l, xs[t], h, c)
-            caches.append((cache, xs[t], h_prev, h))
+            h_prev, c_prev = h, c
+            h, c, gates = nn.lstm_cell_forward(W_x, W_h, b_l, xs[t], h, c)
+            caches.append(((W_x, W_h, c_prev, gates, np.tanh(c)), xs[t], h_prev, h))
             total += float(h @ h)
         return total, caches
 

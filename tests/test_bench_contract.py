@@ -7,7 +7,14 @@ sing would otherwise surface only when a traced benchmark run fails.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import sing.cli
+import sing.evaluation
+import sing.training
+from sing.midi_io import PianoRoll
+from sing.model import Model, ModelConfig
+from sing.structure import chroma, ssm
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -33,3 +40,26 @@ def test_every_traced_cli_verb_has_a_handler():
     spans = load_spans()
     assert set(spans.CLI_VERBS) <= set(sing.cli._HANDLERS)
     assert all(callable(sing.cli._HANDLERS[verb]) for verb in spans.CLI_VERBS)
+
+
+def test_traced_piece_evaluates_every_counter():
+    """A traced forward pass, loss and generation: the spans' counters read
+    the arguments and results of the current signatures."""
+    spans = load_spans()
+    cfg = ModelConfig(hidden_size=4, seed_len=3)
+    model = Model(cfg, rng=np.random.default_rng(0))
+    data = (np.random.default_rng(1).random((128, 12)) < 0.1).astype(np.uint8)
+    roll = PianoRoll(data=data, tempo=120.0)
+    template = ssm(chroma(roll))
+    tracer = spans.Tracer()
+    with tracer.active():
+        trace = sing.training.forward_piece(model, roll, template, 1.0, np.random.default_rng(2))
+        sing.training.piece_loss(model, trace, roll, template)
+        sing.evaluation.generate(model, data.T[: cfg.seed_len], template, np.random.default_rng(3))
+    calls, _ = tracer.self_times()
+    called = {name for name, count in zip(tracer.names, calls) if count > 0}
+    for _, _, name, counter in spans.TARGETS:
+        if counter is not None and name in called:
+            assert any(key.startswith(f"{name}.") for key in tracer.counters), name
+    assert tracer.counters["nn.lstm_bwd.flop"] > 0
+    assert tracer.counters["model.sample_notes.fed_back"] > 0

@@ -4,7 +4,7 @@ import pytest
 import smf
 from sing import evaluation
 from sing.cli import _CONFIG_KEYS, main
-from sing.midi_io import PianoRoll, load_proll, save_proll, to_midi
+from sing.midi_io import MAX_SAMPLES, PianoRoll, load_proll, save_proll, to_midi
 from sing.model import Model, ModelConfig, load_model, save_model
 from sing.structure import SelfSimilarityMatrix, SynthSpec, load_ssm, save_ssm, synth_ssm
 
@@ -330,6 +330,22 @@ class TestBadInputs:
                      "--template", str(tmp_path / "nan.ssm"), "--out", str(tmp_path / "gen")])
         assert code == 1
         assert "non-finite" in single_error_line(capsys)
+
+    def test_over_long_validation_roll_fails_before_writing(self, tmp_path, capsys):
+        corpus, plan, out = tmp_path / "corpus", tmp_path / "plan.txt", tmp_path / "ckpt"
+        write_corpus_prolls(corpus, n_pieces=4, n=24)
+        assert main(["batch-plan", "--in", str(corpus), "--out", str(plan),
+                     "--grid-k", "2", "--grid-count", "4", "--max-len", "24"]) == 0
+        (tmp_path / "val").mkdir()
+        long_roll = PianoRoll(data=np.zeros((128, MAX_SAMPLES + 1), np.uint8), tempo=120.0)
+        save_proll(long_roll, tmp_path / "val" / "long.proll")
+        capsys.readouterr()
+        code = main(["train", "--in", str(corpus), "--plan", str(plan), "--val",
+                     str(tmp_path / "val"), "--out", str(out), "--epochs", "1", "--hidden", "6",
+                     "--seed-len", "4"])
+        assert code == 1
+        assert f"more than {MAX_SAMPLES}" in single_error_line(capsys)
+        assert not out.exists()
 
     def test_directory_as_input_file_is_an_error(self, tmp_path, capsys):
         ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)

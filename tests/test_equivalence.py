@@ -71,12 +71,17 @@ class TestAttentionWeightsMatchPerRow:
                                     background=0.1)).values
         for S in (rng.random((n, n)), tied_template(n, rng), block, np.zeros((n, n))):
             for first in sorted({1, min(10, n - 1), n - 1}):
-                assert same_bits(attention_weights(S, first), attention_weights_per_row(S, first))
+                expected = attention_weights_per_row(S, first)
+                for start in range(first, n, ATTENTION_BLOCK_ROWS):
+                    stop = min(start + ATTENTION_BLOCK_ROWS, n)
+                    rows = expected[start - first : stop - first]
+                    W = attention_weights(SelfSimilarityMatrix(values=S), start, stop)
+                    assert same_bits(W, rows[:, : stop - 1])
 
     def test_accepts_ssm_container(self):
         values = np.random.default_rng(1).random((20, 20))
         S = SelfSimilarityMatrix(values=values, role="template")
-        assert same_bits(attention_weights(S, 3), attention_weights_per_row(values, 3))
+        assert same_bits(attention_weights(S, 3, 20), attention_weights_per_row(values, 3))
 
     def test_sparsemax_vector_and_masked_rows(self):
         rng = np.random.default_rng(2)
@@ -123,14 +128,15 @@ class TestSampleNotesMatchesLexsort:
             assert fast.bit_generator.state == ref.bit_generator.state
 
 
+SEED_LEN = 5
 MODELS = [
-    ModelConfig(hidden_size=16, seed_len=5),
-    ModelConfig(hidden_size=128, combiner_mode="per_pitch", seed_len=5),
-    ModelConfig(hidden_size=8, seed_len=5, attention_enabled=False),
+    ModelConfig(hidden_size=16, seed_len=SEED_LEN),
+    ModelConfig(hidden_size=128, combiner_mode="per_pitch", seed_len=SEED_LEN),
+    ModelConfig(hidden_size=8, seed_len=SEED_LEN, attention_enabled=False),
 ]
 
 
-def model_and_piece(cfg, n=150):
+def model_and_piece(cfg, n):
     model = Model(cfg, rng=np.random.default_rng(31))
     rng = np.random.default_rng(32)
     data = (rng.random((128, n)) < 0.04).astype(np.uint8)
@@ -140,22 +146,30 @@ def model_and_piece(cfg, n=150):
     return model, roll, S
 
 
+# generated-row counts on both sides of the 64-row attention blocks' boundaries
+LENGTHS = [SEED_LEN + rows for rows in (63, 64, 65, 129, 145)]
+
+
 @pytest.mark.parametrize("cfg", MODELS, ids=["dense", "per_pitch", "ablated"])
 class TestForwardMatchesStepReference:
     def test_forward_piece(self, cfg):
-        model, roll, S = model_and_piece(cfg)
-        trace = forward_piece(model, roll, S, 0.5, np.random.default_rng(33))
-        X, D, A = forward_piece_per_step(model.params.values, cfg, roll.data.T.astype(np.float64),
-                                         S.values, 0.5, np.random.default_rng(33))
-        assert same_bits(trace.X, X)
-        assert same_bits(trace.D, D)
-        assert (trace.A is None) == (A is None)
-        assert A is None or same_bits(trace.A, A)
+        for n in LENGTHS:
+            model, roll, S = model_and_piece(cfg, n)
+            trace = forward_piece(model, roll, S, 0.5, np.random.default_rng(33))
+            X, D, A = forward_piece_per_step(model.params.values, cfg,
+                                             roll.data.T.astype(np.float64), S.values, 0.5,
+                                             np.random.default_rng(33))
+            assert same_bits(trace.X, X), n
+            assert same_bits(trace.D, D), n
+            assert (trace.A is None) == (A is None)
+            assert A is None or same_bits(trace.A, A), n
 
     def test_generate(self, cfg):
-        model, roll, S = model_and_piece(cfg)
-        seed = roll.data.T[: cfg.seed_len]
-        fast, ref = np.random.default_rng(34), np.random.default_rng(34)
-        out = generate(model, seed, S, fast)
-        assert np.array_equal(out.data, generate_per_step(model.params.values, cfg, seed, S.values, ref))
-        assert fast.bit_generator.state == ref.bit_generator.state
+        for n in LENGTHS:
+            model, roll, S = model_and_piece(cfg, n)
+            seed = roll.data.T[: cfg.seed_len]
+            fast, ref = np.random.default_rng(34), np.random.default_rng(34)
+            out = generate(model, seed, S, fast)
+            expected = generate_per_step(model.params.values, cfg, seed, S.values, ref)
+            assert np.array_equal(out.data, expected), n
+            assert fast.bit_generator.state == ref.bit_generator.state

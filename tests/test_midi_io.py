@@ -299,6 +299,16 @@ class TestPRollContainer:
         with pytest.raises(ValueError, match="magic"):
             proll_from_bytes(b"NOTAPRLL" + bytes(100))
 
+    def test_length_capped_before_building(self):
+        def blob(n):
+            return proll_to_bytes(PianoRoll(data=np.zeros((128, n), np.uint8), tempo=120.0))
+
+        assert proll_from_bytes(blob(MAX_SAMPLES)).n_samples == MAX_SAMPLES
+        over = blob(MAX_SAMPLES + 1)
+        for blob in (over, over[:24]):  # the header alone is enough to reject it
+            with pytest.raises(ValueError, match=f"{MAX_SAMPLES + 1} samples, more than"):
+                proll_from_bytes(blob)
+
     def test_save_load_sets_source_id(self, tmp_path):
         roll = make_roll({60: [0]}, 1)
         save_proll(roll, tmp_path / "piece_a.proll")

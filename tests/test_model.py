@@ -18,7 +18,7 @@ from sing.model import (
     save_model,
 )
 from sing.nn import ParamSet, sigmoid
-from sing.structure import SynthSpec, synth_ssm
+from sing.structure import SelfSimilarityMatrix, SynthSpec, synth_ssm
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -33,7 +33,12 @@ def random_history(rng, t):
 
 def weights_row(S, t):
     """Step t's attention weights over its t past steps."""
-    return attention_weights(S, t)[0, :t]
+    return attention_weights(SelfSimilarityMatrix(values=S), t, t + 1)[0]
+
+
+def zero_state(model):
+    hidden = model.cfg.hidden_size
+    return np.zeros(hidden), np.zeros(hidden)
 
 
 class TestAttentionStep:
@@ -42,7 +47,7 @@ class TestAttentionStep:
         S[1, 0] = 0.7
         history = np.zeros((1, 128))
         history[0, 60] = 1.0
-        W = attention_weights(S, 1)
+        W = attention_weights(SelfSimilarityMatrix(values=S), 1, 4)
         assert W[0].tolist() == [1.0, 0.0, 0.0]
         assert np.array_equal(attention_step(W[0, :1], history), history[0])
 
@@ -67,13 +72,13 @@ class TestAttentionStep:
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
-            attention_weights(np.eye(3), 0)
+            attention_weights(SelfSimilarityMatrix(values=np.eye(3)), 0, 1)
         with pytest.raises(ValueError):
             attention_step(np.zeros(0), np.zeros((0, 128)))
 
     def test_row_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            attention_weights(np.eye(3), 3)
+            attention_weights(SelfSimilarityMatrix(values=np.eye(3)), 3, 4)
         with pytest.raises(ValueError):
             attention_step(np.full(2, 0.5), np.zeros((3, 128)))
 
@@ -82,7 +87,7 @@ class TestAttentionStep:
         for _ in range(20):
             n = int(rng.integers(2, 30))
             first = int(rng.integers(1, n))
-            W = attention_weights(rng.random((n, n)), first)
+            W = attention_weights(SelfSimilarityMatrix(values=rng.random((n, n))), first, n)
             assert W.shape == (n - first, n - 1)
             assert W.min() >= 0.0
             assert np.allclose(W.sum(axis=1), 1.0, atol=1e-9)
@@ -162,15 +167,15 @@ class TestForwardStep:
     def test_raw_ssm_rejected(self, attention):
         model = Model(small_config(attention_enabled=attention), rng=np.random.default_rng(4))
         S = np.random.default_rng(6).random((8, 8))
-        for w in (S, attention_weights(S, 3)):
+        for w in (S, attention_weights(SelfSimilarityMatrix(values=S), 3, 8)):
             with pytest.raises(ValueError):
-                forward_step(model, np.zeros(128), w, np.zeros((3, 128)), model.initial_state())
+                forward_step(model, np.zeros(128), w, np.zeros((3, 128)), zero_state(model))
 
     def test_ablated_model_rejects_weights(self):
         model = Model(small_config(attention_enabled=False), rng=np.random.default_rng(4))
         with pytest.raises(ValueError):
             forward_step(model, np.zeros(128), np.full(3, 1 / 3), np.zeros((3, 128)),
-                         model.initial_state())
+                         zero_state(model))
 
     def test_zero_model_gives_half_probabilities(self):
         cfg = small_config()
@@ -180,7 +185,7 @@ class TestForwardStep:
         rng = np.random.default_rng(9)
         d, _, _, _ = forward_step(
             model, rng.random(128), weights_row(np.full((4, 4), 0.5), 2), random_history(rng, 2),
-            model.initial_state(),
+            zero_state(model),
         )
         assert np.array_equal(d, np.zeros(128))
         assert np.allclose(sigmoid(d), 0.5)
@@ -192,7 +197,7 @@ class TestForwardStep:
         prev = rng.random(128)
         history = random_history(rng, 2)
         w = weights_row(np.random.default_rng(12).random((5, 5)), 2)
-        state = model.initial_state()
+        state = zero_state(model)
         d1, _, _, _ = forward_step(model, prev, w, history, state)
         d2, _, _, _ = forward_step(model, prev, w, history, state)
         assert np.array_equal(d1, d2)
@@ -200,7 +205,7 @@ class TestForwardStep:
     def test_attention_model_requires_ssm(self):
         model = Model(small_config(), rng=np.random.default_rng(13))
         with pytest.raises(ValueError):
-            forward_step(model, np.zeros(128), None, np.zeros((2, 128)), model.initial_state())
+            forward_step(model, np.zeros(128), None, np.zeros((2, 128)), zero_state(model))
 
 
 class TestPerPitchMatchesAblatedBaseline:
@@ -221,9 +226,9 @@ class TestPerPitchMatchesAblatedBaseline:
         ablated.params.values["head.b"][...] = 0.3
 
         S = np.random.default_rng(17).random((6, 6))
-        state_a = sing_model.initial_state()
-        state_b = ablated.initial_state()
-        W = attention_weights(S, 1)
+        state_a = zero_state(sing_model)
+        state_b = zero_state(ablated)
+        W = attention_weights(SelfSimilarityMatrix(values=S), 1, 6)
         history = random_history(rng, 5)
         for t in (1, 2, 3):
             prev = history[t - 1]
@@ -364,8 +369,8 @@ class TestCheckpointIo:
         prev = rng.random(128)
         history = random_history(rng, 2)
         w = weights_row(np.random.default_rng(27).random((5, 5)), 2)
-        d1, _, _, _ = forward_step(model, prev, w, history, model.initial_state())
-        d2, _, _, _ = forward_step(again, prev, w, history, again.initial_state())
+        d1, _, _, _ = forward_step(model, prev, w, history, zero_state(model))
+        d2, _, _, _ = forward_step(again, prev, w, history, zero_state(again))
         assert np.array_equal(d1, d2)
 
     def test_attention_checkpoint_with_ablated_config_rejected(self, tmp_path):

@@ -106,9 +106,9 @@ class TestLstmCell:
             caches = []
             loss = 0.0
             for t in range(T):
-                h_prev = h
-                h, c, cache = lstm_cell_forward(W_x, W_h, b, xs[t], h, c)
-                caches.append((cache, xs[t], h_prev, h))
+                h_prev, c_prev = h, c
+                h, c, gates = lstm_cell_forward(W_x, W_h, b, xs[t], h, c)
+                caches.append(((W_x, W_h, c_prev, gates, np.tanh(c)), xs[t], h_prev, h))
                 loss += float(h @ h)
             return loss, caches
 

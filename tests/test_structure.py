@@ -243,3 +243,10 @@ class TestSsmContainer:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             ssm_from_bytes(b"WRONGMAG" + bytes(16))
+
+    def test_size_capped_before_reading_the_payload(self):
+        header = b"SINGSSM\x00" + (MAX_SAMPLES + 1).to_bytes(4, "little")
+        with pytest.raises(ValueError, match=f"more than {MAX_SAMPLES}"):
+            ssm_from_bytes(header + bytes(16))
+        with pytest.raises(ValueError, match="size mismatch"):  # at the cap, the payload decides
+            ssm_from_bytes(b"SINGSSM\x00" + MAX_SAMPLES.to_bytes(4, "little"))
