@@ -26,14 +26,6 @@ MAX_EDIT_FRACTION = 0.04
 
 
 @dataclass
-class LengthGrid:
-    lengths: list[int]  # increasing sample counts, ratio constant in log space
-    min_len: int
-    max_len: int
-    k: int
-
-
-@dataclass
 class Assignment:
     piece_id: str
     segment_index: int
@@ -87,8 +79,9 @@ def build_grid(
     k: int = GRID_K,
     count: int = GRID_COUNT,
     max_len: int = GRID_MAX_LEN,
-) -> LengthGrid:
-    """Log-spaced standard lengths from the k-th shortest piece up to max_len."""
+) -> list[int]:
+    """Log-spaced standard lengths, increasing, from the k-th shortest piece
+    up to max_len."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if count < 2:
@@ -101,14 +94,11 @@ def build_grid(
     if min_len > max_len:
         raise ValueError(f"k-th shortest length {min_len} exceeds max_len {max_len}")
     ratio = max_len / min_len
-    lengths = [
-        int(math.floor(min_len * ratio ** (i / (count - 1)) + 0.5)) for i in range(count)
-    ]
-    return LengthGrid(lengths=lengths, min_len=min_len, max_len=max_len, k=k)
+    return [int(math.floor(min_len * ratio ** (i / (count - 1)) + 0.5)) for i in range(count)]
 
 
 def assign(
-    roll_length: int, grid: LengthGrid, max_edit_fraction: float = MAX_EDIT_FRACTION
+    roll_length: int, grid: list[int], max_edit_fraction: float = MAX_EDIT_FRACTION
 ) -> tuple[int, str, float] | None:
     """Nearest grid length in log distance, or None past max_edit_fraction.
 
@@ -118,9 +108,9 @@ def assign(
     if roll_length < 1:
         raise ValueError("roll_length must be >= 1")
     log_len = math.log(roll_length)
-    best_target = grid.lengths[0]
+    best_target = grid[0]
     best_dist = abs(log_len - math.log(best_target))
-    for target in grid.lengths[1:]:
+    for target in grid[1:]:
         dist = abs(log_len - math.log(target))
         if dist < best_dist:  # ties keep the earlier (smaller) target
             best_dist = dist
@@ -186,30 +176,36 @@ def plan_from_text(text: str) -> BatchPlan:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("batch:"):
-            body = line[len("batch:") :].split()
-            batches.append([int(tok) for tok in body])
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        piece_id, segment_s, target_s, edit, fraction_s = parts
-        if edit not in ("pad", "truncate", "none"):
-            raise ValueError(f"line {lineno}: unknown edit {edit!r}")
-        segment, target, fraction = int(segment_s), int(target_s), float(fraction_s)
-        if segment < 0 or not 1 <= target <= MAX_SAMPLES:
-            raise ValueError(f"line {lineno}: segment {segment} or target {target} out of range")
-        if not (math.isfinite(fraction) and fraction >= 0) or (edit == "none" and fraction != 0):
-            raise ValueError(f"line {lineno}: edit fraction {fraction_s} invalid for {edit!r}")
-        source = _source_length(target, edit, fraction)
-        if source < 1:
-            raise ValueError(f"line {lineno}: edit fraction {fraction_s} implies an empty segment")
-        assignments.append(Assignment(piece_id, segment, source, target, edit, fraction))
+        try:
+            if line.startswith("batch:"):
+                batches.append([int(tok) for tok in line[len("batch:") :].split()])
+            else:
+                assignments.append(_parse_assignment(line))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     for batch in batches:
         for idx in batch:
             if not 0 <= idx < len(assignments):
                 raise ValueError(f"batch references assignment {idx} out of range")
     return BatchPlan(assignments=assignments, batches=batches)
+
+
+def _parse_assignment(line: str) -> Assignment:
+    parts = line.split(",")
+    if len(parts) != 5:
+        raise ValueError(f"expected 5 fields, got {len(parts)}")
+    piece_id, segment_s, target_s, edit, fraction_s = parts
+    if edit not in ("pad", "truncate", "none"):
+        raise ValueError(f"unknown edit {edit!r}")
+    segment, target, fraction = int(segment_s), int(target_s), float(fraction_s)
+    if segment < 0 or not 1 <= target <= MAX_SAMPLES:
+        raise ValueError(f"segment {segment} or target {target} out of range")
+    if not (math.isfinite(fraction) and fraction >= 0) or (edit == "none" and fraction != 0):
+        raise ValueError(f"edit fraction {fraction_s} invalid for {edit!r}")
+    source = _source_length(target, edit, fraction)
+    if source < 1:
+        raise ValueError(f"edit fraction {fraction_s} implies an empty segment")
+    return Assignment(piece_id, segment, source, target, edit, fraction)
 
 
 def _source_length(target: int, edit: str, fraction: float) -> int:

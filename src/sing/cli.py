@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from sing.model import Model, ModelConfig, generate, load_model
 from sing.structure import chroma, ssm
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 _MODEL_FIELDS = [f for f in fields(ModelConfig) if f.name != "attention_enabled"]
 
@@ -45,14 +47,23 @@ def _load_defaults(argv: list[str]) -> dict[str, object]:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return defaults
-    for key, value in cfgio.parse_kv(_require(known.config).read_text()).items():
+    if known.config:
+        defaults.update(_require(known.config, _read_config))
+    return defaults
+
+
+def _read_config(path: Path) -> dict[str, object]:
+    """Flag dest -> value for each key of a --config file."""
+    overrides = {}
+    for key, value in cfgio.parse_kv(path.read_text()).items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         dest, builtin = _CONFIG_KEYS[key]
-        defaults[dest] = cfgio.cast_like(builtin, value)
-    return defaults
+        try:
+            overrides[dest] = cfgio.cast_like(builtin, value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return overrides
 
 
 def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
@@ -64,7 +75,6 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
         p.add_argument("--grid-k", type=int, default=defaults["grid_k"], help="rank of the shortest standard length")
         p.add_argument("--grid-count", type=int, default=defaults["grid_count"], help="number of standard lengths")
         p.add_argument("--max-len", type=int, default=defaults["max_len"], help="slice pieces longer than this")
-        p.add_argument("--batch-cap", type=int, default=defaults["batch_cap"], help="max pieces per batch")
         p.add_argument(
             "--max-edit",
             type=float,
@@ -91,6 +101,7 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input_path", required=True, help="directory of .proll files")
     p.add_argument("--out", dest="output_path", required=True, help="plan file to write")
     batching_flags(p)
+    p.add_argument("--batch-cap", type=int, default=defaults["batch_cap"], help="max pieces per batch")
 
     p = sub.add_parser("train", parents=[common], formatter_class=fmt,
                        help="plan + corpus -> checkpoints and report CSV")
@@ -158,36 +169,50 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
     return parser
 
 
-def _require(path: str | Path) -> Path:
+def _require(path: str | Path, loader: Callable[[Path], T]) -> T:
+    """loader(path) for an input the user named; a missing file, or a
+    ValueError from the loader, becomes an error naming the path."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    return path
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_rolls(directory: str | Path) -> list[midi_io.PianoRoll]:
-    directory = _require(directory)
-    rolls = [midi_io.load_proll(p) for p in sorted(directory.glob("*.proll"))]
-    if not rolls:
+    paths = _require(directory, lambda d: sorted(d.glob("*.proll")))
+    if not paths:
         raise FileNotFoundError(f"no .proll files in {directory}")
-    return rolls
+    return [_require(path, midi_io.load_proll) for path in paths]
 
 
-def _model_config_for(checkpoint: Path | None, explicit: str | None) -> ModelConfig:
+def _model_config_for(checkpoint: str | None, explicit: str | None) -> ModelConfig:
     """--model-config, else the model_config.txt next to the checkpoint, else defaults."""
     if not (explicit or checkpoint):
         return ModelConfig()
-    cfg_path = Path(explicit) if explicit else checkpoint.parent / "model_config.txt"
-    return ModelConfig.from_text(_require(cfg_path).read_text())
+    cfg_path = explicit or _require(checkpoint, lambda p: p.parent / "model_config.txt")
+    return _require(cfg_path, lambda p: ModelConfig.from_text(p.read_text()))
+
+
+def _prepare(args, rolls, rng, **options):
+    """prepare_corpus with the grid, slicing and edit flags of batch-plan and evaluate."""
+    return training.prepare_corpus(
+        rolls, rng, k=args.grid_k, count=args.grid_count, max_len=args.max_len,
+        max_edit_fraction=args.max_edit, **options,
+    )
 
 
 def _cmd_preprocess(args) -> int:
-    in_dir = _require(args.input_path)
+    midi_paths = _require(
+        args.input_path,
+        lambda d: sorted(p for p in d.iterdir() if p.suffix.lower() in (".mid", ".midi")),
+    )
+    if not midi_paths:
+        raise FileNotFoundError(f"no MIDI files in {args.input_path}")
     out_dir = Path(args.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    midi_paths = sorted(p for p in in_dir.iterdir() if p.suffix.lower() in (".mid", ".midi"))
-    if not midi_paths:
-        raise FileNotFoundError(f"no MIDI files in {in_dir}")
     written = skipped = 0
     for path in midi_paths:
         try:
@@ -210,16 +235,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_batch_plan(args) -> int:
     rolls = _load_rolls(args.input_path)
     rng = np.random.default_rng(args.seed)
-    plan, _, excluded = training.prepare_corpus(
-        rolls,
-        rng,
-        k=args.grid_k,
-        count=args.grid_count,
-        max_len=args.max_len,
-        batch_cap=args.batch_cap,
-        max_edit_fraction=args.max_edit,
-        with_items=False,
-    )
+    plan, _, excluded = _prepare(args, rolls, rng, batch_cap=args.batch_cap, with_items=False)
     batching.save_plan(plan, args.output_path)
     for label in excluded:
         log.warning("excluded %s: edit beyond %.0f%%", label, args.max_edit * 100)
@@ -232,7 +248,7 @@ def _cmd_batch_plan(args) -> int:
 
 def _cmd_train(args) -> int:
     rolls = _load_rolls(args.input_path)
-    plan = batching.load_plan(_require(args.plan))
+    plan = _require(args.plan, batching.load_plan)
     rolls_by_id = {roll.source_id: roll for roll in rolls}
     items = training.items_from_plan(plan, rolls_by_id)
 
@@ -270,17 +286,16 @@ def _plain_items(rolls, seed_len: int) -> list[training.TrainItem]:
 
 
 def _cmd_generate(args) -> int:
-    ckpt = _require(args.checkpoint)
-    cfg = _model_config_for(ckpt, args.model_config)
+    cfg = _model_config_for(args.checkpoint, args.model_config)
     if args.ablated and cfg.attention_enabled:
         raise ValueError("--ablated given but the checkpoint is an attention model")
-    model = load_model(ckpt, cfg)
-    seed_roll = midi_io.load_proll(_require(args.input_path))
+    model = _require(args.checkpoint, lambda p: load_model(p, cfg))
+    seed_roll = _require(args.input_path, midi_io.load_proll)
     if seed_roll.n_samples < cfg.seed_len:
         raise ValueError(
             f"seed piece has {seed_roll.n_samples} samples, need {cfg.seed_len}"
         )
-    template = structure.load_ssm(_require(args.template))
+    template = _require(args.template, structure.load_ssm)
     rng = np.random.default_rng(args.seed)
     seed = seed_roll.data.T[: cfg.seed_len]
     roll = generate(
@@ -299,27 +314,18 @@ def _cmd_generate(args) -> int:
 def _cmd_evaluate(args) -> int:
     rolls = _load_rolls(args.input_path)
     rng = np.random.default_rng(args.seed)
-    ckpt = _require(args.checkpoint) if args.checkpoint else None
-    cfg = _model_config_for(ckpt, args.model_config)
+    cfg = _model_config_for(args.checkpoint, args.model_config)
     model = None
     if args.generator != "random":
-        if ckpt is None:
+        if not args.checkpoint:
             raise ValueError(f"generator {args.generator!r} needs --checkpoint")
         if cfg.attention_enabled != (args.generator == "sing"):
             raise ValueError(
                 f"checkpoint is {'an attention' if cfg.attention_enabled else 'an ablated'} "
                 f"model but --generator={args.generator}"
             )
-        model = load_model(ckpt, cfg)
-    _, items, excluded = training.prepare_corpus(
-        rolls,
-        rng,
-        k=args.grid_k,
-        count=args.grid_count,
-        max_len=args.max_len,
-        batch_cap=args.batch_cap,
-        max_edit_fraction=args.max_edit,
-    )
+        model = _require(args.checkpoint, lambda p: load_model(p, cfg))
+    _, items, excluded = _prepare(args, rolls, rng)
     for label in excluded:
         log.warning("excluded %s from evaluation", label)
     run = evaluation.evaluate(items, cfg, rng, model=model, generations=args.generations)
@@ -332,14 +338,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_render_ssm(args) -> int:
-    matrix = structure.load_ssm(_require(args.input_path))
+    matrix = _require(args.input_path, structure.load_ssm)
     Path(args.output_path).write_bytes(structure.render_pgm(matrix))
     print(f"render-ssm: wrote {args.output_path}")
     return 0
 
 
 def _cmd_synth_ssm(args) -> int:
-    spec = structure.parse_synth_spec(_require(args.input_path).read_text())
+    spec = _require(args.input_path, lambda p: structure.parse_synth_spec(p.read_text()))
     structure.save_ssm(structure.synth_ssm(spec), args.output_path)
     print(f"synth-ssm: wrote {args.output_path} ({spec.length} samples)")
     return 0
@@ -369,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, training.TrainingError) as exc:
+    except (ValueError, OSError, training.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

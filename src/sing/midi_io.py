@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,23 +104,10 @@ class PianoRoll:
 
 @dataclass
 class ParsedMidi:
-    """Parse result: note events plus the tick-to-seconds map."""
+    """Parse result: note events with absolute seconds, plus warnings."""
 
     events: list[NoteEvent]
-    ticks_per_quarter: int
-    tempo_map: list[tuple[int, int]]  # (absolute tick, microseconds per quarter)
-    warnings: list[str] = field(default_factory=list)
-    _change_ticks: list[int] = field(default_factory=list, repr=False)
-    _change_seconds: list[float] = field(default_factory=list, repr=False)
-
-    def seconds_at(self, tick: int) -> float:
-        """Absolute seconds of a tick under the file's tempo map."""
-        idx = bisect.bisect_right(self._change_ticks, tick) - 1
-        start_tick = self._change_ticks[idx]
-        us_per_quarter = self.tempo_map[idx][1]
-        return self._change_seconds[idx] + (tick - start_tick) * us_per_quarter / (
-            self.ticks_per_quarter * 1e6
-        )
+    warnings: list[str]
 
 
 def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
@@ -287,26 +274,22 @@ def parse_midi(data: bytes) -> ParsedMidi:
         span = (tempo_map[i][0] - prev_tick) * prev_us / (division * 1e6)
         change_seconds.append(change_seconds[-1] + span)
 
-    parsed = ParsedMidi(
-        events=[],
-        ticks_per_quarter=division,
-        tempo_map=tempo_map,
-        warnings=warnings,
-        _change_ticks=change_ticks,
-        _change_seconds=change_seconds,
-    )
+    def seconds_at(tick: int) -> float:
+        idx = bisect.bisect_right(change_ticks, tick) - 1
+        start_tick = change_ticks[idx]
+        us_per_quarter = tempo_map[idx][1]
+        return change_seconds[idx] + (tick - start_tick) * us_per_quarter / (division * 1e6)
 
     events = []
     for on_tick, off_tick, pitch, velocity in raw_notes:
-        onset = parsed.seconds_at(on_tick)
-        offset = parsed.seconds_at(off_tick)
+        onset = seconds_at(on_tick)
+        offset = seconds_at(off_tick)
         if offset <= onset:
             warnings.append(f"zero-length note pitch={pitch} at tick {on_tick} dropped")
             continue
         events.append(NoteEvent(pitch, onset, offset, velocity))
     events.sort(key=lambda e: (e.onset, e.pitch, e.offset, e.velocity))
-    parsed.events = events
-    return parsed
+    return ParsedMidi(events=events, warnings=warnings)
 
 
 def estimate_tempo(events: list[NoteEvent]) -> float:

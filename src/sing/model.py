@@ -336,7 +336,5 @@ def load_model(checkpoint_path: str | Path, cfg: ModelConfig) -> Model:
         if got.get(name, shape) != shape
     ]
     if problems:
-        raise ValueError(
-            f"checkpoint {checkpoint_path} does not match its model config: " + "; ".join(problems)
-        )
+        raise ValueError("checkpoint does not match its model config: " + "; ".join(problems))
     return Model(cfg, params=params)

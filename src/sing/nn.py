@@ -173,9 +173,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.values[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
-
     def names(self) -> list[str]:
         return list(self.values)
 
@@ -194,13 +191,7 @@ def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
     return rng.uniform(-bound, bound, size=shape)
 
 
-def adam_step(
-    params: ParamSet,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> None:
+def adam_step(params: ParamSet, lr: float) -> None:
     """One bias-corrected Adam update over every parameter; clears gradients."""
     params.step += 1
     t = params.step
@@ -208,13 +199,13 @@ def adam_step(
         g = params.grads[name]
         m = params.m[name]
         v = params.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     params.zero_grads()
 
 

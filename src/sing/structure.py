@@ -98,19 +98,13 @@ def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
     return SelfSimilarityMatrix(values=values, role=role)
 
 
-def _values(matrix: SelfSimilarityMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(matrix, SelfSimilarityMatrix):
-        return matrix.values
-    return np.asarray(matrix, dtype=np.float64)
-
-
-def standardize(matrix: SelfSimilarityMatrix | np.ndarray) -> np.ndarray:
+def standardize(matrix: SelfSimilarityMatrix) -> np.ndarray:
     """Shift to zero mean and scale to unit variance over all n^2 entries.
 
     Uses the population standard deviation. Near-constant input (std below
     1e-12) standardizes to the all-zero matrix.
     """
-    values = _values(matrix)
+    values = matrix.values
     if values.shape[0] < 2:
         raise ValueError("standardize needs n >= 2")
     std = float(values.std())
@@ -127,9 +121,7 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def standardized_mse(
-    template: SelfSimilarityMatrix | np.ndarray, generated: SelfSimilarityMatrix | np.ndarray
-) -> float:
+def standardized_mse(template: SelfSimilarityMatrix, generated: SelfSimilarityMatrix) -> float:
     """MSE between the standardized template and generated SSMs.
 
     Equals 2(1 - correlation) for non-degenerate inputs, so statistically
@@ -176,18 +168,12 @@ def parse_synth_spec(text: str) -> SynthSpec:
     return SynthSpec(length=length, blocks=blocks, background=background)
 
 
-def format_synth_spec(spec: SynthSpec) -> str:
-    lines = [f"length={spec.length}", f"background={spec.background}"]
-    lines += [f"block={s},{e},{v}" for s, e, v in spec.blocks]
-    return "\n".join(lines) + "\n"
-
-
-def render_pgm(matrix: SelfSimilarityMatrix | np.ndarray) -> bytes:
-    """Render a [0, 1] matrix as a binary PGM (P5) image, row 0 on top.
+def render_pgm(matrix: SelfSimilarityMatrix) -> bytes:
+    """Render an SSM as a binary PGM (P5) image, row 0 on top.
 
     Values are clamped to [0, 1] and mapped to 0..255 with round-half-up.
     """
-    values = np.clip(_values(matrix), 0.0, 1.0)
+    values = np.clip(matrix.values, 0.0, 1.0)
     pixels = np.floor(values * 255.0 + 0.5).astype(np.uint8)
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
@@ -199,7 +185,7 @@ def ssm_to_bytes(matrix: SelfSimilarityMatrix) -> bytes:
     return header + matrix.values.astype("<f4").tobytes()
 
 
-def ssm_from_bytes(data: bytes, role: str = "template") -> SelfSimilarityMatrix:
+def ssm_from_bytes(data: bytes) -> SelfSimilarityMatrix:
     if data[: len(SSM_MAGIC)] != SSM_MAGIC:
         raise ValueError("not an SSM container (bad magic)")
     if len(data) < len(SSM_MAGIC) + 4:
@@ -213,12 +199,12 @@ def ssm_from_bytes(data: bytes, role: str = "template") -> SelfSimilarityMatrix:
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, n)
     if not np.isfinite(values).all():
         raise ValueError("SSM holds non-finite values")
-    return SelfSimilarityMatrix(values=values, role=role)
+    return SelfSimilarityMatrix(values=values)
 
 
 def save_ssm(matrix: SelfSimilarityMatrix, path: str | Path) -> None:
     Path(path).write_bytes(ssm_to_bytes(matrix))
 
 
-def load_ssm(path: str | Path, role: str = "template") -> SelfSimilarityMatrix:
-    return ssm_from_bytes(Path(path).read_bytes(), role=role)
+def load_ssm(path: str | Path) -> SelfSimilarityMatrix:
+    return ssm_from_bytes(Path(path).read_bytes())

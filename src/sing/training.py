@@ -165,7 +165,6 @@ def piece_loss(
     norms = np.linalg.norm(U, axis=0)
     nonzero = norms > 0.0
     V = U / np.where(nonzero, norms, 1.0)
-    V[:, ~nonzero] = 0.0
     G = V.T @ V
     diff = G - S.values
     structural = float(np.mean(diff**2))
@@ -290,6 +289,10 @@ def train(
     rng: np.random.Generator,
 ) -> tuple[list[EpochReport], Path]:
     """Full training run; writes per-epoch checkpoints, a CSV, and best.ckpt."""
+    for item in items:
+        if item.roll.n_samples <= model.cfg.seed_len:
+            raise ValueError(f"piece {item.label} has {item.roll.n_samples} samples, "
+                             f"no more than seed length {model.cfg.seed_len}")
     ckpt_dir = Path(checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     (ckpt_dir / "model_config.txt").write_text(model.cfg.to_text())
@@ -374,7 +377,7 @@ def items_from_plan(plan: BatchPlan, rolls_by_id: dict[str, PianoRoll]) -> list[
     items: list[TrainItem] = []
     for assignment in plan.assignments:
         if assignment.piece_id not in rolls_by_id:
-            raise KeyError(f"plan references unknown piece {assignment.piece_id!r}")
+            raise ValueError(f"plan references unknown piece {assignment.piece_id!r}")
         roll = rolls_by_id[assignment.piece_id]
         n, s, i = roll.n_samples, assignment.source_length, assignment.segment_index
         # equal slicing into m segments makes them n // m samples long

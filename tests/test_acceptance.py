@@ -211,7 +211,7 @@ def test_batching_bound():
     # default grid: sweep every in-span length and compare with the bound
     anchor_lengths = list(range(246, 256)) + [300, 400, 500, 600, 700]
     grid = build_grid(anchor_lengths, k=10, count=16, max_len=700)
-    assert (grid.min_len, grid.max_len) == (255, 700)
+    assert (grid[0], grid[-1]) == (255, 700)
     worst = 0.0
     for length in range(255, 701):
         result = assign(length, grid)

@@ -67,25 +67,24 @@ class TestSliceLong:
 class TestBuildGrid:
     def test_default_configuration_endpoints(self):
         grid = grid_255_700()
-        assert grid.min_len == 255
-        assert grid.lengths[0] == 255
-        assert grid.lengths[15] == 700
+        assert grid[0] == 255
+        assert grid[15] == 700
 
     def test_closed_form_midpoint(self):
         grid = grid_255_700()
-        assert grid.lengths[8] == 437  # round(255 * (700/255)^(8/15))
+        assert grid[8] == 437  # round(255 * (700/255)^(8/15))
 
     def test_degenerate_grid_all_equal(self):
         grid = build_grid([700] * 10, k=10, count=16, max_len=700)
-        assert grid.lengths == [700] * 16
+        assert grid == [700] * 16
 
     def test_log_spacing_constant_within_rounding(self):
         grid = grid_255_700()
-        steps = np.diff(np.log(grid.lengths))
+        steps = np.diff(np.log(grid))
         expected = math.log(700 / 255) / 15
         for i, step in enumerate(steps):
-            lo = math.log(grid.lengths[i + 1] - 0.5) - math.log(grid.lengths[i] + 0.5)
-            hi = math.log(grid.lengths[i + 1] + 0.5) - math.log(grid.lengths[i] - 0.5)
+            lo = math.log(grid[i + 1] - 0.5) - math.log(grid[i] + 0.5)
+            hi = math.log(grid[i + 1] + 0.5) - math.log(grid[i] - 0.5)
             assert lo <= expected <= hi or abs(step - expected) < 0.01
 
     def test_too_few_pieces_rejected(self):

@@ -1,10 +1,13 @@
-"""The benchmark's tracer finds every function it wraps.
+"""The benchmark's tracer finds every function it wraps, and its workloads
+import and set up.
 
-perfbench/spans.py replaces functions by module attribute name; a rename in
-sing would otherwise surface only when a traced benchmark run fails.
+perfbench/spans.py replaces functions by module attribute name, and
+perfbench/workloads.py imports sing names directly; a rename in sing would
+otherwise surface only when a benchmark run fails.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ from sing.midi_io import PianoRoll
 from sing.model import Model, ModelConfig
 from sing.structure import chroma, ssm
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -24,6 +28,21 @@ def load_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads():
+    """perfbench/workloads.py, whose sibling imports need perfbench/ on the path."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_workload_sets_up(tmp_path):
+    for name, workload in load_workloads().WORKLOADS.items():
+        workload(tmp_path / name, 0).setup()
+        assert any((tmp_path / name).iterdir()), name
 
 
 def test_every_traced_target_exists_and_is_callable():

@@ -189,7 +189,7 @@ class TestOneSourcePerSetting:
         for verb, gone in {
             "train": ["--max-len"],
             "evaluate": ["--seed-len", "--top-k", "--max-notes", "--pitch-lo", "--pitch-hi",
-                         "--ablated"],
+                         "--ablated", "--batch-cap"],
         }.items():
             with pytest.raises(SystemExit):
                 main([verb, "--help"])
@@ -228,6 +228,26 @@ class TestOneSourcePerSetting:
         assert code == 1
         assert "'piece0'" in single_error_line(capsys)
         assert not out.exists()
+
+    def test_plan_segment_no_longer_than_seed_fails_before_writing(self, tmp_path, capsys):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=8)
+        plan = tmp_path / "plan.txt"
+        plan.write_text("piece0,0,8,none,0.0\nbatch: 0\n")
+        out = tmp_path / "ckpt"
+        code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
+                     "--out", str(out), "--epochs", "1", "--hidden", "6"])
+        assert code == 1
+        assert "piece0[0] has 8 samples" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_plan_naming_an_unknown_piece(self, tmp_path, capsys):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        plan = tmp_path / "plan.txt"
+        plan.write_text("nosuch,0,24,none,0.0\nbatch: 0\n")
+        code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
+                     "--out", str(tmp_path / "ckpt"), "--epochs", "1", "--hidden", "6"])
+        assert code == 1
+        assert single_error_line(capsys) == "error: plan references unknown piece 'nosuch'"
 
 
 class TestArgumentHandling:
@@ -402,6 +422,42 @@ class TestBadInputs:
             assert main(argv) == 1, argv[0]
             assert "'lstm.W_h' holds non-finite" in single_error_line(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "corpus", "t.ssm"]
+
+    def test_truncated_roll_in_a_directory_is_named(self, tmp_path, capsys):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=3, n=24)
+        bad = tmp_path / "corpus" / "piece1.proll"
+        bad.write_bytes(bad.read_bytes()[:-5])
+        code = main(["evaluate", "--in", str(tmp_path / "corpus"),
+                     "--out", str(tmp_path / "eval.csv"), "--generator", "random"])
+        assert code == 1
+        assert single_error_line(capsys).startswith(f"error: {bad}: PRoll payload is")
+
+    def test_truncated_template_is_named(self, tmp_path, capsys):
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        template = tmp_path / "t.ssm"
+        save_ssm(synth_ssm(SynthSpec(length=20)), template)
+        template.write_bytes(template.read_bytes()[:-3])
+        code = main(["generate", "--checkpoint", str(ckpt),
+                     "--in", str(tmp_path / "corpus" / "piece0.proll"),
+                     "--template", str(template), "--out", str(tmp_path / "gen")])
+        assert code == 1
+        assert single_error_line(capsys) == f"error: {template}: SSM payload size mismatch"
+
+    def test_bad_plan_batch_line_is_named(self, tmp_path, capsys):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        plan = tmp_path / "plan.txt"
+        plan.write_text("piece0,0,24,none,0.0\nbatch: x\n")
+        code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
+                     "--out", str(tmp_path / "ckpt"), "--epochs", "1", "--hidden", "6"])
+        assert code == 1
+        assert single_error_line(capsys).startswith(f"error: {plan}: line 2: invalid literal")
+
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("grid.k = abc\n")
+        assert main(["batch-plan", "--config", str(cfg), "--in", "x", "--out", "y"]) == 1
+        assert single_error_line(capsys).startswith(f"error: {cfg}: grid.k: invalid literal")
 
     def test_checkpoint_config_mismatch_names_tensors(self, tmp_path, capsys):
         ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)

@@ -33,7 +33,6 @@ class TestParse:
         # 480 ticks at 480 tpq and the default 120 BPM is one quarter = 0.5 s
         parsed = parse_midi(smf.single_note_file(tpq=480, pitch=60, on=0, off=480))
         assert parsed.events == [NoteEvent(60, 0.0, 0.5, 64)]
-        assert parsed.ticks_per_quarter == 480
 
     def test_empty_track(self):
         data = smf.header(0, 1, 480) + smf.track(b"")
