@@ -56,12 +56,6 @@ def segment_lengths(n: int, max_len: int) -> list[int]:
     return [n // m] * m
 
 
-def slice_long(roll: PianoRoll, max_len: int) -> list[PianoRoll]:
-    """Slice a piano roll into consecutive equal-length segments."""
-    parts = segment_lengths(roll.n_samples, max_len)
-    return [cut_segment(roll, i, parts[0]) for i in range(len(parts))]
-
-
 def cut_segment(roll: PianoRoll, index: int, length: int) -> PianoRoll:
     """Samples [index * length, (index + 1) * length) of a roll; the roll
     itself when the segment is all of it."""

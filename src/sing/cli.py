@@ -235,7 +235,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_batch_plan(args) -> int:
     rolls = _load_rolls(args.input_path)
     rng = np.random.default_rng(args.seed)
-    plan, _, excluded = _prepare(args, rolls, rng, batch_cap=args.batch_cap, with_items=False)
+    plan, _, excluded = _prepare(args, rolls, rng, batch_cap=args.batch_cap)
     batching.save_plan(plan, args.output_path)
     for label in excluded:
         log.warning("excluded %s: edit beyond %.0f%%", label, args.max_edit * 100)
@@ -249,8 +249,7 @@ def _cmd_batch_plan(args) -> int:
 def _cmd_train(args) -> int:
     rolls = _load_rolls(args.input_path)
     plan = _require(args.plan, batching.load_plan)
-    rolls_by_id = {roll.source_id: roll for roll in rolls}
-    items = training.items_from_plan(plan, rolls_by_id)
+    items = training.items_from_plan(plan, {roll.source_id: roll for roll in rolls})
 
     flags = {f.name: getattr(args, f.name) for f in _MODEL_FIELDS}
     cfg = ModelConfig(**flags, attention_enabled=not args.ablated)
@@ -325,9 +324,10 @@ def _cmd_evaluate(args) -> int:
                 f"model but --generator={args.generator}"
             )
         model = _require(args.checkpoint, lambda p: load_model(p, cfg))
-    _, items, excluded = _prepare(args, rolls, rng)
+    plan, _, excluded = _prepare(args, rolls, rng)
     for label in excluded:
         log.warning("excluded %s from evaluation", label)
+    items = training.items_from_plan(plan, {roll.source_id: roll for roll in rolls})
     run = evaluation.evaluate(items, cfg, rng, model=model, generations=args.generations)
     Path(args.output_path).write_text(evaluation.eval_run_to_csv(run))
     print(

@@ -86,6 +86,8 @@ def evaluate(
             raise ValueError(f"piece {item.label}: {exc}") from exc
         run.piece_ids.append(item.label)
         run.mses.append(scores)
+    if not run.piece_ids:
+        raise ValueError(f"no piece has more than seed length {cfg.seed_len} samples")
     return run
 
 

@@ -32,7 +32,7 @@ from sing.batching import (
     build_grid,
     cut_segment,
     make_batches,
-    slice_long,
+    segment_lengths,
 )
 from sing.midi_io import N_PITCHES, PianoRoll
 from sing.model import (
@@ -288,11 +288,17 @@ def train(
     checkpoint_dir: str | Path,
     rng: np.random.Generator,
 ) -> tuple[list[EpochReport], Path]:
-    """Full training run; writes per-epoch checkpoints, a CSV, and best.ckpt."""
+    """Full training run; writes per-epoch checkpoints, a CSV, and best.ckpt.
+    Nothing is written until the plan, items and validation items pass."""
+    seed_len = model.cfg.seed_len
+    if not any(plan.batches):
+        raise ValueError("plan batches no segment; nothing to train on")
     for item in items:
-        if item.roll.n_samples <= model.cfg.seed_len:
+        if item.roll.n_samples <= seed_len:
             raise ValueError(f"piece {item.label} has {item.roll.n_samples} samples, "
-                             f"no more than seed length {model.cfg.seed_len}")
+                             f"no more than seed length {seed_len}")
+    if not any(item.roll.n_samples > seed_len for item in val_items):
+        raise ValueError(f"no validation piece has more than seed length {seed_len} samples")
     ckpt_dir = Path(checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     (ckpt_dir / "model_config.txt").write_text(model.cfg.to_text())
@@ -334,45 +340,36 @@ def prepare_corpus(
     max_len: int = GRID_MAX_LEN,
     batch_cap: int = BATCH_CAP,
     max_edit_fraction: float = MAX_EDIT_FRACTION,
-    with_items: bool = True,
-) -> tuple[BatchPlan, list[TrainItem], list[str]]:
-    """Slice, grid, assign, and batch a corpus; returns excluded segment ids.
+) -> tuple[BatchPlan, list[int], list[str]]:
+    """Plan a corpus from its segment lengths: grid, assign, and batch.
 
-    Items are aligned index-for-index with the returned plan's assignments;
-    each carries the edited roll and the SSM computed from it. Pass
-    with_items=False to plan without materializing rolls and SSMs.
+    Cuts no roll; `items_from_plan` builds the edited items. Returns the
+    plan, the grid, and the ids of the excluded segments.
     """
-    segments: list[tuple[str, int, PianoRoll]] = []
-    for roll in rolls:
-        parts = slice_long(roll, max_len)
-        for seg_idx, seg in enumerate(parts):
-            segments.append((roll.source_id, seg_idx, seg))
-    grid = build_grid([seg.n_samples for _, _, seg in segments], k=k, count=count, max_len=max_len)
-
+    segments = [
+        (roll.source_id, seg_idx, length)
+        for roll in rolls
+        for seg_idx, length in enumerate(segment_lengths(roll.n_samples, max_len))
+    ]
+    grid = build_grid([length for _, _, length in segments], k=k, count=count, max_len=max_len)
     assignments: list[Assignment] = []
-    items: list[TrainItem] = []
     excluded: list[str] = []
-    for piece_id, seg_idx, seg in segments:
-        result = assign(seg.n_samples, grid, max_edit_fraction)
+    for piece_id, seg_idx, length in segments:
+        result = assign(length, grid, max_edit_fraction)
         if result is None:
             excluded.append(f"{piece_id}[{seg_idx}]")
-            continue
-        target_len, edit, fraction = result
-        assignments.append(
-            Assignment(piece_id, seg_idx, seg.n_samples, target_len, edit, fraction)
-        )
-        if with_items:
-            items.append(TrainItem.from_roll(piece_id, seg_idx, apply_edit(seg, target_len)))
-    plan = make_batches(assignments, batch_cap, rng)
-    return plan, items, excluded
+        else:
+            assignments.append(Assignment(piece_id, seg_idx, length, *result))
+    return make_batches(assignments, batch_cap, rng), grid, excluded
 
 
 def items_from_plan(plan: BatchPlan, rolls_by_id: dict[str, PianoRoll]) -> list[TrainItem]:
-    """Rebuild edited training items for a stored plan from source rolls.
+    """The edited items of a plan, cut from its source rolls: the one way
+    `train` and `evaluate` turn rolls into items.
 
     Segment i of a piece is samples [i * s, (i + 1) * s) of its roll, where
-    s is the segment length the plan records: the cut `slice_long` made
-    when the plan was written.
+    s is the segment length the plan records: the equal slicing
+    `segment_lengths` gave when the plan was written.
     """
     items: list[TrainItem] = []
     for assignment in plan.assignments:

@@ -15,7 +15,6 @@ from sing.batching import (
     plan_to_text,
     save_plan,
     segment_lengths,
-    slice_long,
 )
 from sing.midi_io import MAX_SAMPLES, PianoRoll
 
@@ -35,7 +34,8 @@ def make_roll(n: int) -> PianoRoll:
 class TestSliceLong:
     def test_boundary_stays_whole(self):
         assert segment_lengths(700, 700) == [700]
-        assert len(slice_long(make_roll(700), 700)) == 1
+        roll = make_roll(700)
+        assert cut_segment(roll, 0, 700) is roll
 
     def test_1500_splits_into_three_of_500(self):
         assert segment_lengths(1500, 700) == [500, 500, 500]
@@ -46,9 +46,9 @@ class TestSliceLong:
     def test_segments_are_consecutive_from_zero(self):
         roll = make_roll(10)
         roll.data[61, 3] = 1
-        parts = slice_long(roll, 4)
-        assert [p.n_samples for p in parts] == [3, 3, 3]
-        assert parts[1].data[61, 0] == 1  # sample 3 lands in segment 1
+        parts = segment_lengths(roll.n_samples, 4)
+        assert parts == [3, 3, 3]
+        assert cut_segment(roll, 1, parts[1]).data[61, 0] == 1  # sample 3 lands in segment 1
 
     def test_segment_count_and_size_rule(self):
         rng = np.random.default_rng(0)
@@ -223,11 +223,11 @@ class TestPlanText:
 class TestCutSegment:
     @pytest.mark.parametrize("n, max_len", [(700, 700), (701, 700), (1000, 300), (97, 10)])
     def test_matches_slice_long(self, n, max_len):
+        """Each segment of the slicing is its own column range of the roll."""
         roll = make_roll(n)
         roll.data[:, :] = np.random.default_rng(n).integers(0, 2, roll.data.shape)
-        parts = slice_long(roll, max_len)
-        seg = parts[0].n_samples
-        for i, part in enumerate(parts):
-            cut = cut_segment(roll, i, seg)
-            assert cut.source_id == part.source_id
-            assert np.array_equal(cut.data, part.data)
+        parts = segment_lengths(n, max_len)
+        for i, s in enumerate(parts):
+            cut = cut_segment(roll, i, s)
+            assert np.array_equal(cut.data, roll.data[:, i * s : (i + 1) * s])
+            assert cut.source_id == ("piece" if len(parts) == 1 else f"piece#{i}")

@@ -472,6 +472,64 @@ class TestBadInputs:
         assert "missing head.W" in single_error_line(capsys)
 
 
+def write_rolls(directory, lengths):
+    """One .proll of a held two-note chord per length, named roll<i>."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for i, n in enumerate(lengths):
+        data = np.zeros((128, n), dtype=np.uint8)
+        data[[60, 64]] = 1
+        save_proll(PianoRoll(data=data, tempo=120.0), directory / f"roll{i}.proll")
+
+
+class TestNothingToDo:
+    """A run with nothing to train on, validate or score fails before writing."""
+
+    @pytest.mark.parametrize("with_val", [True, False])
+    def test_empty_plan(self, tmp_path, capsys, with_val):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=2, n=24)
+        plan, out = tmp_path / "plan.txt", tmp_path / "ckpt"
+        plan.write_text("")
+        argv = ["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
+                "--out", str(out), "--epochs", "1", "--hidden", "6", "--seed-len", "4"]
+        if with_val:
+            argv += ["--val", str(tmp_path / "corpus")]
+        assert main(argv) == 1
+        assert "plan batches no segment" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_validation_pieces_no_longer_than_the_seed(self, tmp_path, capsys):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=2, n=24)
+        write_rolls(tmp_path / "val", [5, 8])
+        plan, out = tmp_path / "plan.txt", tmp_path / "ckpt"
+        plan.write_text("piece0,0,24,none,0.0\nbatch: 0\n")
+        code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
+                     "--val", str(tmp_path / "val"), "--out", str(out), "--epochs", "1",
+                     "--hidden", "6"])
+        assert code == 1
+        assert "seed length 10" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_evaluate_scoring_no_piece(self, tmp_path, capsys):
+        write_rolls(tmp_path / "corpus", [6, 7, 8])
+        result = tmp_path / "eval.csv"
+        code = main(["evaluate", "--in", str(tmp_path / "corpus"), "--out", str(result),
+                     "--generator", "random", "--grid-k", "2", "--grid-count", "4",
+                     "--max-len", "8"])
+        assert code == 1
+        assert "seed length 10" in single_error_line(capsys)
+        assert not result.exists()
+
+    def test_evaluate_scoring_some_pieces_counts_the_skipped(self, tmp_path):
+        write_rolls(tmp_path / "corpus", [8, 24])
+        result = tmp_path / "eval.csv"
+        assert main(["evaluate", "--in", str(tmp_path / "corpus"), "--out", str(result),
+                     "--generator", "random", "--grid-k", "1", "--max-len", "24",
+                     "--generations", "1"]) == 0
+        lines = result.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["roll1[0]", "mean", "skipped"]
+        assert lines[-1] == "skipped,random,1"
+
+
 # --config key -> (a verb with the flag it maps to, that flag, a non-default value)
 CONFIG_CASES = {
     "grid.k": ("batch-plan", "--grid-k", "3"),

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from oracles import piece_gradients_per_step, relative_error
-from sing.batching import Assignment, BatchPlan, make_batches, plan_from_text, plan_to_text
+from sing.batching import (
+    Assignment,
+    BatchPlan,
+    apply_edit,
+    build_grid,
+    make_batches,
+    plan_from_text,
+    plan_to_text,
+    segment_lengths,
+)
 from sing.midi_io import PianoRoll
 from sing.model import Model, ModelConfig, PieceTrace, generate
 from sing.structure import SelfSimilarityMatrix, chroma, ssm
@@ -352,27 +361,16 @@ class TestPrepareCorpus:
         for i, n in enumerate([120, 128, 128, 130, 260]):
             roll = chord_roll(n, [50 + i, 54 + i, 57 + i], source_id=f"p{i}")
             rolls.append(roll)
-        plan, items, excluded = prepare_corpus(
+        plan, grid, excluded = prepare_corpus(
             rolls, rng, k=3, count=4, max_len=128, batch_cap=2, max_edit_fraction=0.1
         )
+        items = items_from_plan(plan, {r.source_id: r for r in rolls})
         assert len(plan.assignments) == len(items)
         for assignment, item in zip(plan.assignments, items):
             assert assignment.piece_id == item.piece_id
+            assert assignment.target_length in grid
             assert item.roll.n_samples == assignment.target_length
             assert item.template.n == item.roll.n_samples
-
-    def test_items_from_plan_reconstructs(self):
-        rng = np.random.default_rng(26)
-        rolls = [chord_roll(n, [60, 64, 67], source_id=f"p{i}")
-                 for i, n in enumerate([100, 104, 96, 210])]
-        plan, items, _ = prepare_corpus(
-            rolls, rng, k=2, count=3, max_len=100, batch_cap=10, max_edit_fraction=0.08
-        )
-        rebuilt = items_from_plan(plan, {r.source_id: r for r in rolls})
-        assert len(rebuilt) == len(items)
-        for a, b in zip(rebuilt, items):
-            assert a.roll == b.roll
-            assert np.array_equal(a.template.values, b.template.values)
 
     @pytest.mark.parametrize("max_len", [40, 64, 100, 150, 700])
     def test_saved_plan_rebuilds_items_at_its_own_slicing(self, max_len):
@@ -380,18 +378,40 @@ class TestPrepareCorpus:
         rolls = [PianoRoll(data=rng.integers(0, 2, (128, n), dtype=np.uint8), tempo=120.0,
                            source_id=f"p{i}")
                  for i, n in enumerate([38, 40, 41, 63, 64, 97, 100, 150, 151, 299, 300, 1000])]
-        plan, items, _ = prepare_corpus(
+        rolls_by_id = {r.source_id: r for r in rolls}
+        plan, _, _ = prepare_corpus(
             rolls, rng, k=3, count=4, max_len=max_len, batch_cap=4, max_edit_fraction=0.2
         )
-        assert len(items) >= 5
-        saved = plan_from_text(plan_to_text(plan))
-        rebuilt = items_from_plan(saved, {r.source_id: r for r in rolls})
-        assert [(a.piece_id, a.segment_index) for a in rebuilt] == [
-            (b.piece_id, b.segment_index) for b in items
+        assert len(plan.assignments) >= 5
+        rebuilt = items_from_plan(plan_from_text(plan_to_text(plan)), rolls_by_id)
+        assert len(rebuilt) == len(plan.assignments)
+        for a, item in zip(plan.assignments, rebuilt):
+            i, s = a.segment_index, a.source_length
+            assert (item.piece_id, item.segment_index) == (a.piece_id, i)
+            cut = rolls_by_id[a.piece_id].data[:, i * s : (i + 1) * s]
+            expected = apply_edit(PianoRoll(data=cut, tempo=120.0), a.target_length)
+            assert np.array_equal(item.roll.data, expected.data)
+            assert np.array_equal(item.template.values, ssm(chroma(expected)).values)
+
+    def test_plans_from_lengths_without_cutting_a_roll(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("planning cut a roll")
+
+        monkeypatch.setattr("sing.batching.cut_segment", refuse)
+        monkeypatch.setattr("sing.training.cut_segment", refuse)
+        rolls = [chord_roll(n, [60, 64, 67], source_id=f"p{i}")
+                 for i, n in enumerate([90, 96, 100, 98, 250])]
+        plan, grid, excluded = prepare_corpus(
+            rolls, np.random.default_rng(30), k=2, count=4, max_len=100, batch_cap=3,
+            max_edit_fraction=0.05,
+        )
+        lengths = [s for r in rolls for s in segment_lengths(r.n_samples, 100)]
+        assert lengths == [90, 96, 100, 98, 83, 83, 83]
+        assert grid == build_grid(lengths, k=2, count=4, max_len=100)
+        assert [(a.piece_id, a.segment_index) for a in plan.assignments][-3:] == [
+            ("p4", 0), ("p4", 1), ("p4", 2)
         ]
-        for a, b in zip(rebuilt, items):
-            assert np.array_equal(a.roll.data, b.roll.data)
-            assert np.array_equal(a.template.values, b.template.values)
+        assert len(plan.assignments) + len(excluded) == len(lengths)
 
     @pytest.mark.parametrize(
         "line",
