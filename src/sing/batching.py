@@ -101,6 +101,8 @@ def assign(
     """
     if roll_length < 1:
         raise ValueError("roll_length must be >= 1")
+    if not max_edit_fraction >= 0:  # NaN would silently turn the bound off
+        raise ValueError(f"max edit fraction must be >= 0, got {max_edit_fraction}")
     log_len = math.log(roll_length)
     best_target = grid[0]
     best_dist = abs(log_len - math.log(best_target))

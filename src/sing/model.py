@@ -158,32 +158,24 @@ def combine_backward(
 
 
 def forward_step(
-    model: Model,
-    prev_sample: np.ndarray,
-    w: np.ndarray | None,
-    history: np.ndarray,
-    state: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray | None, np.ndarray]:
-    """Advance the LSTM on the previous sample and emit logits for sample t.
+    model: Model, w: np.ndarray | None, history: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The logits of sample t from the LSTM output h of step t.
 
     history holds samples 0..t-1 and w the step's attention weights over
     them (see attention_step); the ablated model takes w = None.
-    Returns (d, (h, c), a, gates). With attention enabled the logits
-    combine the attention vector a with the LSTM output; otherwise the
-    dense head maps the LSTM output alone and a is None.
+    Returns (d, a). With attention enabled the logits combine the attention
+    vector a with h; otherwise the dense head maps h alone and a is None.
     """
     p = model.params
-    h, c, gates = nn.lstm_cell_forward(
-        p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], np.asarray(prev_sample, np.float64), *state
-    )
     if model.cfg.attention_enabled:
         if w is None:
             raise ValueError("attention model needs attention weights")
         a = attention_step(w, history)
-        return combine_forward(p, model.cfg.combiner_mode, a, h), (h, c), a, gates
+        return combine_forward(p, model.cfg.combiner_mode, a, h), a
     if w is not None:
         raise ValueError("the ablated model takes no attention weights")
-    return nn.dense_forward(p["head.W"], p["head.b"], h), (h, c), None, gates
+    return nn.dense_forward(p["head.W"], p["head.b"], h), None
 
 
 def head_backward(
@@ -249,45 +241,50 @@ class PieceTrace:
 
 def unroll(
     model: Model,
-    X: np.ndarray,
+    seed: np.ndarray,
     S: SelfSimilarityMatrix,
     next_input: Callable[[int, np.ndarray], np.ndarray],
 ) -> PieceTrace:
-    """Run LSTM steps 1..n-1 over the (n - 1, 128) input buffer X.
+    """Run LSTM steps 1..n-1 of an n-sample piece from its (seed_len, 128) seed.
 
-    X holds the seed in its first seed_len rows; after each generated step
-    t <= n - 2, X[t] = next_input(t, d) with d that step's logits. Attention
-    weights are projected one ATTENTION_BLOCK_ROWS block at a time, as the
-    loop reaches it.
+    n is the template's length. Step t feeds X[t - 1] to the LSTM; from
+    t = seed_len on, forward_step turns its output into logits d and, for
+    t <= n - 2, X[t] = next_input(t, d). Attention weights are projected
+    one ATTENTION_BLOCK_ROWS block at a time, as the loop reaches it.
     """
     cfg = model.cfg
     p = model.params
-    n, seed_len, hidden = X.shape[0] + 1, cfg.seed_len, cfg.hidden_size
+    n, seed_len, hidden = S.n, cfg.seed_len, cfg.hidden_size
+    if n <= seed_len:
+        raise ValueError(f"piece length {n} must exceed seed length {seed_len}")
+    if np.shape(seed) != (seed_len, N_PITCHES):
+        raise ValueError(f"seed must be ({seed_len}, 128), got {np.shape(seed)}")
+    X = np.zeros((n - 1, N_PITCHES))
+    X[:seed_len] = seed
     H = np.zeros((n, hidden))
     C = np.zeros((n, hidden))
     G = np.zeros((n - 1, 4 * hidden))
     D = np.zeros((n - seed_len, N_PITCHES))
     A = np.zeros_like(D) if cfg.attention_enabled else None
-    state, w = (H[0], C[0]), None
+    w = None
     for t in range(1, n):
+        H[t], C[t], G[t - 1] = nn.lstm_cell_forward(
+            p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], X[t - 1], H[t - 1], C[t - 1]
+        )
         if t < seed_len:  # warm-up: no prediction yet
-            h, c, G[t - 1] = nn.lstm_cell_forward(
-                p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], X[t - 1], *state
-            )
-        else:
-            row = t - seed_len
-            if A is not None:
-                offset = row % ATTENTION_BLOCK_ROWS
-                if offset == 0:
-                    block = attention_weights(S, t, min(t + ATTENTION_BLOCK_ROWS, n))
-                w = block[offset, :t]
-            d, (h, c), a, G[t - 1] = forward_step(model, X[t - 1], w, X[:t], state)
-            D[row] = d
-            if A is not None:
-                A[row] = a
-            if t <= n - 2:
-                X[t] = next_input(t, d)
-        H[t], C[t] = state = h, c
+            continue
+        row = t - seed_len
+        if A is not None:
+            offset = row % ATTENTION_BLOCK_ROWS
+            if offset == 0:
+                block = attention_weights(S, t, min(t + ATTENTION_BLOCK_ROWS, n))
+            w = block[offset, :t]
+        d, a = forward_step(model, w, X[:t], H[t])
+        D[row] = d
+        if A is not None:
+            A[row] = a
+        if t <= n - 2:
+            X[t] = next_input(t, d)
     return PieceTrace(n=n, seed_len=seed_len, X=X, H=H, C=C, G=G, A=A, D=D)
 
 
@@ -305,16 +302,10 @@ def generate(
     seed and appends one sampled step at a time until it spans n samples.
     """
     cfg = model.cfg
-    seed = np.asarray(seed)
-    n = S.n
-    if seed.shape != (cfg.seed_len, N_PITCHES):
-        raise ValueError(f"seed must be ({cfg.seed_len}, 128), got {seed.shape}")
-    if n <= cfg.seed_len:
-        raise ValueError(f"template length {n} must exceed seed length {cfg.seed_len}")
-    X = np.zeros((n - 1, N_PITCHES))
-    X[: cfg.seed_len] = seed
-    D = unroll(model, X, S, lambda t, d: sample_notes(d, cfg, rng)).D
-    out = np.vstack([X, sample_notes(D[-1], cfg, rng)])
+    trace = unroll(model, seed, S, lambda t, d: sample_notes(d, cfg, rng))
+    X, last = trace.X, trace.D[-1]
+    del trace  # free the states and gates before the output copies
+    out = np.vstack([X, sample_notes(last, cfg, rng)])
     return PianoRoll(data=out.T.astype(np.uint8, order="C"), tempo=tempo, source_id=source_id)
 
 

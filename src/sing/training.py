@@ -64,8 +64,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_feedback <= 1.0:
             raise ValueError("p_feedback must be in [0, 1]")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -126,16 +126,12 @@ def forward_piece(
 ) -> PieceTrace:
     """Run the scheduled-sampling forward pass over a whole piece."""
     cfg = model.cfg
-    n = target.n_samples
-    if S.n != n:
-        raise ValueError(f"SSM size {S.n} != piece length {n}")
-    if n <= cfg.seed_len:
-        raise ValueError(f"piece length {n} must exceed seed length {cfg.seed_len}")
+    if S.n != target.n_samples:
+        raise ValueError(f"SSM size {S.n} != piece length {target.n_samples}")
     target_samples = target.data.T.astype(np.float64)  # (n, 128)
-    X = np.zeros((n - 1, N_PITCHES))
-    X[: cfg.seed_len] = target_samples[: cfg.seed_len]
     return unroll(
-        model, X, S, lambda t, d: scheduled_step(d, target_samples[t], cfg, rng, p_feedback)
+        model, target_samples[: cfg.seed_len], S,
+        lambda t, d: scheduled_step(d, target_samples[t], cfg, rng, p_feedback),
     )
 
 
@@ -247,10 +243,9 @@ def train_epoch(
             losses.append(_finite_loss(model, items[idx], tcfg, rng, epoch, with_grad=True))
         nn.adam_step(model.params, tcfg.lr)
     elapsed = time.perf_counter() - started
-    mean_loss = float(np.mean(losses)) if losses else float("nan")
-    if not losses:
-        log.warning("epoch %d saw an empty plan; loss undefined", epoch)
-    return EpochReport(epoch=epoch, train_loss=mean_loss, val_loss=float("nan"), seconds=elapsed)
+    return EpochReport(
+        epoch=epoch, train_loss=float(np.mean(losses)), val_loss=float("nan"), seconds=elapsed
+    )
 
 
 def validate(
@@ -261,22 +256,13 @@ def validate(
     epoch: int = 0,
 ) -> float:
     """Mean piece loss under the training regime (same p_feedback), no grads."""
-    if not items:
-        return float("nan")
     losses = [_finite_loss(model, item, tcfg, rng, epoch, with_grad=False) for item in items]
     return float(np.mean(losses))
 
 
 def select_best(reports: list[EpochReport]) -> int:
     """Index of the report with the lowest validation loss (ties: earliest)."""
-    scored = [r for r in reports if math.isfinite(r.val_loss)]
-    if not scored:
-        raise ValueError("no report carries a finite validation loss")
-    best = scored[0]
-    for report in scored[1:]:
-        if report.val_loss < best.val_loss:
-            best = report
-    return reports.index(best)
+    return min(range(len(reports)), key=lambda i: reports[i].val_loss)
 
 
 def train(

@@ -93,7 +93,10 @@ def run(out: Path) -> list[str]:
     _check_plan_cases(prolls, plan)
 
     template = out / "template.ssm"
-    (out / "spec.txt").write_text("length=24\nbackground=0.1\nblock=0,12,0.9\nblock=12,24,0.6\n")
+    # 150 samples: `generate` crosses two ATTENTION_BLOCK_ROWS (64-row) block boundaries
+    (out / "spec.txt").write_text(
+        "length=150\nbackground=0.1\nblock=0,75,0.9\nblock=75,150,0.6\n"
+    )
     _sing("synth-ssm", "--in", out / "spec.txt", "--out", template)
     _sing("render-ssm", "--in", template, "--out", out / "template.pgm")
     _sing("render-ssm", "--in", prolls / "piece14.ssm", "--out", out / "piece14.pgm")

@@ -114,6 +114,14 @@ class TestAssign:
         assert (target, edit) == (437, "truncate")
         assert fraction == pytest.approx(3 / 440)
 
+    @pytest.mark.parametrize("bound", [float("nan"), -0.01, -1.0])
+    def test_bound_below_zero_or_nan_rejected(self, bound):
+        with pytest.raises(ValueError, match="max edit fraction"):
+            assign(255, grid_255_700(), bound)
+
+    def test_infinite_bound_keeps_every_length(self):
+        assert assign(103, grid_255_700(), float("inf"))[:2] == (255, "pad")
+
     def test_bound_is_respected_everywhere(self):
         grid = grid_255_700()
         for length in range(103, 9157, 7):

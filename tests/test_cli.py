@@ -406,6 +406,28 @@ class TestBadInputs:
         assert "epochs" in single_error_line(capsys)
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("bound", ["nan", "-0.01"])
+    def test_max_edit_must_be_a_non_negative_number(self, tmp_path, capsys, bound):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=4, n=24)
+        plan = tmp_path / "plan.txt"
+        code = main(["batch-plan", "--in", str(tmp_path / "corpus"), "--out", str(plan),
+                     "--grid-k", "2", "--grid-count", "4", "--max-len", "24", "--max-edit", bound])
+        assert code == 1
+        assert "max edit fraction must be >= 0" in single_error_line(capsys)
+        assert not plan.exists()
+
+    def test_infinite_lr_is_an_error_and_writes_nothing(self, tmp_path, capsys):
+        corpus, plan, out = tmp_path / "corpus", tmp_path / "plan.txt", tmp_path / "ckpt"
+        write_corpus_prolls(corpus, n_pieces=4, n=24)
+        assert main(["batch-plan", "--in", str(corpus), "--out", str(plan),
+                     "--grid-k", "2", "--grid-count", "4", "--max-len", "24"]) == 0
+        capsys.readouterr()
+        code = main(["train", "--in", str(corpus), "--plan", str(plan), "--out", str(out),
+                     "--epochs", "1", "--hidden", "6", "--seed-len", "4", "--lr", "inf"])
+        assert code == 1
+        assert "positive" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_nan_checkpoint_is_an_error_and_writes_nothing(self, tmp_path, capsys):
         ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
         model = load_model(ckpt, ModelConfig(hidden_size=6, seed_len=4))

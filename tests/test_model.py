@@ -16,8 +16,9 @@ from sing.model import (
     load_model,
     sample_notes,
     save_model,
+    unroll,
 )
-from sing.nn import ParamSet, sigmoid
+from sing.nn import ParamSet, lstm_cell_forward, sigmoid
 from sing.structure import SelfSimilarityMatrix, SynthSpec, synth_ssm
 
 
@@ -39,6 +40,13 @@ def weights_row(S, t):
 def zero_state(model):
     hidden = model.cfg.hidden_size
     return np.zeros(hidden), np.zeros(hidden)
+
+
+def lstm_step(model, x, state):
+    """The model's LSTM state (h, c) after input x from state (h, c)."""
+    p = model.params
+    h, c, _ = lstm_cell_forward(p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], x, *state)
+    return h, c
 
 
 class TestAttentionStep:
@@ -169,13 +177,12 @@ class TestForwardStep:
         S = np.random.default_rng(6).random((8, 8))
         for w in (S, attention_weights(SelfSimilarityMatrix(values=S), 3, 8)):
             with pytest.raises(ValueError):
-                forward_step(model, np.zeros(128), w, np.zeros((3, 128)), zero_state(model))
+                forward_step(model, w, np.zeros((3, 128)), zero_state(model)[0])
 
     def test_ablated_model_rejects_weights(self):
         model = Model(small_config(attention_enabled=False), rng=np.random.default_rng(4))
         with pytest.raises(ValueError):
-            forward_step(model, np.zeros(128), np.full(3, 1 / 3), np.zeros((3, 128)),
-                         zero_state(model))
+            forward_step(model, np.full(3, 1 / 3), np.zeros((3, 128)), zero_state(model)[0])
 
     def test_zero_model_gives_half_probabilities(self):
         cfg = small_config()
@@ -183,10 +190,8 @@ class TestForwardStep:
         for name in model.params.names():
             model.params.values[name][...] = 0.0
         rng = np.random.default_rng(9)
-        d, _, _, _ = forward_step(
-            model, rng.random(128), weights_row(np.full((4, 4), 0.5), 2), random_history(rng, 2),
-            zero_state(model),
-        )
+        h, _ = lstm_step(model, rng.random(128), zero_state(model))
+        d, _ = forward_step(model, weights_row(np.full((4, 4), 0.5), 2), random_history(rng, 2), h)
         assert np.array_equal(d, np.zeros(128))
         assert np.allclose(sigmoid(d), 0.5)
 
@@ -197,15 +202,50 @@ class TestForwardStep:
         prev = rng.random(128)
         history = random_history(rng, 2)
         w = weights_row(np.random.default_rng(12).random((5, 5)), 2)
-        state = zero_state(model)
-        d1, _, _, _ = forward_step(model, prev, w, history, state)
-        d2, _, _, _ = forward_step(model, prev, w, history, state)
+        h, _ = lstm_step(model, prev, zero_state(model))
+        d1, _ = forward_step(model, w, history, h)
+        d2, _ = forward_step(model, w, history, h)
         assert np.array_equal(d1, d2)
 
     def test_attention_model_requires_ssm(self):
         model = Model(small_config(), rng=np.random.default_rng(13))
         with pytest.raises(ValueError):
-            forward_step(model, np.zeros(128), None, np.zeros((2, 128)), zero_state(model))
+            forward_step(model, None, np.zeros((2, 128)), zero_state(model)[0])
+
+
+class TestUnroll:
+    def test_seed_of_wrong_shape_rejected(self):
+        model = Model(small_config(seed_len=3), rng=np.random.default_rng(30))
+        S = synth_ssm(SynthSpec(length=8))
+        for shape in ((2, 128), (3, 127), (384,)):
+            with pytest.raises(ValueError, match=r"seed must be \(3, 128\)"):
+                unroll(model, np.zeros(shape), S, lambda t, d: np.zeros(128))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_template_no_longer_than_seed_rejected(self, n):
+        model = Model(small_config(seed_len=3), rng=np.random.default_rng(31))
+        # the length is checked first, so a short piece is named as such
+        for seed in (np.zeros((3, 128)), np.zeros((n, 128))):
+            with pytest.raises(ValueError, match=f"length {n} must exceed seed length 3"):
+                unroll(model, seed, synth_ssm(SynthSpec(length=n)), lambda t, d: np.zeros(128))
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_input_buffer_is_the_seed_then_the_next_inputs(self, attention):
+        model = Model(small_config(seed_len=3, attention_enabled=attention),
+                      rng=np.random.default_rng(32))
+        seed = (np.random.default_rng(33).random((3, 128)) < 0.1).astype(np.uint8)
+        asked = []
+
+        def next_input(t, d):
+            asked.append(t)
+            return np.full(128, float(t))
+
+        trace = unroll(model, seed, synth_ssm(SynthSpec(length=9)), next_input)
+        assert trace.X.shape == (8, 128)
+        assert np.array_equal(trace.X[:3], seed)
+        assert asked == [3, 4, 5, 6, 7]
+        assert all(np.all(trace.X[t] == t) for t in asked)
+        assert trace.D.shape == (6, 128) and (trace.A is None) == (not attention)
 
 
 class TestPerPitchMatchesAblatedBaseline:
@@ -232,8 +272,10 @@ class TestPerPitchMatchesAblatedBaseline:
         history = random_history(rng, 5)
         for t in (1, 2, 3):
             prev = history[t - 1]
-            d_a, state_a, _, _ = forward_step(sing_model, prev, W[t - 1, :t], history[:t], state_a)
-            d_b, state_b, _, _ = forward_step(ablated, prev, None, history[:t], state_b)
+            state_a = lstm_step(sing_model, prev, state_a)
+            state_b = lstm_step(ablated, prev, state_b)
+            d_a, _ = forward_step(sing_model, W[t - 1, :t], history[:t], state_a[0])
+            d_b, _ = forward_step(ablated, None, history[:t], state_b[0])
             assert np.allclose(d_a, d_b, atol=1e-12)
 
 
@@ -369,8 +411,8 @@ class TestCheckpointIo:
         prev = rng.random(128)
         history = random_history(rng, 2)
         w = weights_row(np.random.default_rng(27).random((5, 5)), 2)
-        d1, _, _, _ = forward_step(model, prev, w, history, zero_state(model))
-        d2, _, _, _ = forward_step(again, prev, w, history, zero_state(again))
+        d1, _ = forward_step(model, w, history, lstm_step(model, prev, zero_state(model))[0])
+        d2, _ = forward_step(again, w, history, lstm_step(again, prev, zero_state(again))[0])
         assert np.array_equal(d1, d2)
 
     def test_attention_checkpoint_with_ablated_config_rejected(self, tmp_path):
