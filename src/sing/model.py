@@ -200,22 +200,25 @@ def sample_notes(d: np.ndarray, cfg: ModelConfig, rng: np.random.Generator) -> n
     Pitches outside [pitch_lo, pitch_hi] are masked out. The k highest
     probabilities (ties to the lower pitch) are renormalized into a
     categorical; max_notes draws with replacement give 1..max_notes distinct
-    active pitches.
+    active pitches. Each draw searches a uniform variate in the cumulative
+    weights, as rng.choice(top, p=weights) does: same pitches, same RNG state.
     """
-    probs = nn.sigmoid(np.asarray(d, dtype=np.float64))
-    # a stable sort of the allowed range keeps tied pitches in ascending order
-    order = np.argsort(-probs[cfg.pitch_lo : cfg.pitch_hi + 1], kind="stable")
-    top = order[: cfg.top_k] + cfg.pitch_lo
+    probs = nn.sigmoid(np.asarray(d, dtype=np.float64)[cfg.pitch_lo : cfg.pitch_hi + 1])
+    top = (-probs).argsort(kind="stable")[: cfg.top_k]  # stable: ties to the lower pitch
     mass = probs[top]
     total = mass.sum()
-    if total <= 0.0:
-        top = np.arange(cfg.pitch_lo, cfg.pitch_hi + 1)  # degenerate logits: uniform
-        weights = np.full(len(top), 1.0 / len(top))
-    else:
+    if total > 0.0:
         weights = mass / total
-    draws = rng.choice(top, size=cfg.max_notes, replace=True, p=weights)
+    elif total == 0.0:  # degenerate logits: uniform over the allowed range
+        top = np.arange(len(probs))
+        weights = np.full(len(top), 1.0 / len(top))
+    else:  # checked before drawing, as rng.choice does
+        raise ValueError("sampler probabilities contain NaN")
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    draws = top[cdf.searchsorted(rng.random(cfg.max_notes), side="right")]
     sample = np.zeros(N_PITCHES, dtype=np.uint8)
-    sample[draws] = 1
+    sample[draws + cfg.pitch_lo] = 1
     return sample
 
 
@@ -234,7 +237,7 @@ class PieceTrace:
     X: np.ndarray  # (n - 1, 128) LSTM inputs
     H: np.ndarray  # (n, hidden) hidden states; H[0] is the initial state
     C: np.ndarray  # (n, hidden) cell states; C[0] is the initial state
-    G: np.ndarray  # (n - 1, 4 * hidden) gate activations, as nn.lstm_cell_forward returns
+    G: np.ndarray  # (n - 1, 4 * hidden) gate activations, as nn.lstm_cell_forward writes them
     A: np.ndarray | None  # (n - seed_len, 128) attention vectors; None when ablated
     D: np.ndarray  # (n - seed_len, 128) logits
 
@@ -266,11 +269,10 @@ def unroll(
     G = np.zeros((n - 1, 4 * hidden))
     D = np.zeros((n - seed_len, N_PITCHES))
     A = np.zeros_like(D) if cfg.attention_enabled else None
+    W_x, W_h, b = p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"]
     w = None
     for t in range(1, n):
-        H[t], C[t], G[t - 1] = nn.lstm_cell_forward(
-            p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], X[t - 1], H[t - 1], C[t - 1]
-        )
+        nn.lstm_cell_forward(W_x, W_h, b, X[t - 1], H[t - 1], C[t - 1], out=(H[t], C[t], G[t - 1]))
         if t < seed_len:  # warm-up: no prediction yet
             continue
         row = t - seed_len

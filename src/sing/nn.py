@@ -21,10 +21,11 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) without overflow: exp is only taken of -|x| <= 0."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow: exp is only taken of -|x| <= 0.
+    Per element 1 / (1 + e) for x >= 0, e / (1 + e) below; written to out if given."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(x >= 0.0, 1.0, e), np.add(e, 1.0), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +52,11 @@ def dense_backward(
 # LSTM cell; gate rows are stacked [input, forget, candidate, output]
 
 
+def _gate_blocks(a: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
+    """Views of the four hidden-size blocks of a stacked gate vector."""
+    return a[:hidden], a[hidden : 2 * hidden], a[2 * hidden : 3 * hidden], a[3 * hidden :]
+
+
 def lstm_cell_forward(
     W_x: np.ndarray,
     W_h: np.ndarray,
@@ -58,50 +64,52 @@ def lstm_cell_forward(
     x: np.ndarray,
     h_prev: np.ndarray,
     c_prev: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One step; returns (h, c, gates), gates being the stacked activations
-    [i, f, g, o]: sigmoid of the input, forget and output blocks, tanh of g."""
+    """One step into out = (h, c, gates), which it returns; gates are the
+    stacked activations [i, f, g, o]: sigmoid of the input, forget and output
+    blocks, tanh of g. out must not overlap the inputs."""
     hidden = h_prev.shape[0]
     if W_x.shape[0] != 4 * hidden or W_h.shape != (4 * hidden, hidden):
         raise ValueError(f"LSTM shapes inconsistent: W_x {W_x.shape}, W_h {W_h.shape}")
     if x.shape[0] != W_x.shape[1]:
         raise ValueError(f"input size {x.shape[0]} != {W_x.shape[1]}")
-    pre = W_x @ x + W_h @ h_prev + b
-    gates = sigmoid(pre)  # one call for all four blocks; the candidate block is replaced
-    i = gates[:hidden]
-    f = gates[hidden : 2 * hidden]
-    g = np.tanh(pre[2 * hidden : 3 * hidden], out=gates[2 * hidden : 3 * hidden])
-    o = gates[3 * hidden :]
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
+    h, c, gates = out
+    pre = W_x @ x
+    pre += W_h @ h_prev
+    pre += b
+    sigmoid(pre, out=gates)  # one call for all four blocks; the candidate block is replaced
+    i, f, g, o = _gate_blocks(gates, hidden)
+    np.tanh(pre[2 * hidden : 3 * hidden], out=g)
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    np.multiply(o, np.tanh(c), out=h)
     return h, c, gates
 
 
 def lstm_cell_backward(
-    step: tuple, dh: np.ndarray, dc: np.ndarray
+    step: tuple, dh: np.ndarray, dc: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (dh_prev, dc_prev, dpre) for step = (W_x, W_h, c_prev, gates, tanh(c)).
 
-    dpre is the gradient of the stacked gate pre-activations; the step's
-    weight gradients are outer(dpre, x), outer(dpre, h_prev) and dpre, which
-    a caller sums over many steps as one matrix product.
+    dpre, written into out, is the gradient of the stacked gate
+    pre-activations; the step's weight gradients are outer(dpre, x),
+    outer(dpre, h_prev) and dpre, which a caller sums over many steps as
+    one matrix product.
     """
     _, W_h, c_prev, gates, tc = step
     hidden = tc.shape[0]
-    i = gates[:hidden]
-    f = gates[hidden : 2 * hidden]
-    g = gates[2 * hidden : 3 * hidden]
-    o = gates[3 * hidden :]
-    do = dh * tc
+    i, f, g, o = _gate_blocks(gates, hidden)
+    di, df, dg, do = _gate_blocks(out, hidden)
     dct = dc + dh * o * (1.0 - tc * tc)
-    di = dct * g
-    df = dct * c_prev
-    dg = dct * i
-    dc_prev = dct * f
-    dpre = np.concatenate(
-        [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)]
-    )
-    return W_h.T @ dpre, dc_prev, dpre
+    # a sigmoid block is (upstream * x) * y * (1 - y), left to right: the order fixes the bits
+    for block, upstream, x, y in ((di, dct, g, i), (df, dct, c_prev, f), (do, dh, tc, o)):
+        np.multiply(upstream, x, out=block)
+        block *= y
+        block *= 1.0 - y
+    np.multiply(dct, i, out=dg)
+    dg *= 1.0 - g * g
+    return W_h.T @ out, dct * f, out
 
 
 # ---------------------------------------------------------------------------

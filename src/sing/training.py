@@ -191,13 +191,15 @@ def _backward_through_time(model: Model, trace: PieceTrace, dD: np.ndarray) -> N
     dZ = head_backward(model, trace.A, trace.H[seed_len:], dD)
     W_x, W_h, C, G = p["lstm.W_x"], p["lstm.W_h"], trace.C, trace.G
     TC = np.tanh(C)  # once per piece, not once per step
-    dpre = np.zeros_like(G)  # row t-1: step t's gate pre-activations
+    dpre = np.empty_like(G)  # row t-1: step t's gate pre-activations
     dh = np.zeros(model.cfg.hidden_size)
     dc = np.zeros(model.cfg.hidden_size)
     for t in range(n - 1, 0, -1):
         if t >= seed_len:
             dh = dh + dZ[t - seed_len]
-        dh, dc, dpre[t - 1] = nn.lstm_cell_backward((W_x, W_h, C[t - 1], G[t - 1], TC[t]), dh, dc)
+        dh, dc, _ = nn.lstm_cell_backward(
+            (W_x, W_h, C[t - 1], G[t - 1], TC[t]), dh, dc, out=dpre[t - 1]
+        )
     p.accumulate("lstm.W_x", dpre.T @ trace.X)
     p.accumulate("lstm.W_h", dpre.T @ trace.H[:-1])
     p.accumulate("lstm.b", dpre.sum(axis=0))

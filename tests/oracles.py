@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own algorithms so that the tests
 check against a second derivation, not a mirror of the implementation.
-The step-by-step references at the end are the forms the vectorized forward
-kernels replaced (masked sigmoid, one sparsemax per attention row, lexsort
-sampler); the tests require bit-for-bit equal results from both.
+The step-by-step references at the end are the forms the vectorized and
+in-place kernels replaced (masked sigmoid, one sparsemax per attention row,
+lexsort sampler drawing with rng.choice, concatenated LSTM backward); the
+tests require bit-for-bit equal results from both.
 """
 
 from __future__ import annotations
@@ -228,6 +229,17 @@ def sample_notes_lexsort(d: np.ndarray, cfg, rng: np.random.Generator) -> np.nda
     sample = np.zeros(128, dtype=np.uint8)
     sample[np.unique(draws)] = 1
     return sample
+
+
+def lstm_cell_backward_concat(step, dh, dc):
+    """One LSTM step backward with dpre built by concatenating its four blocks."""
+    _, W_h, c_prev, gates, tc = step
+    i, f, g, o = np.split(gates, 4)
+    do = dh * tc
+    dct = dc + dh * o * (1.0 - tc * tc)
+    dpre = np.concatenate([dct * g * i * (1.0 - i), dct * c_prev * f * (1.0 - f),
+                           dct * i * (1.0 - g * g), do * o * (1.0 - o)])
+    return W_h.T @ dpre, dct * f, dpre
 
 
 def _lstm_step(params, x, state):

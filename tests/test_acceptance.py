@@ -107,7 +107,8 @@ def test_gradient_integrity():
         caches = []
         for t in range(T):
             h_prev, c_prev = h, c
-            h, c, gates = nn.lstm_cell_forward(W_x, W_h, b_l, xs[t], h, c)
+            h, c, gates = nn.lstm_cell_forward(W_x, W_h, b_l, xs[t], h, c,
+                                               out=(np.empty(H), np.empty(H), np.empty(4 * H)))
             caches.append(((W_x, W_h, c_prev, gates, np.tanh(c)), xs[t], h_prev, h))
             total += float(h @ h)
         return total, caches
@@ -117,7 +118,7 @@ def test_gradient_integrity():
     dh = np.zeros(H)
     dc = np.zeros(H)
     for cache, x_t, h_prev, h_t in reversed(caches):
-        dh, dc, dpre = nn.lstm_cell_backward(cache, dh + 2 * h_t, dc)
+        dh, dc, dpre = nn.lstm_cell_backward(cache, dh + 2 * h_t, dc, out=np.empty(4 * H))
         grads[0] += np.outer(dpre, x_t)
         grads[1] += np.outer(dpre, h_prev)
         grads[2] += dpre

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _lstm_step,
     attention_weights_per_row,
     forward_piece_per_step,
     generate_per_step,
+    lstm_cell_backward_concat,
     sample_notes_lexsort,
     sigmoid_masked,
     sparsemax_1d,
@@ -44,6 +46,12 @@ class TestSigmoidMatchesMasked:
         ])
         assert same_bits(nn.sigmoid(x), sigmoid_masked(x))
         assert same_bits(nn.sigmoid(x[::-1]), sigmoid_masked(x[::-1]))
+        for view in (x, x[::-1], x[::2]):
+            buf = np.full(3 * len(view), 7.0)
+            out = buf[1::3]  # a strided view; the entries around it stay untouched
+            assert nn.sigmoid(view, out=out) is out
+            assert same_bits(out, sigmoid_masked(view))
+            assert np.all(buf[0::3] == 7.0) and np.all(buf[2::3] == 7.0)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1e-2, 1.0, 4.0, 30.0, 1e3, 1e300])
     def test_random_scales(self, scale):
@@ -126,6 +134,91 @@ class TestSampleNotesMatchesLexsort:
             for _ in range(3):
                 assert np.array_equal(sample_notes(d, cfg, fast), sample_notes_lexsort(d, cfg, ref))
             assert fast.bit_generator.state == ref.bit_generator.state
+
+
+class TestSampleNotesNaN:
+    """A NaN among the top-k probabilities fails before any draw, as
+    rng.choice does; a NaN below the top-k changes nothing."""
+
+    cfg = ModelConfig()  # 88 allowed pitches, top 50
+
+    def logits(self, nan_pitches):
+        d = np.random.default_rng(3).normal(scale=4.0, size=128)
+        d[list(nan_pitches)] = np.nan
+        return d
+
+    @pytest.mark.parametrize("nan_pitches", [range(128), range(20, 59), range(69, 108)])
+    def test_nan_in_top_k_raises_and_draws_nothing(self, nan_pitches):
+        d = self.logits(nan_pitches)  # 39 NaNs leave 49 finite pitches for the top 50
+        for sampler in (sample_notes, sample_notes_lexsort):
+            rng = np.random.default_rng(7)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError):
+                sampler(d, self.cfg, rng)
+            assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("nan_pitches", [[64], [20], [107], [0, 127], range(20, 58)])
+    def test_nan_below_top_k_matches_choice(self, nan_pitches):
+        d = self.logits(nan_pitches)
+        fast, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(20):
+            assert np.array_equal(sample_notes(d, self.cfg, fast),
+                                  sample_notes_lexsort(d, self.cfg, ref))
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
+class TestLstmCellWritesRows:
+    """lstm_cell_forward reading row t-1 and writing row t of the same
+    arrays gives the step reference's bits and touches no other row."""
+
+    @pytest.mark.parametrize("hidden", [1, 16, 128])
+    def test_rows_match_step_reference(self, hidden):
+        rng = np.random.default_rng(hidden)
+        params = {"lstm.W_x": rng.normal(scale=3.0, size=(4 * hidden, 128)),
+                  "lstm.W_h": rng.normal(scale=3.0, size=(4 * hidden, hidden)),
+                  "lstm.b": rng.normal(size=4 * hidden)}
+        W_x, W_h, b = params["lstm.W_x"], params["lstm.W_h"], params["lstm.b"]
+        X = (rng.random((6, 128)) < 0.2).astype(np.float64)
+        H, C, G = np.full((7, hidden), 5.0), np.full((7, hidden), 5.0), np.full((6, 4 * hidden), 5.0)
+        H[0], C[0] = rng.normal(size=hidden), rng.normal(size=hidden)
+        state = H[0].copy(), C[0].copy()
+        for t in range(1, 7):
+            before = H.copy(), C.copy(), G.copy()
+            result = nn.lstm_cell_forward(W_x, W_h, b, X[t - 1], H[t - 1], C[t - 1],
+                                          out=(H[t], C[t], G[t - 1]))
+            assert all(np.shares_memory(r, row) for r, row in zip(result, (H[t], C[t], G[t - 1])))
+            state = _lstm_step(params, X[t - 1], state)
+            assert same_bits(H[t], state[0]) and same_bits(C[t], state[1])
+            pre = W_x @ X[t - 1] + W_h @ H[t - 1] + b
+            gates = sigmoid_masked(pre)
+            gates[2 * hidden : 3 * hidden] = np.tanh(pre[2 * hidden : 3 * hidden])
+            assert same_bits(G[t - 1], gates)
+            for array, old, row in zip((H, C, G), before, (t, t, t - 1)):
+                others = np.arange(len(array)) != row
+                assert same_bits(array[others], old[others])
+
+
+    @pytest.mark.parametrize("hidden", [1, 16, 128])
+    def test_backward_rows_match_concatenated_form(self, hidden):
+        rng = np.random.default_rng(hidden + 1)
+        W_x, W_h = rng.normal(size=(4 * hidden, 128)), rng.normal(size=(4 * hidden, hidden))
+        G = np.full((5, 4 * hidden), 5.0)
+        G[:, : 2 * hidden] = rng.random((5, 2 * hidden))  # input and forget gates
+        G[:, 2 * hidden : 3 * hidden] = np.tanh(rng.normal(scale=3.0, size=(5, hidden)))
+        G[:, 3 * hidden :] = rng.random((5, hidden))  # output gate
+        C = rng.normal(scale=2.0, size=(6, hidden))
+        dpre = np.full((5, 4 * hidden), 9.0)
+        dh, dc = rng.normal(size=hidden), rng.normal(size=hidden)
+        ref_dh, ref_dc = dh, dc
+        for t in range(5, 0, -1):
+            before = dpre.copy()
+            step = (W_x, W_h, C[t - 1], G[t - 1], np.tanh(C[t]))
+            dh, dc, _ = nn.lstm_cell_backward(step, dh, dc, out=dpre[t - 1])
+            ref_dh, ref_dc, ref_dpre = lstm_cell_backward_concat(step, ref_dh, ref_dc)
+            assert same_bits(dh, ref_dh) and same_bits(dc, ref_dc)
+            assert same_bits(dpre[t - 1], ref_dpre)
+            others = np.arange(5) != t - 1
+            assert same_bits(dpre[others], before[others])
 
 
 SEED_LEN = 5

@@ -45,7 +45,9 @@ def zero_state(model):
 def lstm_step(model, x, state):
     """The model's LSTM state (h, c) after input x from state (h, c)."""
     p = model.params
-    h, c, _ = lstm_cell_forward(p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], x, *state)
+    hidden = model.cfg.hidden_size
+    h, c, _ = lstm_cell_forward(p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"], x, *state,
+                                out=(np.empty(hidden), np.empty(hidden), np.empty(4 * hidden)))
     return h, c
 
 

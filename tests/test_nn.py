@@ -67,12 +67,17 @@ class TestDense:
             assert relative_error(dx, W.T @ u) <= 1e-12
 
 
+def cell_out(H: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh (h, c, gates) arrays for one lstm_cell_forward step."""
+    return np.empty(H), np.empty(H), np.empty(4 * H)
+
+
 class TestLstmCell:
     def test_all_zero(self):
         H = 4
         h, c, _ = lstm_cell_forward(
             np.zeros((4 * H, 6)), np.zeros((4 * H, H)), np.zeros(4 * H),
-            np.zeros(6), np.zeros(H), np.zeros(H),
+            np.zeros(6), np.zeros(H), np.zeros(H), out=cell_out(H),
         )
         assert np.array_equal(h, np.zeros(H))
         assert np.array_equal(c, np.zeros(H))
@@ -88,7 +93,7 @@ class TestLstmCell:
             c = np.zeros(H)
             for _ in range(10):
                 c_prev = c
-                h, c, _ = lstm_cell_forward(W_x, W_h, b, rng.normal(size=D), h, c)
+                h, c, _ = lstm_cell_forward(W_x, W_h, b, rng.normal(size=D), h, c, out=cell_out(H))
                 assert np.all(np.abs(c) <= np.abs(c_prev) + 1.0 + 1e-12)
 
     def test_sequence_gradient_matches_central_differences(self):
@@ -107,7 +112,7 @@ class TestLstmCell:
             loss = 0.0
             for t in range(T):
                 h_prev, c_prev = h, c
-                h, c, gates = lstm_cell_forward(W_x, W_h, b, xs[t], h, c)
+                h, c, gates = lstm_cell_forward(W_x, W_h, b, xs[t], h, c, out=cell_out(H))
                 caches.append(((W_x, W_h, c_prev, gates, np.tanh(c)), xs[t], h_prev, h))
                 loss += float(h @ h)
             return loss, caches
@@ -119,7 +124,7 @@ class TestLstmCell:
         dh = np.zeros(H)
         dc = np.zeros(H)
         for cache, x_t, h_prev, h_t in reversed(caches):
-            dh, dc, dpre = lstm_cell_backward(cache, dh + 2 * h_t, dc)
+            dh, dc, dpre = lstm_cell_backward(cache, dh + 2 * h_t, dc, out=np.empty(4 * H))
             dW_x += np.outer(dpre, x_t)
             dW_h += np.outer(dpre, h_prev)
             db += dpre
@@ -130,6 +135,27 @@ class TestLstmCell:
                 return forward_all(alt["W_x"], alt["W_h"], alt["b"])[0]
 
             assert relative_error(central_difference(loss_of, param.copy()), grad) < 1e-4
+
+
+    def test_strided_out_views_get_the_same_results(self):
+        rng = np.random.default_rng(3)
+        H, D = 6, 5
+        W_x, W_h, b = rng.normal(size=(4 * H, D)), rng.normal(size=(4 * H, H)), rng.normal(size=4 * H)
+        x, h_prev, c_prev = rng.normal(size=D), rng.normal(size=H), rng.normal(size=H)
+        h, c, gates = lstm_cell_forward(W_x, W_h, b, x, h_prev, c_prev, out=cell_out(H))
+        rows = np.zeros((4 * H, 3))
+        strided = lstm_cell_forward(W_x, W_h, b, x, h_prev, c_prev,
+                                    out=(rows[:H, 0], rows[:H, 1], rows[:, 2]))
+        for got, want in zip(strided, (h, c, gates)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+        step = (W_x, W_h, c_prev, gates, np.tanh(c))
+        dh, dc = rng.normal(size=H), rng.normal(size=H)
+        expected = lstm_cell_backward(step, dh, dc, out=np.empty(4 * H))
+        got = lstm_cell_backward(step, dh, dc, out=rows[:, 0])
+        assert np.shares_memory(got[2], rows[:, 0])
+        for a, e in zip(got, expected):
+            assert np.array_equal(a.view(np.uint64), e.view(np.uint64))
 
 
 class TestSparsemax:
