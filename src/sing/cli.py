@@ -295,6 +295,9 @@ def _cmd_generate(args) -> int:
             f"seed piece has {seed_roll.n_samples} samples, need {cfg.seed_len}"
         )
     template = _require(args.template, structure.load_ssm)
+    if template.n <= cfg.seed_len:
+        raise ValueError(f"{args.template}: template has {template.n} samples, "
+                         f"no more than seed length {cfg.seed_len}")
     rng = np.random.default_rng(args.seed)
     seed = seed_roll.data.T[: cfg.seed_len]
     roll = generate(

@@ -1,9 +1,9 @@
 """Chroma vectors, self-similarity matrices, and structural distance.
 
 A self-similarity matrix (SSM) here is the n x n matrix of pairwise cosine
-similarities between the 12-dimensional chroma vectors of a piece's
-samples. Silent samples (zero chroma) get similarity 0 to everything,
-including themselves, so the cosine is always defined.
+similarities between the chroma vectors of a piece's samples, scaled to
+unit length by `unit_columns`, which the structural training loss shares.
+Silent samples (zero chroma) score 0 against everything, themselves too.
 """
 
 from __future__ import annotations
@@ -76,25 +76,25 @@ def chroma(roll: PianoRoll) -> np.ndarray:
     return fold_pitch_classes(roll.data.astype(np.float64))
 
 
-def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
-    """Pairwise cosine similarity between chroma columns.
+def unit_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols scaled to unit column length, column norms); zero columns stay zero."""
+    norms = np.linalg.norm(cols, axis=0)
+    return cols / np.where(norms > 0.0, norms, 1.0), norms
 
-    Zero columns score 0 against everything (their diagonal included);
-    non-silent diagonal entries are exactly 1.
+
+def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
+    """Pairwise cosine similarity between chroma columns: one product
+    `unit.T @ unit` (numpy forms it as one syrk, so it is exactly
+    symmetric), the clip to [0, 1], then the diagonal. A zero column scores
+    0 against everything, its diagonal included; the others' diagonal is 1.
     """
     cols = np.asarray(chroma_seq, dtype=np.float64)
     if cols.ndim != 2 or cols.shape[0] != N_CHROMA:
         raise ValueError(f"chroma must be (12, n), got {cols.shape}")
-    norms = np.linalg.norm(cols, axis=0)
-    nonzero = norms > 0.0
-    unit = np.where(nonzero, norms, 1.0)
-    normalized = cols / unit
-    values = normalized.T @ normalized
-    values = (values + values.T) / 2.0
+    unit, norms = unit_columns(cols)
+    values = unit.T @ unit
     np.clip(values, 0.0, 1.0, out=values)
-    values[~nonzero, :] = 0.0
-    values[:, ~nonzero] = 0.0
-    values[np.diag_indices_from(values)] = np.where(nonzero, 1.0, 0.0)
+    np.fill_diagonal(values, norms > 0.0)
     return SelfSimilarityMatrix(values=values, role=role)
 
 
@@ -199,6 +199,16 @@ def ssm_from_bytes(data: bytes) -> SelfSimilarityMatrix:
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, n)
     if not np.isfinite(values).all():
         raise ValueError("SSM holds non-finite values")
+    if n == 0:
+        raise ValueError("SSM is 0 x 0")
+    outside = (values < 0.0) | (values > 1.0)
+    if outside.any():
+        i, j = np.unravel_index(np.argmax(outside), outside.shape)
+        raise ValueError(f"SSM entry ({i}, {j}) is {values[i, j]}, outside [0, 1]")
+    asymmetric = values != values.T
+    if asymmetric.any():
+        i, j = np.unravel_index(np.argmax(asymmetric), asymmetric.shape)
+        raise ValueError(f"SSM is not symmetric: entry ({i}, {j}) differs from ({j}, {i})")
     return SelfSimilarityMatrix(values=values)
 
 

@@ -44,7 +44,7 @@ from sing.model import (
     sample_notes,
     unroll,
 )
-from sing.structure import N_CHROMA, SelfSimilarityMatrix, chroma, fold_pitch_classes, ssm
+from sing.structure import N_CHROMA, SelfSimilarityMatrix, chroma, fold_pitch_classes, ssm, unit_columns
 
 log = logging.getLogger(__name__)
 
@@ -146,7 +146,8 @@ def piece_loss(
 
     BCE is summed over generated steps against the target samples. The
     structural term compares the template against the SSM of the continuous
-    probability columns (target chroma for seed steps).
+    probability columns V (target chroma for seed steps). S must be symmetric
+    (every SSM is): the term's gradient in V is then `V @ (4 (V.T V - S) / n^2)`.
     """
     n, seed_len = trace.n, trace.seed_len
     if target.n_samples != n or S.n != n:
@@ -157,22 +158,20 @@ def piece_loss(
 
     # Structural term on chroma of [target seed | predicted probabilities].
     cols = np.concatenate([target_samples[:seed_len].T, P.T], axis=1)
-    U = fold_pitch_classes(cols)
-    norms = np.linalg.norm(U, axis=0)
-    nonzero = norms > 0.0
-    V = U / np.where(nonzero, norms, 1.0)
-    G = V.T @ V
-    diff = G - S.values
+    V, norms = unit_columns(fold_pitch_classes(cols))
+    diff = V.T @ V
+    diff -= S.values
     structural = float(np.mean(diff**2))
     total = bce_total + structural
 
     if with_grad:
-        dG = 2.0 * diff / (n * n)
-        dV = V @ (dG + dG.T)
+        diff *= 4.0
+        diff /= n * n
+        dV = V @ diff
         # normalization backward, generated columns only (seed is constant)
         vg = V[:, seed_len:]
         dvg = dV[:, seed_len:]
-        nz_gen = nonzero[seed_len:]
+        nz_gen = norms[seed_len:] > 0.0
         du = (dvg - vg * np.sum(vg * dvg, axis=0)) / np.where(nz_gen, norms[seed_len:], 1.0)
         du[:, ~nz_gen] = 0.0
         dD += du[PITCH_CLASSES, :].T * P * (1.0 - P)  # unfold pitch classes to 128

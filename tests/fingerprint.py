@@ -33,7 +33,7 @@ from sing.batching import load_plan, segment_lengths
 from sing.cli import main
 from sing.midi_io import PianoRoll, load_proll, to_midi
 
-PIECE_LENGTHS = (20, 22, 23, 24, 25, 26, 27, 28, 30, 31, 33, 36, 40, 62, 75)
+PIECE_LENGTHS = (20, 22, 23, 24, 25, 26, 27, 28, 30, 31, 33, 36, 40, 62, 75, 800)
 MAX_LEN = 36
 GRID = ("--grid-k", "3", "--grid-count", "4", "--max-len", str(MAX_LEN), "--max-edit", "0.05")
 MODEL = ("--hidden", "6", "--seed-len", "4", "--top-k", "8", "--max-notes", "2")

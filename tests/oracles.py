@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms so that the tests
 check against a second derivation, not a mirror of the implementation.
 The step-by-step references at the end are the forms the vectorized and
 in-place kernels replaced (masked sigmoid, one sparsemax per attention row,
-lexsort sampler drawing with rng.choice, concatenated LSTM backward); the
-tests require bit-for-bit equal results from both.
+lexsort sampler drawing with rng.choice, concatenated LSTM backward), as
+are the chroma SSM and structural loss that symmetrised their n x n
+products; the tests require bit-for-bit equal results from both.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+from sing import nn
+from sing.structure import N_CHROMA, fold_pitch_classes
+from sing.training import PITCH_CLASSES, PieceLoss, _backward_through_time
 
 
 def project_simplex_bruteforce(q: np.ndarray) -> np.ndarray:
@@ -303,3 +308,60 @@ def generate_per_step(params, cfg, seed, S, rng):
             d, _ = _logits(params, cfg, state[0], S, t, out[:t])
             out[t] = sample_notes_lexsort(d, cfg, rng)
     return out.T.astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# structural references with the symmetrising and zeroing passes
+
+
+def ssm_two_pass(chroma_seq: np.ndarray) -> np.ndarray:
+    """Chroma SSM values, symmetrised and with silent rows and columns zeroed
+    after the clip."""
+    cols = np.asarray(chroma_seq, dtype=np.float64)
+    if cols.ndim != 2 or cols.shape[0] != N_CHROMA:
+        raise ValueError(f"chroma must be (12, n), got {cols.shape}")
+    norms = np.linalg.norm(cols, axis=0)
+    nonzero = norms > 0.0
+    unit = np.where(nonzero, norms, 1.0)
+    normalized = cols / unit
+    values = normalized.T @ normalized
+    values = (values + values.T) / 2.0
+    np.clip(values, 0.0, 1.0, out=values)
+    values[~nonzero, :] = 0.0
+    values[:, ~nonzero] = 0.0
+    values[np.diag_indices_from(values)] = np.where(nonzero, 1.0, 0.0)
+    return values
+
+
+def piece_loss_two_pass(model, trace, target, S, with_grad=True) -> PieceLoss:
+    """Combined loss whose structural gradient takes V @ (dG + dG.T)."""
+    n, seed_len = trace.n, trace.seed_len
+    if target.n_samples != n or S.n != n:
+        raise ValueError("trace, target, and SSM lengths disagree")
+    target_samples = target.data.T.astype(np.float64)
+    P = nn.sigmoid(trace.D)
+    bce_total, dD = nn.bce_with_logits(trace.D, target_samples[seed_len:], P)
+
+    # Structural term on chroma of [target seed | predicted probabilities].
+    cols = np.concatenate([target_samples[:seed_len].T, P.T], axis=1)
+    U = fold_pitch_classes(cols)
+    norms = np.linalg.norm(U, axis=0)
+    nonzero = norms > 0.0
+    V = U / np.where(nonzero, norms, 1.0)
+    G = V.T @ V
+    diff = G - S.values
+    structural = float(np.mean(diff**2))
+    total = bce_total + structural
+
+    if with_grad:
+        dG = 2.0 * diff / (n * n)
+        dV = V @ (dG + dG.T)
+        # normalization backward, generated columns only (seed is constant)
+        vg = V[:, seed_len:]
+        dvg = dV[:, seed_len:]
+        nz_gen = nonzero[seed_len:]
+        du = (dvg - vg * np.sum(vg * dvg, axis=0)) / np.where(nz_gen, norms[seed_len:], 1.0)
+        du[:, ~nz_gen] = 0.0
+        dD += du[PITCH_CLASSES, :].T * P * (1.0 - P)  # unfold pitch classes to 128
+        _backward_through_time(model, trace, dD)
+    return PieceLoss(total=total, bce=bce_total, structural=structural)

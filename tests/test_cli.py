@@ -466,6 +466,27 @@ class TestBadInputs:
         assert code == 1
         assert single_error_line(capsys) == f"error: {template}: SSM payload size mismatch"
 
+    def test_template_no_longer_than_the_seed_is_named(self, tmp_path, capsys):
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=10)
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        template = tmp_path / "t.ssm"
+        save_ssm(synth_ssm(SynthSpec(length=8)), template)
+        code = main(["generate", "--checkpoint", str(ckpt),
+                     "--in", str(tmp_path / "corpus" / "piece0.proll"),
+                     "--template", str(template), "--out", str(tmp_path / "gen")])
+        assert code == 1
+        assert single_error_line(capsys) == (
+            f"error: {template}: template has 8 samples, no more than seed length 10")
+        assert not (tmp_path / "gen.proll").exists()
+
+    def test_empty_ssm_is_named_and_renders_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "empty.ssm"
+        empty.write_bytes(b"SINGSSM\x00" + bytes(4))
+        code = main(["render-ssm", "--in", str(empty), "--out", str(tmp_path / "x.pgm")])
+        assert code == 1
+        assert single_error_line(capsys) == f"error: {empty}: SSM is 0 x 0"
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_bad_plan_batch_line_is_named(self, tmp_path, capsys):
         write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
         plan = tmp_path / "plan.txt"

@@ -1,4 +1,5 @@
-"""All three binary container readers reject damaged input with ValueError."""
+"""All three binary container readers reject damaged input with ValueError; the
+SINGSSM reader also rejects a matrix that is empty, asymmetric or outside [0, 1]."""
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ def test_non_finite_ssm_rejected(bad):
     blob[12:16] = np.array([bad], dtype="<f4").tobytes()
     with pytest.raises(ValueError, match="non-finite"):
         ssm_from_bytes(bytes(blob))
+
+
+def test_empty_ssm_rejected():
+    with pytest.raises(ValueError, match=r"0 x 0"):
+        ssm_from_bytes(b"SINGSSM\x00" + bytes(4))
+
+
+@pytest.mark.parametrize("bad", [5.0, -3.0, 1.0 + 2**-20, -(2**-20)])
+def test_ssm_entry_outside_unit_interval_rejected_by_position(bad):
+    values = np.full((3, 3), 0.5)
+    values[1, 2] = values[2, 1] = values[2, 0] = bad
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) is .*outside \[0, 1\]"):
+        ssm_from_bytes(ssm_to_bytes(SelfSimilarityMatrix(values=values)))
+
+
+def test_asymmetric_ssm_rejected_by_position():
+    values = np.full((4, 4), 0.5)
+    values[2, 3] = values[3, 1] = 0.25
+    with pytest.raises(ValueError, match=r"not symmetric: entry \(1, 3\) differs from \(3, 1\)"):
+        ssm_from_bytes(ssm_to_bytes(SelfSimilarityMatrix(values=values)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

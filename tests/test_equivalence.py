@@ -10,9 +10,11 @@ from oracles import (
     forward_piece_per_step,
     generate_per_step,
     lstm_cell_backward_concat,
+    piece_loss_two_pass,
     sample_notes_lexsort,
     sigmoid_masked,
     sparsemax_1d,
+    ssm_two_pass,
 )
 from sing import nn
 from sing.midi_io import PianoRoll
@@ -24,8 +26,8 @@ from sing.model import (
     generate,
     sample_notes,
 )
-from sing.structure import SelfSimilarityMatrix, SynthSpec, synth_ssm
-from sing.training import forward_piece
+from sing.structure import SelfSimilarityMatrix, SynthSpec, chroma, ssm, synth_ssm, unit_columns
+from sing.training import forward_piece, piece_loss
 
 
 def same_bits(a, b) -> bool:
@@ -266,3 +268,45 @@ class TestForwardMatchesStepReference:
             expected = generate_per_step(model.params.values, cfg, seed, S.values, ref)
             assert np.array_equal(out.data, expected), n
             assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def chord_roll(n: int, seed: int) -> PianoRoll:
+    """Six chords drawn again and again, and about one sample in seven silent."""
+    rng = np.random.default_rng(seed)
+    chords = [rng.choice(np.arange(36, 84), size=3, replace=False) for _ in range(6)]
+    data = np.zeros((128, n), dtype=np.uint8)
+    for s in range(n):
+        if rng.random() >= 0.15:
+            data[chords[rng.integers(6)], s] = 1
+    return PianoRoll(data=data, tempo=120.0, source_id="chords")
+
+
+class TestStructureMatchesTwoPass:
+    @pytest.mark.parametrize("n", [1, 2, 63, 700, 1381])
+    def test_ssm(self, n):
+        roll = chord_roll(n, n)
+        roll.data[:, n // 2] = 0
+        cols = chroma(roll)
+        assert same_bits(ssm(cols).values, ssm_two_pass(cols))
+        if n >= 63:  # repeated chords: the clip at 1 is exercised
+            unit, _ = unit_columns(cols)
+            assert (unit.T @ unit > 1.0).any()
+
+    @pytest.mark.parametrize("cfg", MODELS[::2], ids=["dense", "ablated"])
+    def test_piece_loss(self, cfg):
+        roll = chord_roll(700, 35)
+        model = Model(cfg, rng=np.random.default_rng(36))
+        S = ssm(chroma(roll))
+        trace = forward_piece(model, roll, S, 0.8, np.random.default_rng(37))
+        for with_grad in (True, False):
+            results = []
+            for loss_fn in (piece_loss, piece_loss_two_pass):
+                model.params.zero_grads()
+                loss = loss_fn(model, trace, roll, S, with_grad=with_grad)
+                results.append((loss, {k: g.copy() for k, g in model.params.grads.items()}))
+            (loss, grads), (expected, expected_grads) = results
+            for field in ("total", "bce", "structural"):
+                assert same_bits(getattr(loss, field), getattr(expected, field)), field
+            for name, grad in expected_grads.items():
+                assert same_bits(grads[name], grad), name
+            assert not with_grad or any(grad.any() for grad in grads.values())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,16 +73,28 @@ class TestSsm:
 
     def test_invariants_on_random_rolls(self):
         rng = np.random.default_rng(1)
-        for _ in range(25):
-            n = int(rng.integers(2, 40))
+        for n in [int(rng.integers(2, 40)) for _ in range(25)] + [700, 1381]:
             data = (rng.random((128, n)) < 0.06).astype(np.uint8)
             roll = PianoRoll(data=data, tempo=120.0)
             values = ssm(chroma(roll)).values
-            assert np.abs(values - values.T).max() <= 1e-9
+            assert np.array_equal(values, values.T)
             assert values.min() >= 0.0 and values.max() <= 1.0
             active = data.sum(axis=0) > 0
             assert np.all(np.diag(values)[active] == 1.0)
             assert np.all(np.diag(values)[~active] == 0.0)
+
+    def test_memory_stays_below_one_and_a_half_matrices(self):
+        """One n x n product, clipped and given its diagonal in place."""
+        n = 2000
+        data = (np.random.default_rng(12).random((128, n)) < 0.06).astype(np.uint8)
+        cols = chroma(PianoRoll(data=data, tempo=120.0))
+        tracemalloc.start()
+        try:
+            ssm(cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
 
 class TestStandardize:

@@ -255,6 +255,25 @@ def test_forward_pass_memory_stays_below_half_the_weights_matrix(run):
     assert peak < full_weights / 2
 
 
+@pytest.mark.parametrize("with_grad", [True, False])
+def test_piece_loss_memory_stays_below_three_ssm_matrices(with_grad):
+    """The structural term holds one n x n difference and its square at once."""
+    n = 1000
+    cfg = ModelConfig(hidden_size=8)
+    model = Model(cfg, rng=np.random.default_rng(43))
+    data = (np.random.default_rng(44).random((128, n)) < 0.03).astype(np.uint8)
+    target = PianoRoll(data=data, tempo=120.0)
+    template = ssm(chroma(target))
+    trace = forward_piece(model, target, template, 0.8, np.random.default_rng(45))
+    tracemalloc.start()
+    try:
+        piece_loss(model, trace, target, template, with_grad=with_grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
+
+
 class TestTrainEpoch:
     def test_single_piece_single_optimizer_step(self):
         cfg = ModelConfig(hidden_size=4, seed_len=2)
