@@ -4,8 +4,13 @@ Long pieces are sliced into equal segments, a 16-point log-spaced grid of
 standard lengths is fit between the k-th shortest segment and the maximum
 length, and every segment is padded or truncated to its nearest grid length
 in log distance. Segments needing an edit larger than the configured
-fraction (default 4%) are excluded. Batches are length-homogeneous and
-capped in size.
+fraction (default 4%) of their length are excluded. Batches are
+length-homogeneous and capped in size.
+
+A plan is one `piece_id,segment,source,target` line per kept segment (the
+id is everything before the last three commas), then one `batch:` line of
+assignment indices per batch. `plan_from_text` reads back exactly what
+`plan_to_text` writes.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ class Assignment:
     segment_index: int
     source_length: int
     target_length: int
-    edit: str  # "pad" | "truncate" | "none"
-    edit_fraction: float
 
 
 @dataclass
@@ -93,10 +96,9 @@ def build_grid(
 
 def assign(
     roll_length: int, grid: list[int], max_edit_fraction: float = MAX_EDIT_FRACTION
-) -> tuple[int, str, float] | None:
-    """Nearest grid length in log distance, or None past max_edit_fraction.
-
-    Returns (target_length, edit, edit_fraction); ties in log distance go to
+) -> int | None:
+    """Nearest grid length in log distance, or None when reaching it edits
+    more than max_edit_fraction of roll_length. Ties in log distance go to
     the smaller target.
     """
     if roll_length < 1:
@@ -104,23 +106,9 @@ def assign(
     if not max_edit_fraction >= 0:  # NaN would silently turn the bound off
         raise ValueError(f"max edit fraction must be >= 0, got {max_edit_fraction}")
     log_len = math.log(roll_length)
-    best_target = grid[0]
-    best_dist = abs(log_len - math.log(best_target))
-    for target in grid[1:]:
-        dist = abs(log_len - math.log(target))
-        if dist < best_dist:  # ties keep the earlier (smaller) target
-            best_dist = dist
-            best_target = target
-    fraction = abs(roll_length - best_target) / roll_length
-    if fraction > max_edit_fraction:
-        return None
-    if roll_length > best_target:
-        edit = "truncate"
-    elif roll_length < best_target:
-        edit = "pad"
-    else:
-        edit = "none"
-    return best_target, edit, fraction
+    # min keeps the first of equal distances: the smaller target
+    target = min(grid, key=lambda length: abs(log_len - math.log(length)))
+    return None if abs(roll_length - target) / roll_length > max_edit_fraction else target
 
 
 def apply_edit(roll: PianoRoll, target_length: int) -> PianoRoll:
@@ -157,63 +145,55 @@ def make_batches(
 
 
 def plan_to_text(plan: BatchPlan) -> str:
-    lines = [
-        f"{a.piece_id},{a.segment_index},{a.target_length},{a.edit},{a.edit_fraction!r}"
-        for a in plan.assignments
-    ]
+    """Raises ValueError for a piece id holding a line break, which no line can carry."""
+    lines = []
+    for a in plan.assignments:
+        line = f"{a.piece_id},{a.segment_index},{a.source_length},{a.target_length}"
+        if line.splitlines() != [line]:
+            raise ValueError(f"piece id {a.piece_id!r} holds a line break")
+        lines.append(line)
     lines += ["batch: " + " ".join(str(i) for i in batch) for batch in plan.batches]
     return "\n".join(lines) + "\n"
 
 
 def plan_from_text(text: str) -> BatchPlan:
-    assignments: list[Assignment] = []
-    batches: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    """The plan `plan_to_text` wrote; any other line raises ValueError naming it.
+    A batch line lists assignments above it, each once per plan."""
+    plan = BatchPlan(assignments=[])
+    batched: set[int] = set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
         try:
-            if line.startswith("batch:"):
-                batches.append([int(tok) for tok in line[len("batch:") :].split()])
-            else:
-                assignments.append(_parse_assignment(line))
+            if line.startswith("batch:") and "," not in line:
+                batch = [int(tok) for tok in line[len("batch:") :].split()]
+                if not batch:
+                    raise ValueError("empty batch")
+                for idx in batch:
+                    if not 0 <= idx < len(plan.assignments):
+                        raise ValueError(f"batch references assignment {idx} out of range")
+                    if idx in batched:
+                        raise ValueError(f"assignment {idx} is batched twice")
+                    batched.add(idx)
+                plan.batches.append(batch)
+            elif line:
+                plan.assignments.append(_parse_assignment(line))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    for batch in batches:
-        for idx in batch:
-            if not 0 <= idx < len(assignments):
-                raise ValueError(f"batch references assignment {idx} out of range")
-    return BatchPlan(assignments=assignments, batches=batches)
+    return plan
 
 
 def _parse_assignment(line: str) -> Assignment:
-    parts = line.split(",")
-    if len(parts) != 5:
-        raise ValueError(f"expected 5 fields, got {len(parts)}")
-    piece_id, segment_s, target_s, edit, fraction_s = parts
-    if edit not in ("pad", "truncate", "none"):
-        raise ValueError(f"unknown edit {edit!r}")
-    segment, target, fraction = int(segment_s), int(target_s), float(fraction_s)
-    if segment < 0 or not 1 <= target <= MAX_SAMPLES:
-        raise ValueError(f"segment {segment} or target {target} out of range")
-    if not (math.isfinite(fraction) and fraction >= 0) or (edit == "none" and fraction != 0):
-        raise ValueError(f"edit fraction {fraction_s} invalid for {edit!r}")
-    source = _source_length(target, edit, fraction)
-    if source < 1:
-        raise ValueError(f"edit fraction {fraction_s} implies an empty segment")
-    return Assignment(piece_id, segment, source, target, edit, fraction)
-
-
-def _source_length(target: int, edit: str, fraction: float) -> int:
-    """The segment length the edit started from; 0 when no length fits."""
-    # |source - target| / source = fraction, sign given by the edit kind
-    scale = {"none": 1.0, "truncate": 1.0 - fraction, "pad": 1.0 + fraction}[edit]
-    return int(round(target / scale)) if scale > 0 else 0
+    fields = line.rsplit(",", 3)
+    if len(fields) != 4:
+        raise ValueError(f"expected piece_id,segment,source,target, got {line!r}")
+    piece_id, segment, source, target = fields[0], *map(int, fields[1:])
+    if segment < 0 or not (1 <= source <= MAX_SAMPLES and 1 <= target <= MAX_SAMPLES):
+        raise ValueError(f"segment {segment}, source {source} or target {target} out of range")
+    return Assignment(piece_id, segment, source, target)
 
 
 def save_plan(plan: BatchPlan, path: str | Path) -> None:
-    Path(path).write_text(plan_to_text(plan))
+    Path(path).write_text(plan_to_text(plan), encoding="utf-8")
 
 
 def load_plan(path: str | Path) -> BatchPlan:
-    return plan_from_text(Path(path).read_text())
+    return plan_from_text(Path(path).read_text(encoding="utf-8"))

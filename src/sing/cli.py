@@ -291,9 +291,8 @@ def _cmd_generate(args) -> int:
     model = _require(args.checkpoint, lambda p: load_model(p, cfg))
     seed_roll = _require(args.input_path, midi_io.load_proll)
     if seed_roll.n_samples < cfg.seed_len:
-        raise ValueError(
-            f"seed piece has {seed_roll.n_samples} samples, need {cfg.seed_len}"
-        )
+        raise ValueError(f"{args.input_path}: seed piece has {seed_roll.n_samples} samples, "
+                         f"need {cfg.seed_len}")
     template = _require(args.template, structure.load_ssm)
     if template.n <= cfg.seed_len:
         raise ValueError(f"{args.template}: template has {template.n} samples, "

@@ -1,9 +1,10 @@
-"""Differentiable numeric kernels and the Adam optimizer.
+"""Differentiable numeric kernels, the Adam optimizer and the SINGCKPT container.
 
-Everything is 64-bit numpy with hand-written backward passes. The
-convention throughout: forward functions return their output plus whatever
-cache the matching backward needs; backward functions take the upstream
-gradient and return gradients in input order.
+Everything is 64-bit numpy with hand-written backward passes. Forward
+kernels keep no cache: `dense_forward` and `sparsemax` return their output
+alone, and `lstm_cell_forward` writes one step's state and gate activations
+into rows the caller owns and passes back to `lstm_cell_backward`. Backward
+functions take the upstream gradient and return the gradients of the inputs.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def checkpoint_from_bytes(data: bytes) -> ParamSet:
         pos += 8
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        tensors: dict[str, np.ndarray] = {}
+        tensors: list[tuple[str, np.ndarray]] = []
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", data, pos)
             pos += 4
@@ -270,23 +271,42 @@ def checkpoint_from_bytes(data: bytes) -> ParamSet:
             pos += n_values * 8
             if not np.isfinite(values).all():
                 raise ValueError(f"checkpoint tensor {name!r} holds non-finite values")
-            tensors[name] = values if cols == 0 else values.reshape(rows, cols)
+            tensors.append((name, values if cols == 0 else values.reshape(rows, cols)))
     except struct.error:
         raise ValueError(f"checkpoint truncated at byte {pos}") from None
     if pos != len(data):
         raise ValueError("trailing bytes after last tensor")
+    return _params_from_layout(tensors)
 
+
+def _params_from_layout(tensors: list[tuple[str, np.ndarray]]) -> ParamSet:
+    """The layout checkpoint_to_bytes writes: each parameter, in name order,
+    followed by its two moments of its shape, then adam/step, a whole number >= 0."""
+    if not tensors or tensors[-1][0] != _ADAM_STEP:
+        raise ValueError(f"checkpoint does not end with tensor {_ADAM_STEP!r}")
+    *body, (_, step) = tensors
+    if step.shape != (1,) or not (step[0] >= 0 and step[0] == int(step[0])):
+        raise ValueError(f"checkpoint tensor {_ADAM_STEP!r} is {step.tolist()}, "
+                         "not one whole number >= 0")
     params = ParamSet()
-    for name, array in tensors.items():
+    for i in range(0, len(body), 3):
+        name, value = body[i]
         if name.startswith((_ADAM_M, _ADAM_V)) or name == _ADAM_STEP:
-            continue
-        params.add(name, array)
-        if _ADAM_M + name in tensors:
-            params.m[name] = np.asarray(tensors[_ADAM_M + name], dtype=np.float64)
-        if _ADAM_V + name in tensors:
-            params.v[name] = np.asarray(tensors[_ADAM_V + name], dtype=np.float64)
-    if _ADAM_STEP in tensors:
-        params.step = int(tensors[_ADAM_STEP][0])
+            raise ValueError(f"checkpoint tensor {name!r} does not follow its parameter")
+        if i and name <= body[i - 3][0]:
+            raise ValueError(f"checkpoint parameter {name!r} repeats or breaks the name order")
+        moments = body[i + 1 : i + 3]
+        expected = [_ADAM_M + name, _ADAM_V + name]
+        if [moment_name for moment_name, _ in moments] != expected:
+            raise ValueError(f"checkpoint parameter {name!r} is not followed by "
+                             f"{expected[0]!r} and {expected[1]!r}")
+        params.add(name, value)
+        for (moment_name, moment), slot in zip(moments, (params.m, params.v)):
+            if moment.shape != value.shape:
+                raise ValueError(f"checkpoint tensor {moment_name!r} has shape {moment.shape}, "
+                                 f"not {value.shape}")
+            slot[name] = moment
+    params.step = int(step[0])
     return params
 
 

@@ -339,14 +339,11 @@ def prepare_corpus(
         for seg_idx, length in enumerate(segment_lengths(roll.n_samples, max_len))
     ]
     grid = build_grid([length for _, _, length in segments], k=k, count=count, max_len=max_len)
-    assignments: list[Assignment] = []
-    excluded: list[str] = []
-    for piece_id, seg_idx, length in segments:
-        result = assign(length, grid, max_edit_fraction)
-        if result is None:
-            excluded.append(f"{piece_id}[{seg_idx}]")
-        else:
-            assignments.append(Assignment(piece_id, seg_idx, length, *result))
+    targets = [assign(length, grid, max_edit_fraction) for _, _, length in segments]
+    assignments = [Assignment(*segment, target)
+                   for segment, target in zip(segments, targets) if target is not None]
+    excluded = [f"{piece_id}[{seg_idx}]"
+                for (piece_id, seg_idx, _), target in zip(segments, targets) if target is None]
     return make_batches(assignments, batch_cap, rng), grid, excluded
 
 

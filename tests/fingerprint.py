@@ -74,8 +74,8 @@ def _check_plan_cases(prolls: Path, plan_path: Path) -> None:
                    for p in prolls.glob("*.proll"))
     cases = {
         "sliced": any(a.segment_index > 0 for a in plan.assignments),
-        "pad": any(a.edit == "pad" for a in plan.assignments),
-        "truncate": any(a.edit == "truncate" for a in plan.assignments),
+        "pad": any(a.source_length < a.target_length for a in plan.assignments),
+        "truncate": any(a.source_length > a.target_length for a in plan.assignments),
         "excluded": len(plan.assignments) < segments,
     }
     missing = [case for case, seen in cases.items() if not seen]

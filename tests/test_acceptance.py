@@ -215,9 +215,9 @@ def test_batching_bound():
     assert (grid[0], grid[-1]) == (255, 700)
     worst = 0.0
     for length in range(255, 701):
-        result = assign(length, grid)
-        assert result is not None
-        worst = max(worst, result[2])
+        target = assign(length, grid)
+        assert target is not None
+        worst = max(worst, abs(length - target) / length)
     assert worst <= analytic_bound + 1e-9
 
     # 10,000 right-skewed lengths spanning the reported corpus range
@@ -234,13 +234,12 @@ def test_batching_bound():
     assignments = []
     excluded = 0
     for i, seg in enumerate(segments):
-        result = assign(seg, data_grid)
-        if result is None:
+        target = assign(seg, data_grid)
+        if target is None:
             excluded += 1
             continue
-        target, edit, fraction = result
-        assert fraction <= 0.04
-        assignments.append(Assignment(f"p{i}", 0, seg, target, edit, fraction))
+        assert abs(seg - target) / seg <= 0.04
+        assignments.append(Assignment(f"p{i}", 0, seg, target))
     plan = make_batches(assignments, 100, rng)
     for batch in plan.batches:
         assert len(batch) <= 100
@@ -272,7 +271,7 @@ def desk_models():
     train_items = make_corpus(25, DESK_LENGTH, rng, prefix="train")
     held_out = make_corpus(5, DESK_LENGTH, rng, prefix="test")
     assignments = [
-        Assignment(item.piece_id, 0, DESK_LENGTH, DESK_LENGTH, "none", 0.0)
+        Assignment(item.piece_id, 0, DESK_LENGTH, DESK_LENGTH)
         for item in train_items
     ]
     plan = make_batches(assignments, DESK_CAP, rng)

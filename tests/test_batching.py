@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sing.batching import (
     Assignment,
+    BatchPlan,
     apply_edit,
     assign,
     build_grid,
@@ -94,12 +98,10 @@ class TestBuildGrid:
 
 class TestAssign:
     def test_430_pads_to_437(self):
-        target, edit, fraction = assign(430, grid_255_700())
-        assert (target, edit) == (437, "pad")
-        assert fraction == pytest.approx(7 / 430)
+        assert assign(430, grid_255_700()) == 437
 
     def test_exact_grid_point_untouched(self):
-        assert assign(255, grid_255_700()) == (255, "none", 0.0)
+        assert assign(255, grid_255_700()) == 255
 
     def test_far_below_grid_excluded(self):
         assert assign(103, grid_255_700()) is None
@@ -107,12 +109,10 @@ class TestAssign:
     def test_ties_take_smaller_target(self):
         grid = build_grid([100] * 10, k=10, count=2, max_len=100)
         # both grid entries equal: the first (smaller index) wins
-        assert assign(100, grid, 1.0) == (100, "none", 0.0)
+        assert assign(100, grid, 1.0) == 100
 
     def test_truncate_direction(self):
-        target, edit, fraction = assign(440, grid_255_700())
-        assert (target, edit) == (437, "truncate")
-        assert fraction == pytest.approx(3 / 440)
+        assert assign(440, grid_255_700()) == 437
 
     @pytest.mark.parametrize("bound", [float("nan"), -0.01, -1.0])
     def test_bound_below_zero_or_nan_rejected(self, bound):
@@ -120,14 +120,14 @@ class TestAssign:
             assign(255, grid_255_700(), bound)
 
     def test_infinite_bound_keeps_every_length(self):
-        assert assign(103, grid_255_700(), float("inf"))[:2] == (255, "pad")
+        assert assign(103, grid_255_700(), float("inf")) == 255
 
     def test_bound_is_respected_everywhere(self):
         grid = grid_255_700()
         for length in range(103, 9157, 7):
-            result = assign(length, grid)
-            if result is not None:
-                assert result[2] <= 0.04
+            target = assign(length, grid)
+            if target is not None:
+                assert abs(length - target) / length <= 0.04
 
 
 class TestApplyEdit:
@@ -145,7 +145,7 @@ class TestApplyEdit:
 
 class TestMakeBatches:
     def _assignments(self, lengths):
-        return [Assignment(f"p{i}", 0, n, n, "none", 0.0) for i, n in enumerate(lengths)]
+        return [Assignment(f"p{i}", 0, n, n) for i, n in enumerate(lengths)]
 
     def test_cap_splits_150_into_100_and_50(self):
         plan = make_batches(self._assignments([300] * 150), 100, np.random.default_rng(0))
@@ -180,52 +180,122 @@ class TestMakeBatches:
 class TestPlanText:
     def test_round_trip(self):
         asg = [
-            Assignment("alpha", 0, 430, 437, "pad", 7 / 430),
-            Assignment("alpha", 1, 440, 437, "truncate", 3 / 440),
-            Assignment("beta", 0, 255, 255, "none", 0.0),
+            Assignment("alpha", 0, 430, 437),
+            Assignment("alpha", 1, 440, 437),
+            Assignment("beta", 0, 255, 255),
         ]
         plan = make_batches(asg, 2, np.random.default_rng(3))
         text = plan_to_text(plan)
-        again = plan_from_text(text)
-        assert again.batches == plan.batches
-        for a, b in zip(again.assignments, plan.assignments):
-            assert (a.piece_id, a.segment_index, a.target_length, a.edit) == (
-                b.piece_id,
-                b.segment_index,
-                b.target_length,
-                b.edit,
-            )
-            assert a.edit_fraction == b.edit_fraction
-            assert a.source_length == b.source_length
+        assert text.splitlines()[:3] == ["alpha,0,430,437", "alpha,1,440,437", "beta,0,255,255"]
+        assert plan_from_text(text) == plan
 
     def test_save_load(self, tmp_path):
-        plan = make_batches([Assignment("x", 0, 10, 10, "none", 0.0)], 1,
+        plan = make_batches([Assignment("x", 0, 10, 10)], 1,
                             np.random.default_rng(0))
         save_plan(plan, tmp_path / "plan.txt")
         assert load_plan(tmp_path / "plan.txt").batches == plan.batches
 
-    def test_bad_edit_rejected(self):
-        with pytest.raises(ValueError, match="unknown edit"):
-            plan_from_text("x,0,100,stretch,0.0\n")
-
     @pytest.mark.parametrize(
         "line",
         [
-            "x,0,0,none,0.0",  # target below 1
-            f"x,0,{MAX_SAMPLES + 1},none,0.0",  # target past the length cap
-            "x,-1,100,none,0.0",  # negative segment index
-            "x,0,100,pad,-0.01",  # negative fraction
+            "x,-1,100,none,0.0",
+            "x,0,0,none,0.0",
+            "x,0,100,none,0.5",
+            "x,0,100,pad,-0.01",
+            "x,0,100,pad,1000.0",
             "x,0,100,pad,nan",
+            "x,0,100,truncate,1.0",
+            "x,0,100,truncate,1.5",
             "x,0,100,truncate,inf",
-            "x,0,100,none,0.5",  # no edit, yet a nonzero fraction
-            "x,0,100,pad,1000.0",  # source round(100 / 1001) = 0
-            "x,0,100,truncate,1.0",  # source 100 / 0
-            "x,0,100,truncate,1.5",  # negative source
+            f"x,0,{MAX_SAMPLES + 1},none,0.0",
         ],
     )
     def test_values_the_reader_trusts_are_checked(self, line):
+        """A line of the old piece_id,segment,target,edit,fraction form is
+        rejected by its line number, whatever its values: re-planning rebuilds it."""
         with pytest.raises(ValueError, match="line 1"):
             plan_from_text(line + "\n")
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("x,-1,100,100", "out of range"),  # negative segment index
+            ("x,0,0,100", "out of range"),  # source below 1
+            ("x,0,100,0", "out of range"),  # target below 1
+            (f"x,0,{MAX_SAMPLES + 1},100", "out of range"),  # source past the length cap
+            (f"x,0,100,{MAX_SAMPLES + 1}", "out of range"),  # target past the length cap
+            ("x,0,100.0,100", "invalid literal"),
+            ("x,0,10,1e3", "invalid literal"),
+            ("x,100,100", "expected piece_id,segment,source,target"),
+        ],
+    )
+    def test_out_of_range_or_malformed_assignment_rejected(self, line, problem):
+        with pytest.raises(ValueError, match=f"line 2: .*{problem}"):
+            plan_from_text(f"a,0,10,10\n{line}\nbatch: 0\n")
+
+    @pytest.mark.parametrize(
+        "batches, lineno, problem",
+        [
+            (["batch: "], 3, "empty batch"),
+            (["batch:"], 3, "empty batch"),
+            (["batch: 0", "batch: "], 4, "empty batch"),
+            (["batch: 0 0"], 3, "assignment 0 is batched twice"),
+            (["batch: 1", "batch: 0 1"], 4, "assignment 1 is batched twice"),
+            (["batch: 2"], 3, "assignment 2 out of range"),
+            (["batch: -1"], 3, "assignment -1 out of range"),
+            (["batch: x"], 3, "invalid literal"),
+        ],
+    )
+    def test_bad_batch_line_rejected(self, batches, lineno, problem):
+        text = "\n".join(["a,0,10,10", "b,0,10,10", *batches]) + "\n"
+        with pytest.raises(ValueError, match=f"line {lineno}: .*{problem}"):
+            plan_from_text(text)
+
+    def test_batch_line_lists_only_assignments_above_it(self):
+        with pytest.raises(ValueError, match="line 1: batch references assignment 0"):
+            plan_from_text("batch: 0\na,0,10,10\n")
+
+    def test_only_blank_lines_are_skipped(self):
+        plan = plan_from_text("\na,0,10,10\n\nbatch: 0\n\n")
+        assert plan == BatchPlan([Assignment("a", 0, 10, 10)], [[0]])
+        for line in ["# a comment", " ", "\t"]:
+            with pytest.raises(ValueError, match="line 2"):
+                plan_from_text(f"a,0,10,10\n{line}\nbatch: 0\n")
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("where", ["{}take", "ta{}ke", "take{}"])
+    def test_id_with_a_line_break_is_not_written(self, brk, where):
+        piece_id = where.format(brk)
+        plan = BatchPlan([Assignment("a", 0, 5, 5), Assignment(piece_id, 0, 5, 5)], [[0, 1]])
+        with pytest.raises(ValueError, match=re.escape(f"piece id {piece_id!r}")):
+            plan_to_text(plan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.text(alphabet=st.characters(blacklist_categories=("Cs",)))
+                    .filter(lambda s: len(f"{s}.".splitlines()) == 1),  # no line break
+                    st.sampled_from(["take,0", "#0 etude", " take0", "take0 ", "batch: 0",
+                                     "batch:", ",,,", "étude"]),
+                ),
+                st.integers(0, 10**6),
+                st.integers(1, MAX_SAMPLES),
+                st.integers(1, MAX_SAMPLES),
+            ),
+            max_size=8,
+        ),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, rows, batch_cap, seed):
+        plan = make_batches([Assignment(*row) for row in rows], batch_cap,
+                            np.random.default_rng(seed))
+        again = plan_from_text(plan_to_text(plan))
+        assert again.assignments == plan.assignments
+        assert again.batches == plan.batches
 
 
 class TestCutSegment:

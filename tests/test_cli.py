@@ -3,9 +3,11 @@ import pytest
 
 import smf
 from sing import evaluation
+from sing.batching import load_plan
 from sing.cli import _CONFIG_KEYS, main
 from sing.midi_io import MAX_SAMPLES, PianoRoll, load_proll, save_proll, to_midi
 from sing.model import Model, ModelConfig, load_model, save_model
+from sing.nn import load_checkpoint, save_checkpoint
 from sing.structure import SelfSimilarityMatrix, SynthSpec, load_ssm, save_ssm, synth_ssm
 
 
@@ -216,7 +218,7 @@ class TestOneSourcePerSetting:
 
     @pytest.mark.parametrize(
         "line",
-        ["piece0,0,20,truncate,0.3333333333333333", "piece0,0,10,none,0.0"],
+        ["piece0,0,30,20", "piece0,0,10,10"],
     )
     def test_plan_segment_that_does_not_fit_fails_before_writing(self, tmp_path, capsys, line):
         write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
@@ -232,7 +234,7 @@ class TestOneSourcePerSetting:
     def test_plan_segment_no_longer_than_seed_fails_before_writing(self, tmp_path, capsys):
         write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=8)
         plan = tmp_path / "plan.txt"
-        plan.write_text("piece0,0,8,none,0.0\nbatch: 0\n")
+        plan.write_text("piece0,0,8,8\nbatch: 0\n")
         out = tmp_path / "ckpt"
         code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
                      "--out", str(out), "--epochs", "1", "--hidden", "6"])
@@ -243,7 +245,7 @@ class TestOneSourcePerSetting:
     def test_plan_naming_an_unknown_piece(self, tmp_path, capsys):
         write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
         plan = tmp_path / "plan.txt"
-        plan.write_text("nosuch,0,24,none,0.0\nbatch: 0\n")
+        plan.write_text("nosuch,0,24,24\nbatch: 0\n")
         code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
                      "--out", str(tmp_path / "ckpt"), "--epochs", "1", "--hidden", "6"])
         assert code == 1
@@ -490,11 +492,58 @@ class TestBadInputs:
     def test_bad_plan_batch_line_is_named(self, tmp_path, capsys):
         write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
         plan = tmp_path / "plan.txt"
-        plan.write_text("piece0,0,24,none,0.0\nbatch: x\n")
+        plan.write_text("piece0,0,24,24\nbatch: x\n")
         code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
                      "--out", str(tmp_path / "ckpt"), "--epochs", "1", "--hidden", "6"])
         assert code == 1
         assert single_error_line(capsys).startswith(f"error: {plan}: line 2: invalid literal")
+
+    @pytest.mark.parametrize("batch_line, problem", [
+        ("batch: ", "line 3: empty batch"),
+        ("batch: 0", "line 3: assignment 0 is batched twice"),
+    ])
+    def test_bad_plan_batches_are_named_and_train_writes_nothing(
+        self, tmp_path, capsys, batch_line, problem
+    ):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        plan, out = tmp_path / "plan.txt", tmp_path / "ckpt"
+        plan.write_text(f"piece0,0,24,24\nbatch: 0\n{batch_line}\n")
+        code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
+                     "--out", str(out), "--epochs", "1", "--hidden", "6", "--seed-len", "4"])
+        assert code == 1
+        assert single_error_line(capsys).startswith(f"error: {plan}: {problem}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", ["fractional_step", "moment_shape"])
+    def test_checkpoint_off_the_writer_layout_is_named(self, tmp_path, capsys, defect):
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+        params = load_checkpoint(ckpt)
+        if defect == "fractional_step":
+            params.step = 2.5
+            message = "checkpoint tensor 'adam/step' is [2.5], not one whole number >= 0"
+        else:
+            params.m["lstm.b"] = np.zeros(5)
+            message = "checkpoint tensor 'adam/m/lstm.b' has shape (5,), not (24,)"
+        save_checkpoint(params, ckpt)
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
+        code = main(["generate", "--checkpoint", str(ckpt),
+                     "--in", str(tmp_path / "corpus" / "piece0.proll"),
+                     "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "gen")])
+        assert code == 1
+        assert single_error_line(capsys) == f"error: {ckpt}: {message}"
+        assert not (tmp_path / "gen.proll").exists()
+
+    def test_seed_shorter_than_the_seed_length_is_named(self, tmp_path, capsys):
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=10)
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=6)
+        seed = tmp_path / "corpus" / "piece0.proll"
+        save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
+        code = main(["generate", "--checkpoint", str(ckpt), "--in", str(seed),
+                     "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "gen")])
+        assert code == 1
+        assert single_error_line(capsys) == f"error: {seed}: seed piece has 6 samples, need 10"
+        assert not (tmp_path / "gen.proll").exists()
 
     def test_bad_config_value_names_its_key(self, tmp_path, capsys):
         cfg = tmp_path / "conf.txt"
@@ -513,6 +562,33 @@ class TestBadInputs:
                      "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "gen")])
         assert code == 1
         assert "missing head.W" in single_error_line(capsys)
+
+
+class TestPieceIds:
+    """Any roll name without a line break goes through batch-plan and train."""
+
+    def test_names_with_commas_hashes_and_spaces_plan_and_train(self, tmp_path):
+        corpus, plan = tmp_path / "corpus", tmp_path / "plan.txt"
+        write_corpus_prolls(corpus, n_pieces=3, n=24)
+        names = ["take,0", "#0 etude", " take0"]
+        for name in names:
+            save_proll(load_proll(corpus / "piece0.proll"), corpus / f"{name}.proll")
+        assert main(["batch-plan", "--in", str(corpus), "--out", str(plan), "--grid-k", "2",
+                     "--grid-count", "4", "--max-len", "24", "--batch-cap", "2"]) == 0
+        assert set(names) < {a.piece_id for a in load_plan(plan).assignments}
+        assert main(["train", "--in", str(corpus), "--plan", str(plan), "--out",
+                     str(tmp_path / "ckpt"), "--epochs", "1", "--hidden", "6",
+                     "--seed-len", "4"]) == 0
+
+    def test_name_with_a_line_break_is_an_error_and_writes_no_plan(self, tmp_path, capsys):
+        corpus, plan = tmp_path / "corpus", tmp_path / "plan.txt"
+        write_corpus_prolls(corpus, n_pieces=3, n=24)
+        (corpus / "piece1.proll").rename(corpus / "take\n1.proll")
+        code = main(["batch-plan", "--in", str(corpus), "--out", str(plan), "--grid-k", "2",
+                     "--grid-count", "4", "--max-len", "24"])
+        assert code == 1
+        assert single_error_line(capsys) == "error: piece id 'take\\n1' holds a line break"
+        assert not plan.exists()
 
 
 def write_rolls(directory, lengths):
@@ -544,7 +620,7 @@ class TestNothingToDo:
         write_corpus_prolls(tmp_path / "corpus", n_pieces=2, n=24)
         write_rolls(tmp_path / "val", [5, 8])
         plan, out = tmp_path / "plan.txt", tmp_path / "ckpt"
-        plan.write_text("piece0,0,24,none,0.0\nbatch: 0\n")
+        plan.write_text("piece0,0,24,24\nbatch: 0\n")
         code = main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
                      "--val", str(tmp_path / "val"), "--out", str(out), "--epochs", "1",
                      "--hidden", "6"])

@@ -1,11 +1,21 @@
 """All three binary container readers reject damaged input with ValueError; the
-SINGSSM reader also rejects a matrix that is empty, asymmetric or outside [0, 1]."""
+SINGSSM reader also rejects a matrix that is empty, asymmetric or outside [0, 1],
+and the SINGCKPT reader any tensor layout but the one its writer writes."""
+
+import struct
 
 import numpy as np
 import pytest
 
 from sing.midi_io import PianoRoll, proll_from_bytes, proll_to_bytes
-from sing.nn import ParamSet, checkpoint_from_bytes, checkpoint_to_bytes
+from sing.nn import (
+    CKPT_MAGIC,
+    CKPT_VERSION,
+    ParamSet,
+    _pack_tensor,
+    checkpoint_from_bytes,
+    checkpoint_to_bytes,
+)
 from sing.structure import SelfSimilarityMatrix, ssm_from_bytes, ssm_to_bytes
 
 
@@ -78,3 +88,44 @@ def test_non_finite_checkpoint_tensor_rejected_by_name(bad):
     params.add("w", np.array([0.0, bad, 1.0]))
     with pytest.raises(ValueError, match="'w'.*non-finite"):
         checkpoint_from_bytes(checkpoint_to_bytes(params))
+
+
+def raw_checkpoint(*entries: tuple[str, np.ndarray]) -> bytes:
+    """A SINGCKPT container of the given (name, tensor) entries, in order."""
+    body = b"".join(_pack_tensor(name, np.asarray(array, dtype=float)) for name, array in entries)
+    return CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(entries)) + body
+
+
+W = ("w", np.arange(6.0).reshape(2, 3))
+W_MOMENTS = (("adam/m/w", np.zeros((2, 3))), ("adam/v/w", np.ones((2, 3))))
+STEP = ("adam/step", [2.0])
+# defect -> (entries, the message naming the bad tensor)
+CHECKPOINT_DEFECTS = {
+    "repeated_name": ((W, *W_MOMENTS, ("w", [1.0]), ("adam/m/w", [0.0]), ("adam/v/w", [0.0]),
+                       STEP), "parameter 'w' repeats or breaks the name order"),
+    "name_order": ((("x", [1.0]), ("adam/m/x", [0.0]), ("adam/v/x", [0.0]), W, *W_MOMENTS, STEP),
+                   "parameter 'w' repeats or breaks the name order"),
+    "moment_shape": ((W, ("adam/m/w", np.zeros(5)), W_MOMENTS[1], STEP),
+                     r"'adam/m/w' has shape \(5,\), not \(2, 3\)"),
+    "moment_without_parameter": ((W, *W_MOMENTS, ("adam/v/x", [0.0]), STEP),
+                                 "'adam/v/x' does not follow its parameter"),
+    "parameter_without_moments": ((W, ("b", [1.0]), ("adam/m/b", [0.0]), ("adam/v/b", [0.0]),
+                                   STEP), "'w' is not followed by 'adam/m/w'"),
+    "fractional_step": ((W, *W_MOMENTS, ("adam/step", [2.5])), r"'adam/step' is \[2.5\]"),
+    "negative_step": ((W, *W_MOMENTS, ("adam/step", [-4.0])), r"'adam/step' is \[-4.0\]"),
+    "two_steps": ((W, *W_MOMENTS, ("adam/step", [1.0, 2.0])), "'adam/step' is"),
+    "no_step": ((W, *W_MOMENTS), "does not end with tensor 'adam/step'"),
+}
+
+
+def test_writer_layout_loads():
+    params = checkpoint_from_bytes(raw_checkpoint(W, *W_MOMENTS, STEP))
+    assert checkpoint_to_bytes(params) == raw_checkpoint(W, *W_MOMENTS, STEP)
+    assert params.step == 2 and np.array_equal(params.v["w"], np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
+def test_checkpoint_layout_defect_rejected_by_name(defect):
+    entries, message = CHECKPOINT_DEFECTS[defect]
+    with pytest.raises(ValueError, match=message):
+        checkpoint_from_bytes(raw_checkpoint(*entries))

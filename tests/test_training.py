@@ -54,7 +54,7 @@ def toy_items(n_pieces: int, n: int, rng: np.random.Generator) -> list[TrainItem
 
 def single_batch_plan(items: list[TrainItem]) -> BatchPlan:
     assignments = [
-        Assignment(item.piece_id, 0, item.roll.n_samples, item.roll.n_samples, "none", 0.0)
+        Assignment(item.piece_id, 0, item.roll.n_samples, item.roll.n_samples)
         for item in items
     ]
     return BatchPlan(assignments=assignments, batches=[[i] for i in range(len(items))])
@@ -288,7 +288,7 @@ class TestTrainEpoch:
         model = Model(cfg, rng=np.random.default_rng(14))
         items = toy_items(6, 12, np.random.default_rng(15))
         assignments = [
-            Assignment(i.piece_id, 0, i.roll.n_samples, i.roll.n_samples, "none", 0.0)
+            Assignment(i.piece_id, 0, i.roll.n_samples, i.roll.n_samples)
             for i in items
         ]
         plan = make_batches(assignments, batch_cap=2, rng=np.random.default_rng(16))
@@ -426,9 +426,9 @@ class TestPrepareCorpus:
     @pytest.mark.parametrize(
         "line",
         [
-            "p0,0,20,truncate,0.3333333333333333",  # a 30-sample segment of a 24-sample roll
-            "p0,0,10,none,0.0",  # 24 samples do not split into equal segments of 10
-            "p0,2,12,none,0.0",  # the third 12-sample segment starts past the end
+            "p0,0,30,20",  # a 30-sample segment of a 24-sample roll
+            "p0,0,10,10",  # 24 samples do not split into equal segments of 10
+            "p0,2,12,12",  # the third 12-sample segment starts past the end
         ],
     )
     def test_segment_that_does_not_fit_names_the_piece(self, line):
