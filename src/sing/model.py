@@ -269,7 +269,10 @@ def unroll(
     G = np.zeros((n - 1, 4 * hidden))
     D = np.zeros((n - seed_len, N_PITCHES))
     A = np.zeros_like(D) if cfg.attention_enabled else None
-    W_x, W_h, b = p["lstm.W_x"], p["lstm.W_h"], p["lstm.b"]
+    W_x = np.asfortranarray(p["lstm.W_x"])  # column-major: a step gathers its active columns
+    if not np.isfinite(W_x).all():  # a skipped column would hide it
+        raise ValueError("parameter 'lstm.W_x' holds non-finite values")
+    W_h, b = p["lstm.W_h"], p["lstm.b"]
     w = None
     for t in range(1, n):
         nn.lstm_cell_forward(W_x, W_h, b, X[t - 1], H[t - 1], C[t - 1], out=(H[t], C[t], G[t - 1]))

@@ -5,6 +5,12 @@ kernels keep no cache: `dense_forward` and `sparsemax` return their output
 alone, and `lstm_cell_forward` writes one step's state and gate activations
 into rows the caller owns and passes back to `lstm_cell_backward`. Backward
 functions take the upstream gradient and return the gradients of the inputs.
+
+Numerics contract, checked against the references in tests/oracles.py:
+bit for bit for the sampler's draws, `sigmoid`, the attention weights and
+the order of the LSTM row writes; within 1e-12 relative for the LSTM input
+projection (a gather of the columns of W_x at the active inputs; bit for
+bit on up to two binary ones) and the structural-loss sum.
 """
 
 from __future__ import annotations
@@ -69,14 +75,17 @@ def lstm_cell_forward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One step into out = (h, c, gates), which it returns; gates are the
     stacked activations [i, f, g, o]: sigmoid of the input, forget and output
-    blocks, tanh of g. out must not overlap the inputs."""
+    blocks, tanh of g. out must not overlap the inputs. W_x @ x reads only
+    the columns of W_x at the nonzero entries of x, contiguous if W_x is
+    column-major (as `model.unroll` passes it)."""
     hidden = h_prev.shape[0]
     if W_x.shape[0] != 4 * hidden or W_h.shape != (4 * hidden, hidden):
         raise ValueError(f"LSTM shapes inconsistent: W_x {W_x.shape}, W_h {W_h.shape}")
     if x.shape[0] != W_x.shape[1]:
         raise ValueError(f"input size {x.shape[0]} != {W_x.shape[1]}")
     h, c, gates = out
-    pre = W_x @ x
+    active = x.nonzero()[0]
+    pre = W_x[:, active] @ x[active]
     pre += W_h @ h_prev
     pre += b
     sigmoid(pre, out=gates)  # one call for all four blocks; the candidate block is replaced

@@ -161,7 +161,7 @@ def piece_loss(
     V, norms = unit_columns(fold_pitch_classes(cols))
     diff = V.T @ V
     diff -= S.values
-    structural = float(np.mean(diff**2))
+    structural = float(np.vdot(diff, diff)) / (n * n)  # no n x n square beside diff
     total = bce_total + structural
 
     if with_grad:

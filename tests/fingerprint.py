@@ -1,6 +1,8 @@
-"""Hash every output of the `sing` command line on a fixed synthetic corpus.
+"""Fingerprint every output of the `sing` command line on a fixed synthetic corpus.
 
     PYTHONPATH=src python tests/fingerprint.py OUT_DIR
+    PYTHONPATH=src python tests/fingerprint.py --values OUT_DIR
+    PYTHONPATH=src python tests/fingerprint.py --compare OLD.txt NEW.txt
 
 Writes synthetic MIDI files (made with `sing.midi_io.to_midi`) under
 OUT_DIR, runs every verb on them in process, and prints one
@@ -14,6 +16,13 @@ same lines:
     PYTHONPATH=<new>/src python tests/fingerprint.py /tmp/new > new.txt
     diff old.txt new.txt
 
+`--values` prints numbers where a change may move the last bits: one
+`key value` line per `report.csv` loss, per norm and maximum of each
+checkpoint tensor, and per `evaluate` score; every other file keeps its
+hash. `--compare` reads two such listings and passes (exit 0) when both
+have the same keys, equal hashes, and every number within `oracles.RTOL`
+relative of the other; it prints each line that moved and by how much.
+
 The corpus covers every planning case: `batch-plan` slices the pieces
 longer than 36 samples, pads, truncates, keeps exact lengths and excludes
 segments; the script fails if one of them goes missing.
@@ -21,9 +30,12 @@ segments; the script fails if one of them goes missing.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +44,9 @@ import numpy as np
 from sing.batching import load_plan, segment_lengths
 from sing.cli import main
 from sing.midi_io import PianoRoll, load_proll, to_midi
+from sing.nn import load_checkpoint
+
+from oracles import RTOL
 
 PIECE_LENGTHS = (20, 22, 23, 24, 25, 26, 27, 28, 30, 31, 33, 36, 40, 62, 75, 800)
 MAX_LEN = 36
@@ -85,6 +100,21 @@ def _check_plan_cases(prolls: Path, plan_path: Path) -> None:
 
 def run(out: Path) -> list[str]:
     """Run every verb under out (which must not exist); the hash lines."""
+    make(out)
+    return hashes(out)
+
+
+def outputs(out: Path) -> list[Path]:
+    return sorted(p for p in Path(out).rglob("*") if p.is_file())
+
+
+def hashes(out: Path) -> list[str]:
+    """`sha256  path` lines over the outputs under out."""
+    return [f"{digest(path)}  {path.relative_to(out).as_posix()}" for path in outputs(out)]
+
+
+def make(out: Path) -> None:
+    """Run every verb on the synthetic corpus under out, which must not exist."""
     out = Path(out)
     write_midi(out / "midi")
     prolls, plan = out / "prolls", out / "plan.txt"
@@ -114,8 +144,6 @@ def run(out: Path) -> list[str]:
               "--template", template, "--out", out / f"gen_{name}", "--seed", "4")
     _sing("evaluate", "--in", prolls, "--out", out / "eval_random.csv", "--generator", "random",
           "--model-config", out / "train_dense" / "model_config.txt", *GRID, "--seed", "3")
-    return [f"{digest(path)}  {path.relative_to(out).as_posix()}"
-            for path in sorted(p for p in out.rglob("*") if p.is_file())]
 
 
 def digest(path: Path) -> str:
@@ -125,7 +153,82 @@ def digest(path: Path) -> str:
     return hashlib.sha256(losses.encode()).hexdigest()
 
 
+def values(out: Path) -> list[str]:
+    """`key value` lines over the outputs under out: report.csv losses,
+    checkpoint tensor norms and maxima, evaluate scores, other files' hashes."""
+    lines = []
+    for path in outputs(out):
+        name = path.relative_to(out).as_posix()
+        if path.name == "report.csv":
+            for row in csv.DictReader(path.read_text().splitlines()):
+                lines += [f"{name}:{row['epoch']}:{col} {row[col]}"
+                          for col in ("train_loss", "val_loss")]
+        elif path.suffix == ".ckpt":
+            params = load_checkpoint(path)
+            for tensor in params.names():
+                for prefix, group in (("", params.values), ("adam/m/", params.m),
+                                      ("adam/v/", params.v)):
+                    array = group[tensor]
+                    lines.append(f"{name}:{prefix}{tensor}:norm {float(np.linalg.norm(array))!r}")
+                    lines.append(f"{name}:{prefix}{tensor}:max {float(array.max())!r}")
+            lines.append(f"{name}:adam/step {params.step}")
+        elif path.name.startswith("eval_") and path.suffix == ".csv":
+            rows = list(csv.reader(path.read_text().splitlines()))[1:]
+            lines += [f"{name}:{piece}:{index} {value}" for piece, index, value in rows]
+        else:
+            lines.append(f"{name} sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return lines
+
+
+def compare(old: list[str], new: list[str]) -> tuple[list[str], bool]:
+    """Report lines for two `values` listings, and whether they agree:
+    the same keys, equal hashes, every number within RTOL relative."""
+    before, after = (dict(line.rsplit(" ", 1) for line in lines) for lines in (old, new))
+    report, worst, ok = [], 0.0, before.keys() == after.keys()
+    for key in sorted(before.keys() ^ after.keys()):
+        report.append(f"FAIL only in {'old' if key in before else 'new'}: {key}")
+    for key in sorted(before.keys() & after.keys()):
+        a, b = before[key], after[key]
+        if a == b:
+            continue
+        if a.startswith("sha256:") or b.startswith("sha256:"):
+            report.append(f"FAIL {key} differs")
+            ok = False
+            continue
+        x, y = float(a), float(b)
+        if x == y:  # 0.0 against -0.0
+            change = 0.0
+        elif math.isfinite(x - y):
+            change = abs(x - y) / max(abs(x), abs(y))
+        else:  # nan or inf against another value
+            change = math.inf
+        worst = max(worst, change)
+        ok = ok and change <= RTOL
+        report.append(f"{'moved' if change <= RTOL else 'FAIL'} {change:.1e} {key} {a} -> {b}")
+    moved = sum(before.get(key) != value for key, value in after.items())
+    report.append(f"{moved} of {len(after)} lines moved, largest relative change "
+                  f"{worst:.1e}: {'within' if ok else 'NOT within'} rtol {RTOL:g}")
+    return report, ok
+
+
+def command(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--values", action="store_true", help="print values, not hashes")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --values listings")
+    parser.add_argument("out", nargs="?", type=Path, help="output directory (must not exist)")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (Path(p).read_text().splitlines() for p in args.compare)
+        report, ok = compare(old, new)
+        print("\n".join(report))
+        return 0 if ok else 1
+    if args.out is None or args.out.exists():
+        parser.error("OUT_DIR is required and must not exist")
+    make(args.out)
+    print("\n".join((values if args.values else hashes)(args.out)))
+    return 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or Path(sys.argv[1]).exists():
-        sys.exit("usage: fingerprint.py OUT_DIR  (OUT_DIR must not exist)")
-    print("\n".join(run(Path(sys.argv[1]))))
+    sys.exit(command(sys.argv[1:]))

@@ -447,6 +447,28 @@ class TestBadInputs:
             assert "'lstm.W_h' holds non-finite" in single_error_line(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "corpus", "t.ssm"]
 
+    def test_non_finite_input_weight_no_sample_uses_names_the_piece(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        """The checkpoint reader rejects NaN, so the model is poisoned as it
+        loads: NaN in the input weights of pitch 0, which no roll holds and
+        the sampler (pitch_lo 20) never draws."""
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+
+        def poisoned(path, cfg):
+            model = load_model(path, cfg)
+            model.params["lstm.W_x"][:, 0] = np.nan
+            return model
+
+        monkeypatch.setattr("sing.cli.load_model", poisoned)
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=3, n=24)
+        out = tmp_path / "eval.csv"
+        assert main(["evaluate", "--in", str(tmp_path / "corpus"), "--out", str(out),
+                     "--checkpoint", str(ckpt), "--grid-k", "2", "--grid-count", "4",
+                     "--max-len", "24"]) == 1
+        line = single_error_line(capsys)
+        assert "piece piece0[0]: " in line and "'lstm.W_x' holds non-finite" in line
+        assert not out.exists()
+
     def test_truncated_roll_in_a_directory_is_named(self, tmp_path, capsys):
         write_corpus_prolls(tmp_path / "corpus", n_pieces=3, n=24)
         bad = tmp_path / "corpus" / "piece1.proll"

@@ -113,6 +113,18 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"ok\[0\]"):
             evaluate(items, cfg, rng, model=model)
 
+    def test_non_finite_input_weight_no_sample_uses_names_the_piece(self):
+        """Pitch 0 is below pitch_lo and silent in the seed, so no step reads
+        its row of input weights; the piece still fails."""
+        rng = np.random.default_rng(15)
+        items = [block_piece(20, rng, "p0")]
+        cfg = ModelConfig(hidden_size=4, seed_len=4)
+        model = Model(cfg, rng=rng)
+        model.params["lstm.W_x"][:, 0] = np.nan
+        assert not items[0].roll.data[0].any()
+        with pytest.raises(ValueError, match=r"p0\[0\]: .*'lstm.W_x' holds non-finite"):
+            evaluate(items, cfg, rng, model=model)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         items = [block_piece(40, rng, "p0")]

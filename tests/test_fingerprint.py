@@ -1,4 +1,7 @@
-"""tests/fingerprint.py is deterministic and hashes every output it makes."""
+"""tests/fingerprint.py is deterministic, hashes every output it makes, and
+its values listing and compare step agree with its hashes."""
+
+import pytest
 
 import fingerprint
 
@@ -17,10 +20,53 @@ def expected_paths() -> list[str]:
     return sorted(paths)
 
 
-def test_two_runs_print_the_same_line_for_every_output(tmp_path):
-    first = fingerprint.run(tmp_path / "a")
-    assert fingerprint.run(tmp_path / "b") == first
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    """Two output directories of one checkout, and the first one's hash lines."""
+    a, b = tmp_path_factory.mktemp("a") / "out", tmp_path_factory.mktemp("b") / "out"
+    first = fingerprint.run(a)
+    return a, b, first, fingerprint.run(b)
+
+
+def test_two_runs_print_the_same_line_for_every_output(two_runs):
+    _, _, first, second = two_runs
+    assert second == first
     assert [line.split("  ", 1)[1] for line in first] == expected_paths()
+
+
+def test_values_are_deterministic_and_cover_every_output(two_runs):
+    a, b, _, _ = two_runs
+    values = fingerprint.values(a)
+    assert fingerprint.values(b) == values
+    assert fingerprint.compare(values, values) == (
+        [f"0 of {len(values)} lines moved, largest relative change 0.0e+00: within rtol 1e-12"], True)
+    files = sorted({line.split(" ", 1)[0].split(":", 1)[0] for line in values})
+    assert files == expected_paths()
+    keys = [line.split(" ", 1)[0] for line in values]
+    assert "train_dense/report.csv:1:val_loss" in keys
+    assert "train_dense/best.ckpt:adam/v/lstm.W_x:max" in keys
+    assert "eval_dense.csv:mean:sing" in keys
+    assert any(line.startswith("gen_dense.proll sha256:") for line in values)
+
+
+def test_compare_passes_within_rtol_and_names_what_moved():
+    old = ["r.csv:0:train_loss 2.0", "c.ckpt:lstm.b:max 0.5", "g.proll sha256:ab"]
+    report, ok = fingerprint.compare(old, ["r.csv:0:train_loss 2.000000000001", *old[1:]])
+    assert ok and report[0].startswith("moved 5.0e-13 r.csv:0:train_loss 2.0 -> ")
+    assert report[-1].startswith("1 of 3 lines moved")
+    report, ok = fingerprint.compare(old, ["r.csv:0:train_loss 2.00000001", *old[1:]])
+    assert not ok and report[0].startswith("FAIL 5.0e-09 r.csv:0:train_loss")
+
+
+@pytest.mark.parametrize("new", [
+    ["r.csv:0:train_loss 2.0", "c.ckpt:lstm.b:max 0.5", "g.proll sha256:cd"],  # a hash differs
+    ["r.csv:0:train_loss 2.0", "c.ckpt:lstm.b:max 0.5"],  # a file is missing
+    ["r.csv:0:train_loss nan", "c.ckpt:lstm.b:max 0.5", "g.proll sha256:ab"],  # a NaN appears
+])
+def test_compare_fails_on_hash_key_or_nan(new):
+    old = ["r.csv:0:train_loss 2.0", "c.ckpt:lstm.b:max 0.5", "g.proll sha256:ab"]
+    report, ok = fingerprint.compare(old, new)
+    assert not ok and report[0].startswith("FAIL")
 
 
 def test_report_is_hashed_over_its_loss_columns(tmp_path):
