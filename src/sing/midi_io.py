@@ -331,7 +331,7 @@ def to_piano_roll(events: list[NoteEvent], tempo: float, source_id: str = "") ->
     return PianoRoll(data=data, tempo=float(tempo), source_id=source_id)
 
 
-def to_midi(roll: PianoRoll, tempo: float | None = None) -> bytes:
+def to_midi(roll: PianoRoll) -> bytes:
     """Write a piano roll as a format-0 SMF.
 
     Each maximal run of 1s in a pitch row becomes one note (velocity 80)
@@ -339,8 +339,7 @@ def to_midi(roll: PianoRoll, tempo: float | None = None) -> bytes:
     the output at the same tempo reproduces the roll (for rolls whose final
     sample is not silent).
     """
-    if tempo is None:
-        tempo = roll.tempo
+    tempo = roll.tempo
     us_per_quarter = round(60e6 / tempo)  # one quarter note per sample
     if not 1 <= us_per_quarter <= 0xFFFFFF:
         raise ValueError(f"tempo {tempo} not representable in MIDI")

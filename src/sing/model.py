@@ -63,18 +63,8 @@ class ModelConfig:
 class Model:
     """Parameter container; the functions below do the actual math."""
 
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        rng: np.random.Generator | None = None,
-        params: nn.ParamSet | None = None,
-    ):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
-        if params is not None:
-            self.params = params
-            return
-        if rng is None:
-            raise ValueError("need an rng to initialize parameters")
         hidden = cfg.hidden_size
         p = nn.ParamSet()
         p.add("lstm.W_x", nn.init_uniform(rng, (4 * hidden, N_PITCHES), N_PITCHES))
@@ -319,18 +309,8 @@ def save_model(model: Model, checkpoint_path: str | Path) -> None:
 
 
 def load_model(checkpoint_path: str | Path, cfg: ModelConfig) -> Model:
-    """Load a checkpoint whose tensors must match the layout Model(cfg) creates."""
-    params = nn.load_checkpoint(checkpoint_path)
-    layout = Model(cfg, rng=np.random.default_rng(0)).params
-    want = {name: layout[name].shape for name in layout.names()}
-    got = {name: params[name].shape for name in params.names()}
-    problems = [f"missing {name} {shape}" for name, shape in want.items() if name not in got]
-    problems += [f"unexpected {name} {shape}" for name, shape in got.items() if name not in want]
-    problems += [
-        f"{name} is {got[name]}, expected {shape}"
-        for name, shape in want.items()
-        if got.get(name, shape) != shape
-    ]
-    if problems:
-        raise ValueError("checkpoint does not match its model config: " + "; ".join(problems))
-    return Model(cfg, params=params)
+    """Model(cfg) with every tensor, Adam moment and the step read from a
+    checkpoint, which must hold exactly the tensors that model has."""
+    model = Model(cfg, rng=np.random.default_rng(0))
+    nn.load_checkpoint(checkpoint_path, model.params)
+    return model

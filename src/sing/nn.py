@@ -40,8 +40,6 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def dense_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if W.shape[1] != x.shape[0] or W.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: W {W.shape}, b {b.shape}, x {x.shape}")
     return W @ x + b
 
 
@@ -79,10 +77,6 @@ def lstm_cell_forward(
     the columns of W_x at the nonzero entries of x, contiguous if W_x is
     column-major (as `model.unroll` passes it)."""
     hidden = h_prev.shape[0]
-    if W_x.shape[0] != 4 * hidden or W_h.shape != (4 * hidden, hidden):
-        raise ValueError(f"LSTM shapes inconsistent: W_x {W_x.shape}, W_h {W_h.shape}")
-    if x.shape[0] != W_x.shape[1]:
-        raise ValueError(f"input size {x.shape[0]} != {W_x.shape[1]}")
     h, c, gates = out
     active = x.nonzero()[0]
     pre = W_x[:, active] @ x[active]
@@ -247,81 +241,74 @@ def _pack_tensor(name: str, array: np.ndarray) -> bytes:
     return head + array.astype("<f8").tobytes()
 
 
-def checkpoint_to_bytes(params: ParamSet) -> bytes:
-    entries: list[tuple[str, np.ndarray]] = []
+def _entries(params: ParamSet) -> list[tuple[str, np.ndarray]]:
+    """The SINGCKPT layout: each parameter in name order, followed by its two
+    Adam moments, then adam/step."""
+    entries = []
     for name in sorted(params.values):
-        entries.append((name, params.values[name]))
-        entries.append((_ADAM_M + name, params.m[name]))
-        entries.append((_ADAM_V + name, params.v[name]))
-    entries.append((_ADAM_STEP, np.array([float(params.step)])))
+        entries += [(name, params.values[name]), (_ADAM_M + name, params.m[name]),
+                    (_ADAM_V + name, params.v[name])]
+    return entries + [(_ADAM_STEP, np.array([float(params.step)]))]
+
+
+def checkpoint_to_bytes(params: ParamSet) -> bytes:
+    entries = _entries(params)
     body = b"".join(_pack_tensor(name, arr) for name, arr in entries)
     return CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(entries)) + body
 
 
-def checkpoint_from_bytes(data: bytes) -> ParamSet:
+def checkpoint_from_bytes(data: bytes, into: ParamSet) -> None:
+    """Read a checkpoint of into's layout into its values, moments and step.
+
+    The file's tensors must be _entries(into), name for name and shape for
+    shape; the first that differs is named. adam/step must be a whole
+    number >= 0. into is written only once the whole file has passed.
+    """
     if data[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError("not a checkpoint (bad magic)")
+    expected = _entries(into)
     pos = len(CKPT_MAGIC)
     try:
         version, count = struct.unpack_from("<II", data, pos)
         pos += 8
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        tensors: list[tuple[str, np.ndarray]] = []
-        for _ in range(count):
+        tensors: list[np.ndarray] = []
+        for want, target in expected[:count]:
             (name_len,) = struct.unpack_from("<I", data, pos)
             pos += 4
             name = data[pos : pos + name_len].decode("utf-8")
             pos += name_len
             rows, cols = struct.unpack_from("<II", data, pos)
             pos += 8
-            n_values = rows * max(cols, 1)
-            values = np.frombuffer(data, dtype="<f8", count=n_values, offset=pos).copy()
-            pos += n_values * 8
+            shape = (rows,) if cols == 0 else (rows, cols)
+            if (name, shape) != (want, target.shape):
+                raise ValueError(f"checkpoint tensor {name!r} {shape} "
+                                 f"where {want!r} {target.shape} belongs")
+            values = np.frombuffer(data, dtype="<f8", count=target.size, offset=pos)
+            pos += target.size * 8
             if not np.isfinite(values).all():
                 raise ValueError(f"checkpoint tensor {name!r} holds non-finite values")
-            tensors.append((name, values if cols == 0 else values.reshape(rows, cols)))
+            tensors.append(values.reshape(shape))
     except struct.error:
         raise ValueError(f"checkpoint truncated at byte {pos}") from None
-    if pos != len(data):
+    if count < len(expected):
+        want, target = expected[count]
+        raise ValueError(f"checkpoint ends where {want!r} {target.shape} belongs")
+    if pos != len(data) or count > len(expected):
         raise ValueError("trailing bytes after last tensor")
-    return _params_from_layout(tensors)
-
-
-def _params_from_layout(tensors: list[tuple[str, np.ndarray]]) -> ParamSet:
-    """The layout checkpoint_to_bytes writes: each parameter, in name order,
-    followed by its two moments of its shape, then adam/step, a whole number >= 0."""
-    if not tensors or tensors[-1][0] != _ADAM_STEP:
-        raise ValueError(f"checkpoint does not end with tensor {_ADAM_STEP!r}")
-    *body, (_, step) = tensors
-    if step.shape != (1,) or not (step[0] >= 0 and step[0] == int(step[0])):
-        raise ValueError(f"checkpoint tensor {_ADAM_STEP!r} is {step.tolist()}, "
+    step = tensors[-1][0]
+    if not (step >= 0 and step == int(step)):
+        raise ValueError(f"checkpoint tensor {_ADAM_STEP!r} is {tensors[-1].tolist()}, "
                          "not one whole number >= 0")
-    params = ParamSet()
-    for i in range(0, len(body), 3):
-        name, value = body[i]
-        if name.startswith((_ADAM_M, _ADAM_V)) or name == _ADAM_STEP:
-            raise ValueError(f"checkpoint tensor {name!r} does not follow its parameter")
-        if i and name <= body[i - 3][0]:
-            raise ValueError(f"checkpoint parameter {name!r} repeats or breaks the name order")
-        moments = body[i + 1 : i + 3]
-        expected = [_ADAM_M + name, _ADAM_V + name]
-        if [moment_name for moment_name, _ in moments] != expected:
-            raise ValueError(f"checkpoint parameter {name!r} is not followed by "
-                             f"{expected[0]!r} and {expected[1]!r}")
-        params.add(name, value)
-        for (moment_name, moment), slot in zip(moments, (params.m, params.v)):
-            if moment.shape != value.shape:
-                raise ValueError(f"checkpoint tensor {moment_name!r} has shape {moment.shape}, "
-                                 f"not {value.shape}")
-            slot[name] = moment
-    params.step = int(step[0])
-    return params
+    for (_, target), values in zip(expected, tensors):
+        target[...] = values
+    into.step = int(step)
 
 
 def save_checkpoint(params: ParamSet, path: str | Path) -> None:
     Path(path).write_bytes(checkpoint_to_bytes(params))
 
 
-def load_checkpoint(path: str | Path) -> ParamSet:
-    return checkpoint_from_bytes(Path(path).read_bytes())
+def load_checkpoint(path: str | Path, into: ParamSet) -> None:
+    checkpoint_from_bytes(Path(path).read_bytes(), into)

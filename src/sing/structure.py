@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sing.config import kv_lines
 from sing.midi_io import MAX_SAMPLES, PianoRoll
 
 N_CHROMA = 12
@@ -98,36 +99,28 @@ def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
     return SelfSimilarityMatrix(values=values, role=role)
 
 
-def standardize(matrix: SelfSimilarityMatrix) -> np.ndarray:
-    """Shift to zero mean and scale to unit variance over all n^2 entries.
+def standardized_mse(template: SelfSimilarityMatrix, generated: SelfSimilarityMatrix) -> float:
+    """MSE between the two SSMs, each shifted to zero mean and scaled to unit
+    population std over its n^2 entries.
 
-    Uses the population standard deviation. Near-constant input (std below
-    1e-12) standardizes to the all-zero matrix.
+    That is 2 - 2 corr(a, b), taken from one centred inner product, so
+    statistically unrelated matrices score about 2 and affinely related ones
+    0. An input whose std is below DEGENERATE_STD standardizes to all zeros:
+    it adds 0 instead of 1, and the cross term drops out.
     """
-    values = matrix.values
-    if values.shape[0] < 2:
-        raise ValueError("standardize needs n >= 2")
-    std = float(values.std())
-    if std < DEGENERATE_STD:
-        return np.zeros_like(values)
-    return (values - values.mean()) / std
-
-
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = template.values, generated.values
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
-
-
-def standardized_mse(template: SelfSimilarityMatrix, generated: SelfSimilarityMatrix) -> float:
-    """MSE between the standardized template and generated SSMs.
-
-    Equals 2(1 - correlation) for non-degenerate inputs, so statistically
-    unrelated matrices score about 2 and affinely related ones score 0.
-    """
-    return mse(standardize(template), standardize(generated))
+    if a.shape[0] < 2:
+        raise ValueError("standardized MSE needs n >= 2")
+    da, db = a - a.mean(), b - b.mean()
+    ssa, ssb = np.vdot(da, da), np.vdot(db, db)
+    live_a = np.sqrt(ssa / a.size) >= DEGENERATE_STD
+    live_b = np.sqrt(ssb / b.size) >= DEGENERATE_STD
+    score = float(live_a) + float(live_b)
+    if live_a and live_b:
+        score -= 2.0 * float(np.vdot(da, db) / np.sqrt(ssa * ssb))
+    return score
 
 
 def synth_ssm(spec: SynthSpec) -> SelfSimilarityMatrix:
@@ -144,13 +137,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
     length: int | None = None
     background = 0.0
     blocks: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in kv_lines(text):
         try:
             if key == "length":
                 length = int(value)

@@ -44,7 +44,7 @@ import numpy as np
 from sing.batching import load_plan, segment_lengths
 from sing.cli import main
 from sing.midi_io import PianoRoll, load_proll, to_midi
-from sing.nn import load_checkpoint
+from sing.model import ModelConfig, load_model
 
 from oracles import RTOL
 
@@ -164,8 +164,9 @@ def values(out: Path) -> list[str]:
                 lines += [f"{name}:{row['epoch']}:{col} {row[col]}"
                           for col in ("train_loss", "val_loss")]
         elif path.suffix == ".ckpt":
-            params = load_checkpoint(path)
-            for tensor in params.names():
+            cfg = ModelConfig.from_text((path.parent / "model_config.txt").read_text())
+            params = load_model(path, cfg).params
+            for tensor in sorted(params.names()):
                 for prefix, group in (("", params.values), ("adam/m/", params.m),
                                       ("adam/v/", params.v)):
                     array = group[tensor]

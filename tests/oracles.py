@@ -6,10 +6,11 @@ The step-by-step references at the end are the forms the vectorized and
 in-place kernels replaced (masked sigmoid, one sparsemax per attention row,
 lexsort sampler drawing with rng.choice, concatenated LSTM backward, the
 dense LSTM input product), as are the chroma SSM and structural loss that
-symmetrised their n x n products and averaged the squared difference. The
-tests require bit-for-bit equal results from both, except for values behind
-a sum whose order moved (the LSTM input projection, the structural loss
-sum), which `close` checks to RTOL.
+symmetrised their n x n products and averaged the squared difference, and
+the standardized MSE that standardized both matrices first. The tests
+require bit-for-bit equal results from both, except for values behind a sum
+whose order moved (the LSTM input projection, the structural loss sum, the
+standardized MSE), which `close` checks to RTOL.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from sing import nn
-from sing.structure import N_CHROMA, fold_pitch_classes
+from sing.structure import DEGENERATE_STD, N_CHROMA, fold_pitch_classes
 from sing.training import PITCH_CLASSES, PieceLoss, _backward_through_time
 
 
@@ -333,6 +334,21 @@ def generate_per_step(params, cfg, seed, S, rng):
 
 # ---------------------------------------------------------------------------
 # structural references with the symmetrising and zeroing passes
+
+
+def standardize(values: np.ndarray) -> np.ndarray:
+    """Shift to zero mean and scale to unit population std over all entries;
+    a std below DEGENERATE_STD gives the all-zero matrix."""
+    std = float(values.std())
+    if std < DEGENERATE_STD:
+        return np.zeros_like(values)
+    return (values - values.mean()) / std
+
+
+def standardized_mse_two_step(a: np.ndarray, b: np.ndarray) -> float:
+    """The mean squared difference of the two standardized matrices."""
+    return float(np.mean((standardize(a) - standardize(b)) ** 2))
+
 
 
 def ssm_two_pass(chroma_seq: np.ndarray) -> np.ndarray:

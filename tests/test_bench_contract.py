@@ -1,5 +1,6 @@
-"""The benchmark's tracer finds every function it wraps, and its workloads
-import and set up.
+"""The benchmark's tracer finds every function it wraps, its workloads
+import and set up, and `evaluate` writes the scores its correctness check
+recomputes.
 
 perfbench/spans.py replaces functions by module attribute name, and
 perfbench/workloads.py imports sing names directly; a rename in sing would
@@ -17,7 +18,7 @@ import sing.evaluation
 import sing.training
 from sing.midi_io import PianoRoll
 from sing.model import Model, ModelConfig
-from sing.structure import chroma, ssm
+from sing.structure import chroma, ssm, standardized_mse
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS_PATH = PERFBENCH / "spans.py"
@@ -82,3 +83,32 @@ def test_traced_piece_evaluates_every_counter():
             assert any(key.startswith(f"{name}.") for key in tracer.counters), name
     assert tracer.counters["nn.lstm_bwd.flop"] > 0
     assert tracer.counters["model.sample_notes.fed_back"] > 0
+
+
+def test_evaluate_csv_scores_equal_the_generate_workload_recomputation(monkeypatch):
+    """The generate workload fails every operation whose CSV score is not bit
+    for bit standardized_mse(template, ssm(chroma(roll), role="generated"))."""
+    cfg = ModelConfig(hidden_size=4, seed_len=3)
+    model = Model(cfg, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    items = [
+        sing.training.TrainItem.from_roll(
+            f"piece{i}", 0, PianoRoll(data=(rng.random((128, n)) < 0.05).astype(np.uint8),
+                                      tempo=120.0))
+        for i, n in enumerate((14, 20))
+    ]
+    generate, rolls = sing.evaluation.generate, []
+
+    def recorded(*args, **kwargs):
+        rolls.append(generate(*args, **kwargs))
+        return rolls[-1]
+
+    monkeypatch.setattr(sing.evaluation, "generate", recorded)
+    run = sing.evaluation.evaluate(items, cfg, np.random.default_rng(2), model=model)
+    rows = sing.evaluation.eval_run_to_csv(run).splitlines()[1:]
+    scores = [float(row.split(",")[2]) for row in rows if not row.startswith(("mean,", "skipped,"))]
+    per_piece = sing.evaluation.GENERATIONS_PER_PIECE
+    assert len(scores) == len(rolls) == len(items) * per_piece
+    for i, (score, roll) in enumerate(zip(scores, rolls)):
+        template = items[i // per_piece].template
+        assert score == standardized_mse(template, ssm(chroma(roll), role="generated")), i

@@ -7,7 +7,6 @@ from sing.batching import load_plan
 from sing.cli import _CONFIG_KEYS, main
 from sing.midi_io import MAX_SAMPLES, PianoRoll, load_proll, save_proll, to_midi
 from sing.model import Model, ModelConfig, load_model, save_model
-from sing.nn import load_checkpoint, save_checkpoint
 from sing.structure import SelfSimilarityMatrix, SynthSpec, load_ssm, save_ssm, synth_ssm
 
 
@@ -539,14 +538,14 @@ class TestBadInputs:
     @pytest.mark.parametrize("defect", ["fractional_step", "moment_shape"])
     def test_checkpoint_off_the_writer_layout_is_named(self, tmp_path, capsys, defect):
         ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
-        params = load_checkpoint(ckpt)
+        model = load_model(ckpt, ModelConfig.from_text((ckpt.parent / "model_config.txt").read_text()))
         if defect == "fractional_step":
-            params.step = 2.5
+            model.params.step = 2.5
             message = "checkpoint tensor 'adam/step' is [2.5], not one whole number >= 0"
         else:
-            params.m["lstm.b"] = np.zeros(5)
-            message = "checkpoint tensor 'adam/m/lstm.b' has shape (5,), not (24,)"
-        save_checkpoint(params, ckpt)
+            model.params.m["lstm.b"] = np.zeros(5)
+            message = "checkpoint tensor 'adam/m/lstm.b' (5,) where 'adam/m/lstm.b' (24,) belongs"
+        save_model(model, ckpt)
         write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
         save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
         code = main(["generate", "--checkpoint", str(ckpt),
@@ -555,6 +554,45 @@ class TestBadInputs:
         assert code == 1
         assert single_error_line(capsys) == f"error: {ckpt}: {message}"
         assert not (tmp_path / "gen.proll").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("per_pitch_under_dense", "'combine.b' (1,) where 'combine.W' (128, 256) belongs"),
+        ("extra_parameter", "'zz.extra' (2,) where 'adam/step' (1,) belongs"),
+        ("hidden_size", "'combine.W' (128, 134) where 'combine.W' (128, 132) belongs"),
+    ])
+    def test_checkpoint_of_another_model_is_named_by_its_first_tensor(
+        self, tmp_path, capsys, case, message
+    ):
+        """The checkpoint does not fit the model its model_config.txt builds:
+        generate and evaluate each name the first differing tensor and write nothing."""
+        if case == "per_pitch_under_dense":
+            ckpt = write_untrained_model(tmp_path / "ckpt", combiner_mode="per_pitch",
+                                         hidden_size=128, seed_len=4)
+            cfg = ModelConfig(hidden_size=128, seed_len=4)
+        else:
+            ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+            cfg = ModelConfig(hidden_size=4 if case == "hidden_size" else 6, seed_len=4)
+        if case == "extra_parameter":
+            model = load_model(ckpt, cfg)
+            model.params.add("zz.extra", np.zeros(2))
+            save_model(model, ckpt)
+        (ckpt.parent / "model_config.txt").write_text(cfg.to_text())
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=2, n=24)
+        save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
+        for argv, output in (
+            (["generate", "--checkpoint", str(ckpt),
+              "--in", str(tmp_path / "corpus" / "piece0.proll"),
+              "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "gen")],
+             tmp_path / "gen.proll"),
+            (["evaluate", "--in", str(tmp_path / "corpus"), "--out", str(tmp_path / "eval.csv"),
+              "--checkpoint", str(ckpt), "--grid-k", "2", "--grid-count", "4",
+              "--max-len", "24"],
+             tmp_path / "eval.csv"),
+        ):
+            assert main(argv) == 1, argv[0]
+            assert single_error_line(capsys) == f"error: {ckpt}: checkpoint tensor {message}"
+            assert not output.exists(), argv[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "corpus", "t.ssm"]
 
     def test_seed_shorter_than_the_seed_length_is_named(self, tmp_path, capsys):
         ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=10)
@@ -583,7 +621,8 @@ class TestBadInputs:
                      "--in", str(tmp_path / "corpus" / "piece0.proll"),
                      "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "gen")])
         assert code == 1
-        assert "missing head.W" in single_error_line(capsys)
+        assert single_error_line(capsys) == (
+            f"error: {ckpt}: checkpoint tensor 'combine.W' (128, 134) where 'head.W' (128, 6) belongs")
 
 
 class TestPieceIds:

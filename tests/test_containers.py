@@ -1,6 +1,7 @@
 """All three binary container readers reject damaged input with ValueError; the
 SINGSSM reader also rejects a matrix that is empty, asymmetric or outside [0, 1],
-and the SINGCKPT reader any tensor layout but the one its writer writes."""
+and the SINGCKPT reader any tensor layout but the one its writer writes for the
+ParamSet it reads into."""
 
 import struct
 
@@ -29,16 +30,25 @@ def _ssm_blob() -> bytes:
     return ssm_to_bytes(SelfSimilarityMatrix(values=np.eye(2)))
 
 
-def _checkpoint_blob() -> bytes:
+def params_of(*tensors: tuple[str, np.ndarray]) -> ParamSet:
     params = ParamSet()
-    params.add("w", np.arange(3.0))
-    return checkpoint_to_bytes(params)
+    for name, value in tensors:
+        params.add(name, value)
+    return params
+
+
+def _checkpoint_blob() -> bytes:
+    return checkpoint_to_bytes(params_of(("w", np.arange(3.0))))
+
+
+def _read_checkpoint(data: bytes) -> None:
+    checkpoint_from_bytes(data, params_of(("w", np.zeros(3))))
 
 
 READERS = {
     "proll": (_proll_blob, proll_from_bytes),
     "ssm": (_ssm_blob, ssm_from_bytes),
-    "checkpoint": (_checkpoint_blob, checkpoint_from_bytes),
+    "checkpoint": (_checkpoint_blob, _read_checkpoint),
 }
 
 
@@ -84,10 +94,9 @@ def test_asymmetric_ssm_rejected_by_position():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_checkpoint_tensor_rejected_by_name(bad):
-    params = ParamSet()
-    params.add("w", np.array([0.0, bad, 1.0]))
+    blob = checkpoint_to_bytes(params_of(("w", np.array([0.0, bad, 1.0]))))
     with pytest.raises(ValueError, match="'w'.*non-finite"):
-        checkpoint_from_bytes(checkpoint_to_bytes(params))
+        _read_checkpoint(blob)
 
 
 def raw_checkpoint(*entries: tuple[str, np.ndarray]) -> bytes:
@@ -99,33 +108,50 @@ def raw_checkpoint(*entries: tuple[str, np.ndarray]) -> bytes:
 W = ("w", np.arange(6.0).reshape(2, 3))
 W_MOMENTS = (("adam/m/w", np.zeros((2, 3))), ("adam/v/w", np.ones((2, 3))))
 STEP = ("adam/step", [2.0])
-# defect -> (entries, the message naming the bad tensor)
+# defect -> (entries, the message naming the first tensor off the layout of
+# one (2, 3) parameter 'w')
 CHECKPOINT_DEFECTS = {
     "repeated_name": ((W, *W_MOMENTS, ("w", [1.0]), ("adam/m/w", [0.0]), ("adam/v/w", [0.0]),
-                       STEP), "parameter 'w' repeats or breaks the name order"),
+                       STEP), r"'w' \(1,\) where 'adam/step' \(1,\) belongs"),
     "name_order": ((("x", [1.0]), ("adam/m/x", [0.0]), ("adam/v/x", [0.0]), W, *W_MOMENTS, STEP),
-                   "parameter 'w' repeats or breaks the name order"),
+                   r"'x' \(1,\) where 'w' \(2, 3\) belongs"),
     "moment_shape": ((W, ("adam/m/w", np.zeros(5)), W_MOMENTS[1], STEP),
-                     r"'adam/m/w' has shape \(5,\), not \(2, 3\)"),
+                     r"'adam/m/w' \(5,\) where 'adam/m/w' \(2, 3\) belongs"),
     "moment_without_parameter": ((W, *W_MOMENTS, ("adam/v/x", [0.0]), STEP),
-                                 "'adam/v/x' does not follow its parameter"),
+                                 r"'adam/v/x' \(1,\) where 'adam/step' \(1,\) belongs"),
     "parameter_without_moments": ((W, ("b", [1.0]), ("adam/m/b", [0.0]), ("adam/v/b", [0.0]),
-                                   STEP), "'w' is not followed by 'adam/m/w'"),
-    "fractional_step": ((W, *W_MOMENTS, ("adam/step", [2.5])), r"'adam/step' is \[2.5\]"),
+                                   STEP), r"'b' \(1,\) where 'adam/m/w' \(2, 3\) belongs"),
+    "fractional_step": ((W, *W_MOMENTS, ("adam/step", [2.5])),
+                        r"'adam/step' is \[2.5\], not one whole number >= 0"),
     "negative_step": ((W, *W_MOMENTS, ("adam/step", [-4.0])), r"'adam/step' is \[-4.0\]"),
-    "two_steps": ((W, *W_MOMENTS, ("adam/step", [1.0, 2.0])), "'adam/step' is"),
-    "no_step": ((W, *W_MOMENTS), "does not end with tensor 'adam/step'"),
+    "two_steps": ((W, *W_MOMENTS, ("adam/step", [1.0, 2.0])),
+                  r"'adam/step' \(2,\) where 'adam/step' \(1,\) belongs"),
+    "no_step": ((W, *W_MOMENTS), r"checkpoint ends where 'adam/step' \(1,\) belongs"),
 }
 
 
 def test_writer_layout_loads():
-    params = checkpoint_from_bytes(raw_checkpoint(W, *W_MOMENTS, STEP))
+    params = params_of(("w", np.zeros((2, 3))))
+    checkpoint_from_bytes(raw_checkpoint(W, *W_MOMENTS, STEP), params)
     assert checkpoint_to_bytes(params) == raw_checkpoint(W, *W_MOMENTS, STEP)
     assert params.step == 2 and np.array_equal(params.v["w"], np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
 def test_checkpoint_layout_defect_rejected_by_name(defect):
+    """The first tensor off the layout is named, and nothing is written."""
     entries, message = CHECKPOINT_DEFECTS[defect]
+    params = params_of(("w", np.zeros((2, 3))))
     with pytest.raises(ValueError, match=message):
-        checkpoint_from_bytes(raw_checkpoint(*entries))
+        checkpoint_from_bytes(raw_checkpoint(*entries), params)
+    assert params.step == 0
+    assert not any(group["w"].any() for group in (params.values, params.m, params.v))
+
+
+def test_tensor_after_the_step_rejected():
+    """A tensor past adam/step, or a count that claims one, is trailing."""
+    blob = raw_checkpoint(W, *W_MOMENTS, STEP)
+    overcounted = blob[:12] + struct.pack("<I", 5) + blob[16:]
+    for data in (raw_checkpoint(W, *W_MOMENTS, STEP, ("x", [1.0])), overcounted):
+        with pytest.raises(ValueError, match="trailing bytes after last tensor"):
+            checkpoint_from_bytes(data, params_of(("w", np.zeros((2, 3)))))

@@ -101,7 +101,7 @@ class TestParse:
                 data[pitch, start:stop] = 1
             data[int(rng.integers(0, 128)), n - 1] = 1
             tempo = float(rng.uniform(40, 300))
-            parsed = parse_midi(to_midi(PianoRoll(data=data, tempo=tempo), tempo))
+            parsed = parse_midi(to_midi(PianoRoll(data=data, tempo=tempo)))
             assert parsed.events or data.sum() == 0
             n_parsed += 1
         for i in range(40):
@@ -191,21 +191,21 @@ class TestToPianoRoll:
 class TestToMidi:
     def test_runs_become_notes(self):
         roll = make_roll({60: [0, 1, 3]}, 4)
-        events = parse_midi(to_midi(roll, 120.0)).events
+        events = parse_midi(to_midi(roll)).events
         spans = [(e.onset, e.offset) for e in events]
         assert spans == [pytest.approx((0.0, 1.0)), pytest.approx((1.5, 2.0))]
 
     def test_all_zero_roll_no_notes(self):
         roll = make_roll({}, 3)
-        assert parse_midi(to_midi(roll, 120.0)).events == []
+        assert parse_midi(to_midi(roll)).events == []
 
     def test_velocity_is_80(self):
         roll = make_roll({64: [0]}, 1)
-        assert parse_midi(to_midi(roll, 120.0)).events[0].velocity == 80
+        assert parse_midi(to_midi(roll)).events[0].velocity == 80
 
     def test_round_trip_exact(self):
         roll = make_roll({60: [0, 1], 61: [1]}, 2)
-        reparsed = to_piano_roll(parse_midi(to_midi(roll, 120.0)).events, 120.0)
+        reparsed = to_piano_roll(parse_midi(to_midi(roll)).events, 120.0)
         assert reparsed == roll
 
 
@@ -223,7 +223,7 @@ def test_round_trip_property(seed, n, tempo):
     data = (rng.random((128, n)) < 0.05).astype(np.uint8)
     data[int(rng.integers(0, 128)), n - 1] = 1
     roll = PianoRoll(data=data, tempo=tempo)
-    reparsed = to_piano_roll(parse_midi(to_midi(roll, tempo)).events, tempo)
+    reparsed = to_piano_roll(parse_midi(to_midi(roll)).events, tempo)
     assert reparsed.n_samples == n
     assert (reparsed.data == roll.data).all()
 

@@ -298,13 +298,23 @@ class TestCheckpoint:
         adam_step(params, lr=0.01)
         return params
 
+    def _fresh(self):
+        """A ParamSet of the same layout as _params, never trained."""
+        params = ParamSet()
+        params.add("layer.W", np.zeros((3, 4)))
+        params.add("layer.b", np.zeros(3))
+        return params
+
     def test_bit_identical_round_trip(self):
         blob = checkpoint_to_bytes(self._params())
-        assert checkpoint_to_bytes(checkpoint_from_bytes(blob)) == blob
+        again = self._fresh()
+        checkpoint_from_bytes(blob, again)
+        assert checkpoint_to_bytes(again) == blob
 
     def test_restores_values_moments_and_step(self):
         params = self._params()
-        again = checkpoint_from_bytes(checkpoint_to_bytes(params))
+        again = self._fresh()
+        checkpoint_from_bytes(checkpoint_to_bytes(params), again)
         assert again.step == 2
         for name in params.names():
             assert np.array_equal(again[name], params[name])
@@ -318,7 +328,7 @@ class TestCheckpoint:
 
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
-            checkpoint_from_bytes(b"BADMAGIC" + bytes(20))
+            checkpoint_from_bytes(b"BADMAGIC" + bytes(20), self._fresh())
 
 
 def test_sigmoid_stable_at_extremes():

@@ -3,20 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import close, standardize, standardized_mse_two_step
 from sing.midi_io import MAX_SAMPLES, PianoRoll
 from sing.structure import (
     SelfSimilarityMatrix,
     SynthSpec,
     chroma,
     load_ssm,
-    mse,
     parse_synth_spec,
     render_pgm,
     save_ssm,
     ssm,
     ssm_from_bytes,
     ssm_to_bytes,
-    standardize,
     standardized_mse,
     synth_ssm,
 )
@@ -97,48 +96,63 @@ class TestSsm:
         assert peak < 1.5 * n * n * 8
 
 
-class TestStandardize:
-    def test_constant_matrix_degenerates_to_zero(self):
-        assert np.all(standardize(SelfSimilarityMatrix(np.full((3, 3), 0.7))) == 0.0)
+class TestStandardizedMse:
+    def test_matches_the_two_step_reference(self):
+        rng = np.random.default_rng(2)
+        for n in (2, 3, 16, 70):
+            for a, b in ((rng.random((n, n)), rng.random((n, n))),
+                         (np.eye(n), rng.random((n, n))),
+                         (np.full((n, n), 0.3), rng.random((n, n))),
+                         (np.full((n, n), 0.3), np.full((n, n), 0.9))):
+                score = standardized_mse(SelfSimilarityMatrix(a), SelfSimilarityMatrix(b))
+                assert close(score, standardized_mse_two_step(a, b))
+
+    def test_constant_against_non_constant_is_one(self):
+        varied = SelfSimilarityMatrix(np.random.default_rng(3).random((10, 10)))
+        constant = SelfSimilarityMatrix(np.full((10, 10), 0.7))
+        assert standardized_mse(constant, varied) == 1.0
+        assert standardized_mse(varied, constant) == 1.0
+
+    def test_two_constants_score_zero(self):
+        a, b = SelfSimilarityMatrix(np.zeros((4, 4))), SelfSimilarityMatrix(np.ones((4, 4)))
+        assert standardized_mse(a, b) == 0.0
+
+    def test_against_negation_is_four(self):
+        values = np.random.default_rng(5).random((12, 12))
+        a, b = SelfSimilarityMatrix(values), SelfSimilarityMatrix(1.0 - values)
+        assert standardized_mse(a, b) == pytest.approx(4.0, abs=1e-12)
 
     def test_two_by_two(self):
-        out = standardize(SelfSimilarityMatrix(np.array([[1.0, 0.0], [0.0, 1.0]])))
-        assert np.allclose(out, [[1.0, -1.0], [-1.0, 1.0]])
+        a = SelfSimilarityMatrix(np.eye(2))
+        assert standardized_mse(a, SelfSimilarityMatrix(1.0 - np.eye(2))) == pytest.approx(4.0)
+        assert standardized_mse(a, SelfSimilarityMatrix(0.5 + np.eye(2))) == pytest.approx(0.0)
 
-    def test_zero_mean_unit_std(self):
-        rng = np.random.default_rng(2)
-        out = standardize(SelfSimilarityMatrix(rng.random((16, 16))))
-        assert abs(out.mean()) <= 1e-9
-        assert abs(out.std() - 1.0) <= 1e-9
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            standardized_mse(SelfSimilarityMatrix(np.eye(2)), SelfSimilarityMatrix(np.eye(3)))
 
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        once = standardize(SelfSimilarityMatrix(rng.random((10, 10))))
-        assert np.abs(standardize(SelfSimilarityMatrix(once)) - once).max() <= 1e-9
+    def test_single_sample_rejected(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            standardized_mse(SelfSimilarityMatrix(np.eye(1)), SelfSimilarityMatrix(np.eye(1)))
 
-
-class TestMse:
-    def test_equal_inputs(self):
-        a = np.random.default_rng(4).random((5, 5))
-        assert mse(a, a) == 0.0
-
-    def test_zeros_vs_ones(self):
-        assert mse(np.zeros((4, 4)), np.ones((4, 4))) == 1.0
-
-    def test_standardized_against_negation_is_four(self):
-        z = standardize(SelfSimilarityMatrix(np.random.default_rng(5).random((12, 12))))
-        assert mse(z, -z) == pytest.approx(4.0, abs=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mse(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
-class TestStandardizedMse:
     def test_identical_is_zero(self):
         values = np.random.default_rng(6).random((8, 8))
         matrix = SelfSimilarityMatrix(values=(values + values.T) / 2)
         assert standardized_mse(matrix, matrix) == pytest.approx(0.0, abs=1e-12)
+
+    def test_equal_inputs(self):
+        a = SelfSimilarityMatrix(np.random.default_rng(4).random((5, 5)))
+        assert standardized_mse(a, a) == pytest.approx(0.0, abs=1e-12)
+        constant = SelfSimilarityMatrix(np.full((5, 5), 0.4))
+        assert standardized_mse(constant, constant) == 0.0
+
+    def test_idempotent(self):
+        values = np.random.default_rng(3).random((10, 10))
+        once = standardize(values)
+        twice = standardize(once)
+        assert np.abs(twice - once).max() <= 1e-9
+        assert standardized_mse(SelfSimilarityMatrix(values), SelfSimilarityMatrix(once)) \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(7)
