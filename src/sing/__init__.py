@@ -5,13 +5,13 @@ matrices -> variable-length batch plans -> LSTM model with SSM-driven
 attention -> constrained sampling -> structural evaluation.
 """
 
-from sing.midi_io import NoteEvent, PianoRoll, parse_midi, to_midi, to_piano_roll
+from sing.midi_io import Notes, PianoRoll, parse_midi, to_midi, to_piano_roll
 from sing.structure import SelfSimilarityMatrix, SynthSpec, chroma, ssm, standardized_mse
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NoteEvent",
+    "Notes",
     "PianoRoll",
     "SelfSimilarityMatrix",
     "SynthSpec",

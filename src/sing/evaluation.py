@@ -16,7 +16,7 @@ import numpy as np
 
 from sing.midi_io import N_PITCHES, PianoRoll
 from sing.model import Model, ModelConfig, generate
-from sing.structure import chroma, ssm, standardized_mse
+from sing.structure import centre, chroma, ssm, standardized_mse
 from sing.training import TrainItem
 
 log = logging.getLogger(__name__)
@@ -73,6 +73,7 @@ def evaluate(
             log.warning("skipping %s: only %d samples", item.label, n)
             continue
         seed = item.roll.data.T[: cfg.seed_len]
+        template = centre(item.template)
         scores = []
         try:
             for _ in range(generations):
@@ -81,7 +82,7 @@ def evaluate(
                 else:
                     roll = generate(model, seed, item.template, rng, tempo=item.roll.tempo)
                 generated = ssm(chroma(roll), role="generated")
-                scores.append(standardized_mse(item.template, generated))
+                scores.append(standardized_mse(template, generated))
         except ValueError as exc:
             raise ValueError(f"piece {item.label}: {exc}") from exc
         run.piece_ids.append(item.label)

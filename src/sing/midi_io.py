@@ -2,7 +2,7 @@
 
 What this module does:
 
-1. Parses SMF format 0/1 bytes into :class:`NoteEvent` lists with absolute
+1. Parses SMF format 0/1 bytes into :class:`Notes` arrays with absolute
    times in seconds (all ``FF 51`` tempo meta-events applied).
 2. Estimates a tempo in events per minute from inter-onset intervals.
 3. Samples note events into a binary 128 x n piano roll, one sample per
@@ -14,7 +14,6 @@ What this module does:
 
 from __future__ import annotations
 
-import bisect
 import math
 import struct
 from dataclasses import dataclass
@@ -51,22 +50,45 @@ class MidiParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class NoteEvent:
-    """One note with absolute onset/offset in seconds."""
+@dataclass(eq=False)
+class Notes:
+    """Notes as parallel arrays, entry i one note: pitch, onset and offset in
+    seconds, velocity."""
 
-    pitch: int
-    onset: float
-    offset: float
-    velocity: int
+    pitch: np.ndarray  # (m,) int64 in 0..127
+    onset: np.ndarray  # (m,) float64, >= 0
+    offset: np.ndarray  # (m,) float64, > onset
+    velocity: np.ndarray  # (m,) int64 in 0..127
 
     def __post_init__(self):
-        if not 0 <= self.pitch < N_PITCHES:
-            raise ValueError(f"pitch {self.pitch} outside 0..127")
-        if not self.offset > self.onset >= 0.0:
-            raise ValueError(f"need offset > onset >= 0, got [{self.onset}, {self.offset})")
-        if not 0 <= self.velocity < 128:
-            raise ValueError(f"velocity {self.velocity} outside 0..127")
+        self.pitch = np.asarray(self.pitch, dtype=np.int64)
+        self.onset = np.asarray(self.onset, dtype=np.float64)
+        self.offset = np.asarray(self.offset, dtype=np.float64)
+        self.velocity = np.asarray(self.velocity, dtype=np.int64)
+        shapes = {column.shape for column in self._columns()}
+        if len(shapes) != 1 or self.pitch.ndim != 1:
+            raise ValueError(f"note columns must be 1-D of one length, got {sorted(shapes)}")
+        bad = np.flatnonzero((self.pitch < 0) | (self.pitch >= N_PITCHES))
+        if bad.size:
+            raise ValueError(f"pitch {self.pitch[bad[0]]} outside 0..127")
+        bad = np.flatnonzero(~((self.offset > self.onset) & (self.onset >= 0.0)))
+        if bad.size:
+            onset, offset = self.onset[bad[0]], self.offset[bad[0]]
+            raise ValueError(f"need offset > onset >= 0, got [{onset}, {offset})")
+        bad = np.flatnonzero((self.velocity < 0) | (self.velocity >= 128))
+        if bad.size:
+            raise ValueError(f"velocity {self.velocity[bad[0]]} outside 0..127")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.pitch, self.onset, self.offset, self.velocity
+
+    def __len__(self) -> int:
+        return self.pitch.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Notes):
+            return NotImplemented
+        return all(map(np.array_equal, self._columns(), other._columns()))
 
 
 @dataclass
@@ -83,7 +105,7 @@ class PianoRoll:
             raise ValueError(f"piano roll must be (128, n), got {self.data.shape}")
         if self.data.shape[1] < 1:
             raise ValueError("piano roll needs at least one sample")
-        if not np.isin(self.data, (0, 1)).all():
+        if not (self.data <= 1).all():
             raise ValueError("piano roll entries must be 0 or 1")
         if not (math.isfinite(self.tempo) and self.tempo > 0):
             raise ValueError(f"tempo must be positive, got {self.tempo}")
@@ -104,9 +126,9 @@ class PianoRoll:
 
 @dataclass
 class ParsedMidi:
-    """Parse result: note events with absolute seconds, plus warnings."""
+    """Parse result: notes with absolute seconds, plus warnings."""
 
-    events: list[NoteEvent]
+    events: Notes
     warnings: list[str]
 
 
@@ -123,26 +145,17 @@ def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
     raise MidiParseError("variable-length quantity longer than 4 bytes", pos)
 
 
-def _encode_vlq(value: int) -> bytes:
-    if value < 0:
-        raise ValueError("cannot encode negative delta")
-    chunks = [value & 0x7F]
-    value >>= 7
-    while value:
-        chunks.append((value & 0x7F) | 0x80)
-        value >>= 7
-    return bytes(reversed(chunks))
-
-
-_CHANNEL_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
+_OTHER_CHANNEL_DATA_BYTES = {0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}  # note on/off: 2
 
 
 def parse_midi(data: bytes) -> ParsedMidi:
-    """Parse SMF format 0/1 bytes into note events with absolute seconds.
+    """Parse SMF format 0/1 bytes into notes with absolute seconds.
 
     Note-on with velocity 0 is treated as note-off. Notes left open at the
     end of a track are closed at the end-of-track tick and flagged in
     ``warnings``. Sustain-pedal and all other controller events are ignored.
+    The byte walk collects ticks only; they become seconds in one pass over
+    the tempo map.
     """
     if len(data) < 14:
         raise MidiParseError("file too short for a header chunk", 0)
@@ -161,10 +174,9 @@ def parse_midi(data: bytes) -> ParsedMidi:
 
     pos = 8 + header_len
     tempo_events: list[tuple[int, int, int]] = []  # (tick, order, us_per_quarter)
-    raw_notes: list[tuple[int, int, int, int]] = []  # (on_tick, off_tick, pitch, velocity)
+    raw_notes: list[int] = []  # on_tick, off_tick, pitch, velocity of each note in turn
     warnings: list[str] = []
     tracks_seen = 0
-    order = 0
 
     while pos < len(data):
         if pos + 8 > len(data):
@@ -183,25 +195,53 @@ def parse_midi(data: bytes) -> ParsedMidi:
         tick = 0
         cursor = chunk_start
         running_status: int | None = None
-        open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # channel << 7 | pitch -> (on_tick, velocity) of its open notes, oldest first
+        open_notes: dict[int, list[tuple[int, int]]] = {}
 
         while cursor < chunk_end:
-            delta, cursor = _read_vlq(data, cursor)
-            tick += delta
+            byte = data[cursor]
+            if not byte & 0x80:  # one-byte delta
+                tick += byte
+                cursor += 1
+            elif cursor + 1 < chunk_end and not data[cursor + 1] & 0x80:  # two bytes
+                tick += (byte & 0x7F) << 7 | data[cursor + 1]
+                cursor += 2
+            else:
+                delta, cursor = _read_vlq(data, cursor)
+                tick += delta
             if cursor >= chunk_end:
                 raise MidiParseError("event truncated at end of track", cursor)
-            byte = data[cursor]
-            if byte & 0x80:
-                status = byte
+            status = data[cursor]
+            if status & 0x80:
                 cursor += 1
                 if status < 0xF0:
                     running_status = status
+            elif running_status is None:
+                raise MidiParseError("data byte with no running status", cursor)
             else:
-                if running_status is None:
-                    raise MidiParseError("data byte with no running status", cursor)
                 status = running_status
 
-            if status == 0xFF:
+            kind = status & 0xF0
+            if kind == 0x90 or kind == 0x80:
+                if cursor + 2 > chunk_end:
+                    raise MidiParseError("channel event truncated", cursor)
+                pitch = data[cursor]
+                velocity = data[cursor + 1]
+                if (pitch | velocity) & 0x80:
+                    raise MidiParseError("data byte has high bit set", cursor)
+                cursor += 2
+                key = (status & 0x0F) << 7 | pitch
+                stack = open_notes.get(key)
+                if kind == 0x90 and velocity:
+                    if stack is None:
+                        open_notes[key] = [(tick, velocity)]
+                    else:
+                        stack.append((tick, velocity))
+                elif stack:
+                    on_tick, on_velocity = stack.pop(0)  # FIFO pairing
+                    raw_notes += (on_tick, tick, pitch, on_velocity)
+                # orphan note-off: ignore (common in imperfect files)
+            elif status == 0xFF:
                 if cursor >= chunk_end:
                     raise MidiParseError("truncated meta event", cursor)
                 meta_type = data[cursor]
@@ -214,8 +254,7 @@ def parse_midi(data: bytes) -> ParsedMidi:
                 if meta_type == 0x51:
                     if length != 3:
                         raise MidiParseError("tempo meta event must carry 3 bytes", cursor)
-                    tempo_events.append((tick, order, int.from_bytes(payload, "big")))
-                    order += 1
+                    tempo_events.append((tick, len(tempo_events), int.from_bytes(payload, "big")))
                 elif meta_type == 0x2F:
                     break
             elif status in (0xF0, 0xF7):
@@ -225,32 +264,20 @@ def parse_midi(data: bytes) -> ParsedMidi:
                     raise MidiParseError("sysex event extends past track end", cursor)
                 cursor += length
             else:
-                kind = status & 0xF0
-                n_data = _CHANNEL_DATA_BYTES.get(kind)
+                n_data = _OTHER_CHANNEL_DATA_BYTES.get(kind)
                 if n_data is None:
                     raise MidiParseError(f"unexpected status byte 0x{status:02x}", cursor - 1)
                 if cursor + n_data > chunk_end:
                     raise MidiParseError("channel event truncated", cursor)
-                d1 = data[cursor]
-                d2 = data[cursor + 1] if n_data == 2 else 0
-                if d1 & 0x80 or d2 & 0x80:
+                if data[cursor] & 0x80 or (n_data == 2 and data[cursor + 1] & 0x80):
                     raise MidiParseError("data byte has high bit set", cursor)
                 cursor += n_data
-                channel = status & 0x0F
-                if kind == 0x90 and d2 > 0:
-                    open_notes.setdefault((channel, d1), []).append((tick, d2))
-                elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                    stack = open_notes.get((channel, d1))
-                    if stack:
-                        on_tick, velocity = stack.pop(0)  # FIFO pairing
-                        raw_notes.append((on_tick, tick, d1, velocity))
-                    # orphan note-off: ignore (common in imperfect files)
 
-        for (channel, pitch), stack in sorted(open_notes.items()):
+        for key, stack in sorted(open_notes.items()):
             for on_tick, velocity in stack:
-                raw_notes.append((on_tick, tick, pitch, velocity))
+                raw_notes += (on_tick, tick, key & 0x7F, velocity)
                 warnings.append(
-                    f"note pitch={pitch} ch={channel} unterminated; closed at end of track"
+                    f"note pitch={key & 0x7F} ch={key >> 7} unterminated; closed at end of track"
                 )
 
     if tracks_seen == 0:
@@ -259,46 +286,47 @@ def parse_midi(data: bytes) -> ParsedMidi:
         warnings.append(f"header declares {declared_tracks} tracks, found {tracks_seen}")
 
     # Global tempo map: last writer wins at equal ticks, default 120 BPM.
-    tempo_events.sort(key=lambda e: (e[0], e[1]))
-    tempo_map: list[tuple[int, int]] = [(0, DEFAULT_US_PER_QUARTER)]
+    tempo_events.sort()
+    tempo_map: dict[int, int] = {0: DEFAULT_US_PER_QUARTER}
     for tick, _, us in tempo_events:
-        if tick == tempo_map[-1][0]:
-            tempo_map[-1] = (tick, us)
-        else:
-            tempo_map.append((tick, us))
+        tempo_map[tick] = us
+    raw = np.array(raw_notes, dtype=np.int64).reshape(-1, 4)
+    onset, offset = _tick_seconds(raw[:, :2], tempo_map, division).T
+    pitch, velocity = raw[:, 2], raw[:, 3]
 
-    change_ticks = [t for t, _ in tempo_map]
-    change_seconds = [0.0]
-    for i in range(1, len(tempo_map)):
-        prev_tick, prev_us = tempo_map[i - 1]
-        span = (tempo_map[i][0] - prev_tick) * prev_us / (division * 1e6)
-        change_seconds.append(change_seconds[-1] + span)
-
-    def seconds_at(tick: int) -> float:
-        idx = bisect.bisect_right(change_ticks, tick) - 1
-        start_tick = change_ticks[idx]
-        us_per_quarter = tempo_map[idx][1]
-        return change_seconds[idx] + (tick - start_tick) * us_per_quarter / (division * 1e6)
-
-    events = []
-    for on_tick, off_tick, pitch, velocity in raw_notes:
-        onset = seconds_at(on_tick)
-        offset = seconds_at(off_tick)
-        if offset <= onset:
-            warnings.append(f"zero-length note pitch={pitch} at tick {on_tick} dropped")
-            continue
-        events.append(NoteEvent(pitch, onset, offset, velocity))
-    events.sort(key=lambda e: (e.onset, e.pitch, e.offset, e.velocity))
-    return ParsedMidi(events=events, warnings=warnings)
+    dropped = offset <= onset
+    for on_tick, _, note_pitch, _ in raw[dropped].tolist():
+        warnings.append(f"zero-length note pitch={note_pitch} at tick {on_tick} dropped")
+    kept = ~dropped
+    pitch, onset, offset, velocity = pitch[kept], onset[kept], offset[kept], velocity[kept]
+    order = np.lexsort((velocity, offset, pitch, onset))
+    notes = Notes(pitch[order], onset[order], offset[order], velocity[order])
+    return ParsedMidi(events=notes, warnings=warnings)
 
 
-def estimate_tempo(events: list[NoteEvent]) -> float:
+def _tick_seconds(ticks: np.ndarray, tempo_map: dict[int, int], division: int) -> np.ndarray:
+    """Seconds at each tick (any shape) under a tempo map {first tick: us per quarter}.
+
+    Spans are float64(ticks) * float64(us) / (division * 1e6), which is the
+    exact integer product rounded once for spans below 2**53 ticks, and
+    cannot wrap where an int64 product would.
+    """
+    change_ticks = np.fromiter(tempo_map.keys(), dtype=np.int64)
+    us_per_quarter = np.fromiter(tempo_map.values(), dtype=np.float64)
+    spans = np.diff(change_ticks).astype(np.float64) * us_per_quarter[:-1] / (division * 1e6)
+    change_seconds = np.concatenate(([0.0], np.cumsum(spans)))
+    idx = np.searchsorted(change_ticks, ticks, side="right") - 1
+    since = (ticks - change_ticks[idx]).astype(np.float64)
+    return change_seconds[idx] + since * us_per_quarter[idx] / (division * 1e6)
+
+
+def estimate_tempo(events: Notes) -> float:
     """Events per minute from the median inter-onset interval.
 
     Clamped to [40, 300]; returns 120 when fewer than 2 distinct onsets.
     """
-    onsets = sorted({e.onset for e in events})
-    if len(onsets) < 2:
+    onsets = np.unique(events.onset)
+    if onsets.size < 2:
         return TEMPO_FALLBACK
     median_ioi = float(np.median(np.diff(onsets)))
     if median_ioi <= 0.0:
@@ -306,29 +334,32 @@ def estimate_tempo(events: list[NoteEvent]) -> float:
     return float(min(max(60.0 / median_ioi, TEMPO_MIN), TEMPO_MAX))
 
 
-def to_piano_roll(events: list[NoteEvent], tempo: float, source_id: str = "") -> PianoRoll:
-    """Sample note events at the given tempo into a binary piano roll.
+def to_piano_roll(events: Notes, tempo: float, source_id: str = "") -> PianoRoll:
+    """Sample notes at the given tempo into a binary piano roll.
 
     Entry (p, s) is 1 iff some note with pitch p sounds at the instant
     s * 60/tempo, i.e. onset <= instant < offset. The roll spans
     ceil(last offset / period) samples.
     """
-    if not events:
+    if not len(events):
         raise ValueError("empty piece")
     if not tempo > 0:
         raise ValueError(f"tempo must be positive, got {tempo}")
     period = 60.0 / tempo
-    last_offset = max(e.offset for e in events)
+    last_offset = float(events.offset.max())
     n_samples = max(1, math.ceil(last_offset / period - SAMPLE_EPS))
     if n_samples > MAX_SAMPLES:
         raise ValueError(f"piece spans {n_samples} samples, more than {MAX_SAMPLES}")
-    data = np.zeros((N_PITCHES, n_samples), dtype=np.uint8)
-    for event in events:
-        start = max(0, math.ceil(event.onset / period - SAMPLE_EPS))
-        stop = min(n_samples, math.ceil(event.offset / period - SAMPLE_EPS))
-        if stop > start:
-            data[event.pitch, start:stop] = 1
-    return PianoRoll(data=data, tempo=float(tempo), source_id=source_id)
+    start = np.maximum(0, np.ceil(events.onset / period - SAMPLE_EPS)).astype(np.int64)
+    stop = np.minimum(n_samples, np.ceil(events.offset / period - SAMPLE_EPS)).astype(np.int64)
+    sounding = stop > start
+    pitch = events.pitch[sounding]
+    # +1 where a note starts sounding, -1 where it stops: a running sum > 0 is on
+    count = np.zeros((N_PITCHES, n_samples + 1), dtype=np.int32)
+    np.add.at(count, (pitch, start[sounding]), 1)
+    np.add.at(count, (pitch, stop[sounding]), -1)
+    np.cumsum(count, axis=1, out=count)
+    return PianoRoll(data=count[:, :n_samples] > 0, tempo=float(tempo), source_id=source_id)
 
 
 def to_midi(roll: PianoRoll) -> bytes:
@@ -348,31 +379,43 @@ def to_midi(roll: PianoRoll) -> bytes:
     # rounded per boundary, so the error never accumulates across samples.
     ratio = period * 1e6 / us_per_quarter
 
-    def boundary_tick(sample: int) -> int:
-        return round(sample * WRITE_TICKS_PER_QUARTER * ratio)
+    padded = np.zeros((N_PITCHES, roll.n_samples + 2), dtype=np.int8)
+    padded[:, 1:-1] = roll.data
+    step = np.diff(padded, axis=1)  # +1 at a run's first sample, -1 one past its last
+    pitch, sample = np.nonzero(step)
+    is_on = step[pitch, sample] > 0
+    tick = np.rint(sample * WRITE_TICKS_PER_QUARTER * ratio).astype(np.int64)  # half to even
+    order = np.lexsort((pitch, is_on, tick))  # offs sort before ons at equal ticks
+    pitch, is_on, tick = pitch[order], is_on[order], tick[order]
+    messages = np.stack(
+        [np.where(is_on, 0x90, 0x80), pitch, np.where(is_on, NOTE_VELOCITY, 0)], axis=1
+    )
 
-    # (tick, 0=off/1=on, pitch) -- offs sort before ons at equal ticks
-    note_edges: list[tuple[int, int, int]] = []
-    for pitch in range(N_PITCHES):
-        row = roll.data[pitch]
-        edges = np.diff(np.concatenate(([0], row, [0])).astype(np.int8))
-        for start, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
-            note_edges.append((boundary_tick(int(start)), 1, pitch))
-            note_edges.append((boundary_tick(int(stop)), 0, pitch))
-    note_edges.sort()
-
-    track = bytearray()
-    track += _encode_vlq(0) + b"\xff\x51\x03" + us_per_quarter.to_bytes(3, "big")
-    prev_tick = 0
-    for tick, is_on, pitch in note_edges:
-        track += _encode_vlq(tick - prev_tick)
-        status = 0x90 if is_on else 0x80
-        track += bytes((status, pitch, NOTE_VELOCITY if is_on else 0))
-        prev_tick = tick
-    track += _encode_vlq(0) + b"\xff\x2f\x00"
-
+    track = b"\x00\xff\x51\x03" + us_per_quarter.to_bytes(3, "big")
+    track += _vlq_events(np.diff(tick, prepend=0), messages) + b"\x00\xff\x2f\x00"
     header = struct.pack(">4sIHHH", b"MThd", 6, 0, 1, WRITE_TICKS_PER_QUARTER)
-    return header + struct.pack(">4sI", b"MTrk", len(track)) + bytes(track)
+    return header + struct.pack(">4sI", b"MTrk", len(track)) + track
+
+
+def _vlq_events(deltas: np.ndarray, messages: np.ndarray) -> bytes:
+    """Track bytes of events: each delta as a variable-length quantity, then
+    its message's bytes (one row of messages)."""
+    n_groups = np.ones(len(deltas), dtype=np.int64)  # 7-bit groups per delta
+    for shift in range(7, 64, 7):
+        longer = (deltas >> shift) > 0
+        if not longer.any():
+            break
+        n_groups += longer
+    sizes = n_groups + messages.shape[1]
+    last = np.cumsum(sizes) - sizes + n_groups - 1  # each delta's final byte
+    out = np.empty(int(sizes.sum()), dtype=np.uint8)
+    for group in range(int(n_groups.max(initial=0))):
+        has = n_groups > group
+        continued = 0x80 if group else 0
+        out[last[has] - group] = ((deltas[has] >> (7 * group)) & 0x7F) | continued
+    for column in range(messages.shape[1]):
+        out[last + 1 + column] = messages[:, column]
+    return out.tobytes()
 
 
 def proll_to_bytes(roll: PianoRoll) -> bytes:

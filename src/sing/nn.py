@@ -285,6 +285,9 @@ def checkpoint_from_bytes(data: bytes, into: ParamSet) -> None:
             if (name, shape) != (want, target.shape):
                 raise ValueError(f"checkpoint tensor {name!r} {shape} "
                                  f"where {want!r} {target.shape} belongs")
+            if pos + target.size * 8 > len(data):
+                raise ValueError(f"checkpoint truncated at byte {len(data)}, "
+                                 f"inside tensor {name!r}")
             values = np.frombuffer(data, dtype="<f8", count=target.size, offset=pos)
             pos += target.size * 8
             if not np.isfinite(values).all():

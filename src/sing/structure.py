@@ -99,27 +99,46 @@ def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
     return SelfSimilarityMatrix(values=values, role=role)
 
 
-def standardized_mse(template: SelfSimilarityMatrix, generated: SelfSimilarityMatrix) -> float:
+@dataclass(frozen=True)
+class Centred:
+    """An SSM less its mean, and the sum of squares of what is left: the half
+    of standardized_mse that depends on one matrix only."""
+
+    deviations: np.ndarray
+    sum_sq: np.float64
+
+    @property
+    def live(self) -> bool:
+        """Whether the population std reaches DEGENERATE_STD."""
+        return bool(np.sqrt(self.sum_sq / self.deviations.size) >= DEGENERATE_STD)
+
+
+def centre(matrix: SelfSimilarityMatrix) -> Centred:
+    deviations = matrix.values - matrix.values.mean()
+    return Centred(deviations, np.vdot(deviations, deviations))
+
+
+def standardized_mse(
+    template: SelfSimilarityMatrix | Centred, generated: SelfSimilarityMatrix
+) -> float:
     """MSE between the two SSMs, each shifted to zero mean and scaled to unit
     population std over its n^2 entries.
 
     That is 2 - 2 corr(a, b), taken from one centred inner product, so
     statistically unrelated matrices score about 2 and affinely related ones
     0. An input whose std is below DEGENERATE_STD standardizes to all zeros:
-    it adds 0 instead of 1, and the cross term drops out.
+    it adds 0 instead of 1, and the cross term drops out. A template scored
+    against several generations can be passed centred once (see `centre`).
     """
-    a, b = template.values, generated.values
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.shape[0] < 2:
+    a = template if isinstance(template, Centred) else centre(template)
+    if a.deviations.shape != generated.values.shape:
+        raise ValueError(f"shape mismatch: {a.deviations.shape} vs {generated.values.shape}")
+    if generated.n < 2:
         raise ValueError("standardized MSE needs n >= 2")
-    da, db = a - a.mean(), b - b.mean()
-    ssa, ssb = np.vdot(da, da), np.vdot(db, db)
-    live_a = np.sqrt(ssa / a.size) >= DEGENERATE_STD
-    live_b = np.sqrt(ssb / b.size) >= DEGENERATE_STD
-    score = float(live_a) + float(live_b)
-    if live_a and live_b:
-        score -= 2.0 * float(np.vdot(da, db) / np.sqrt(ssa * ssb))
+    b = centre(generated)
+    score = float(a.live) + float(b.live)
+    if a.live and b.live:
+        score -= 2.0 * float(np.vdot(a.deviations, b.deviations) / np.sqrt(a.sum_sq * b.sum_sq))
     return score
 
 

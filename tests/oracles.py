@@ -6,20 +6,36 @@ The step-by-step references at the end are the forms the vectorized and
 in-place kernels replaced (masked sigmoid, one sparsemax per attention row,
 lexsort sampler drawing with rng.choice, concatenated LSTM backward, the
 dense LSTM input product), as are the chroma SSM and structural loss that
-symmetrised their n x n products and averaged the squared difference, and
-the standardized MSE that standardized both matrices first. The tests
-require bit-for-bit equal results from both, except for values behind a sum
-whose order moved (the LSTM input projection, the structural loss sum, the
-standardized MSE), which `close` checks to RTOL.
+symmetrised their n x n products and averaged the squared difference, the
+standardized MSE that standardized both matrices first, and the MIDI
+reader, sampler and writer that made one Python object per event, note
+and pitch row. The tests require bit-for-bit equal results from both (for
+MIDI: the same notes, warnings, errors and bytes), except for values
+behind a sum whose order moved (the LSTM input projection, the structural
+loss sum, the standardized MSE), which `close` checks to RTOL.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
+import struct
 from itertools import combinations
 
 import numpy as np
 
 from sing import nn
+from sing.midi_io import (
+    DEFAULT_US_PER_QUARTER,
+    MAX_SAMPLES,
+    NOTE_VELOCITY,
+    SAMPLE_EPS,
+    TEMPO_FALLBACK,
+    TEMPO_MAX,
+    TEMPO_MIN,
+    WRITE_TICKS_PER_QUARTER,
+    MidiParseError,
+)
 from sing.structure import DEGENERATE_STD, N_CHROMA, fold_pitch_classes
 from sing.training import PITCH_CLASSES, PieceLoss, _backward_through_time
 
@@ -402,3 +418,248 @@ def piece_loss_two_pass(model, trace, target, S, with_grad=True) -> PieceLoss:
         dD += du[PITCH_CLASSES, :].T * P * (1.0 - P)  # unfold pitch classes to 128
         _backward_through_time(model, trace, dD)
     return PieceLoss(total=total, bce=bce_total, structural=structural)
+
+
+# ---------------------------------------------------------------------------
+# MIDI references: one Python object per event, note and pitch row
+
+
+def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
+    value = 0
+    for _ in range(4):
+        if pos >= len(data):
+            raise MidiParseError("truncated variable-length quantity", pos)
+        byte = data[pos]
+        pos += 1
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos
+    raise MidiParseError("variable-length quantity longer than 4 bytes", pos)
+
+
+def _encode_vlq(value: int) -> bytes:
+    if value < 0:
+        raise ValueError("cannot encode negative delta")
+    chunks = [value & 0x7F]
+    value >>= 7
+    while value:
+        chunks.append((value & 0x7F) | 0x80)
+        value >>= 7
+    return bytes(reversed(chunks))
+
+
+_CHANNEL_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
+
+
+def parse_midi_per_event(data: bytes) -> tuple[list[tuple[int, float, float, int]], list[str]]:
+    """(notes, warnings): notes as (pitch, onset, offset, velocity) tuples in
+    seconds, ordered by (onset, pitch, offset, velocity); each tick becomes
+    seconds through a bisect in the tempo map and Python-int arithmetic."""
+    if len(data) < 14:
+        raise MidiParseError("file too short for a header chunk", 0)
+    if data[0:4] != b"MThd":
+        raise MidiParseError("missing MThd header chunk", 0)
+    header_len = struct.unpack(">I", data[4:8])[0]
+    if header_len < 6:
+        raise MidiParseError(f"header chunk length {header_len} < 6", 4)
+    fmt, declared_tracks, division = struct.unpack(">HHH", data[8:14])
+    if fmt not in (0, 1):
+        raise MidiParseError(f"unsupported SMF format {fmt} (only 0 and 1)", 8)
+    if division & 0x8000:
+        raise MidiParseError("SMPTE time division is unsupported", 12)
+    if division == 0:
+        raise MidiParseError("ticks-per-quarter must be positive", 12)
+
+    pos = 8 + header_len
+    tempo_events: list[tuple[int, int, int]] = []  # (tick, order, us_per_quarter)
+    raw_notes: list[tuple[int, int, int, int]] = []  # (on_tick, off_tick, pitch, velocity)
+    warnings: list[str] = []
+    tracks_seen = 0
+    order = 0
+
+    while pos < len(data):
+        if pos + 8 > len(data):
+            raise MidiParseError("truncated chunk header", pos)
+        chunk_type = data[pos : pos + 4]
+        chunk_len = struct.unpack(">I", data[pos + 4 : pos + 8])[0]
+        chunk_start = pos + 8
+        chunk_end = chunk_start + chunk_len
+        if chunk_end > len(data):
+            raise MidiParseError("chunk extends past end of file", pos + 4)
+        pos = chunk_end
+        if chunk_type != b"MTrk":
+            continue
+        tracks_seen += 1
+
+        tick = 0
+        cursor = chunk_start
+        running_status: int | None = None
+        open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+        while cursor < chunk_end:
+            delta, cursor = _read_vlq(data, cursor)
+            tick += delta
+            if cursor >= chunk_end:
+                raise MidiParseError("event truncated at end of track", cursor)
+            byte = data[cursor]
+            if byte & 0x80:
+                status = byte
+                cursor += 1
+                if status < 0xF0:
+                    running_status = status
+            else:
+                if running_status is None:
+                    raise MidiParseError("data byte with no running status", cursor)
+                status = running_status
+
+            if status == 0xFF:
+                if cursor >= chunk_end:
+                    raise MidiParseError("truncated meta event", cursor)
+                meta_type = data[cursor]
+                cursor += 1
+                length, cursor = _read_vlq(data, cursor)
+                if cursor + length > chunk_end:
+                    raise MidiParseError("meta event extends past track end", cursor)
+                payload = data[cursor : cursor + length]
+                cursor += length
+                if meta_type == 0x51:
+                    if length != 3:
+                        raise MidiParseError("tempo meta event must carry 3 bytes", cursor)
+                    tempo_events.append((tick, order, int.from_bytes(payload, "big")))
+                    order += 1
+                elif meta_type == 0x2F:
+                    break
+            elif status in (0xF0, 0xF7):
+                running_status = None
+                length, cursor = _read_vlq(data, cursor)
+                if cursor + length > chunk_end:
+                    raise MidiParseError("sysex event extends past track end", cursor)
+                cursor += length
+            else:
+                kind = status & 0xF0
+                n_data = _CHANNEL_DATA_BYTES.get(kind)
+                if n_data is None:
+                    raise MidiParseError(f"unexpected status byte 0x{status:02x}", cursor - 1)
+                if cursor + n_data > chunk_end:
+                    raise MidiParseError("channel event truncated", cursor)
+                d1 = data[cursor]
+                d2 = data[cursor + 1] if n_data == 2 else 0
+                if d1 & 0x80 or d2 & 0x80:
+                    raise MidiParseError("data byte has high bit set", cursor)
+                cursor += n_data
+                channel = status & 0x0F
+                if kind == 0x90 and d2 > 0:
+                    open_notes.setdefault((channel, d1), []).append((tick, d2))
+                elif kind == 0x80 or (kind == 0x90 and d2 == 0):
+                    stack = open_notes.get((channel, d1))
+                    if stack:
+                        on_tick, velocity = stack.pop(0)
+                        raw_notes.append((on_tick, tick, d1, velocity))
+
+        for (channel, pitch), stack in sorted(open_notes.items()):
+            for on_tick, velocity in stack:
+                raw_notes.append((on_tick, tick, pitch, velocity))
+                warnings.append(
+                    f"note pitch={pitch} ch={channel} unterminated; closed at end of track"
+                )
+
+    if tracks_seen == 0:
+        raise MidiParseError("no MTrk chunk found", len(data))
+    if tracks_seen != declared_tracks:
+        warnings.append(f"header declares {declared_tracks} tracks, found {tracks_seen}")
+
+    tempo_events.sort(key=lambda e: (e[0], e[1]))
+    tempo_map: list[tuple[int, int]] = [(0, DEFAULT_US_PER_QUARTER)]
+    for tick, _, us in tempo_events:
+        if tick == tempo_map[-1][0]:
+            tempo_map[-1] = (tick, us)
+        else:
+            tempo_map.append((tick, us))
+
+    change_ticks = [t for t, _ in tempo_map]
+    change_seconds = [0.0]
+    for i in range(1, len(tempo_map)):
+        prev_tick, prev_us = tempo_map[i - 1]
+        span = (tempo_map[i][0] - prev_tick) * prev_us / (division * 1e6)
+        change_seconds.append(change_seconds[-1] + span)
+
+    def seconds_at(tick: int) -> float:
+        idx = bisect.bisect_right(change_ticks, tick) - 1
+        start_tick = change_ticks[idx]
+        us_per_quarter = tempo_map[idx][1]
+        return change_seconds[idx] + (tick - start_tick) * us_per_quarter / (division * 1e6)
+
+    notes = []
+    for on_tick, off_tick, pitch, velocity in raw_notes:
+        onset = seconds_at(on_tick)
+        offset = seconds_at(off_tick)
+        if offset <= onset:
+            warnings.append(f"zero-length note pitch={pitch} at tick {on_tick} dropped")
+            continue
+        notes.append((pitch, onset, offset, velocity))
+    notes.sort(key=lambda n: (n[1], n[0], n[2], n[3]))
+    return notes, warnings
+
+
+def estimate_tempo_per_note(notes) -> float:
+    """Events per minute from the median gap between a set of onsets."""
+    onsets = sorted({onset for _, onset, _, _ in notes})
+    if len(onsets) < 2:
+        return TEMPO_FALLBACK
+    median_ioi = float(np.median(np.diff(onsets)))
+    if median_ioi <= 0.0:
+        return TEMPO_FALLBACK
+    return float(min(max(60.0 / median_ioi, TEMPO_MIN), TEMPO_MAX))
+
+
+def to_piano_roll_per_note(notes, tempo: float) -> np.ndarray:
+    """(128, n) uint8 roll written one note slice at a time."""
+    if not notes:
+        raise ValueError("empty piece")
+    period = 60.0 / tempo
+    last_offset = max(offset for _, _, offset, _ in notes)
+    n_samples = max(1, math.ceil(last_offset / period - SAMPLE_EPS))
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"piece spans {n_samples} samples, more than {MAX_SAMPLES}")
+    data = np.zeros((128, n_samples), dtype=np.uint8)
+    for pitch, onset, offset, _ in notes:
+        start = max(0, math.ceil(onset / period - SAMPLE_EPS))
+        stop = min(n_samples, math.ceil(offset / period - SAMPLE_EPS))
+        if stop > start:
+            data[pitch, start:stop] = 1
+    return data
+
+
+def to_midi_per_pitch(roll) -> bytes:
+    """Format-0 SMF from one (tick, on, pitch) tuple per run edge, pitch row by row."""
+    tempo = roll.tempo
+    us_per_quarter = round(60e6 / tempo)
+    if not 1 <= us_per_quarter <= 0xFFFFFF:
+        raise ValueError(f"tempo {tempo} not representable in MIDI")
+    period = 60.0 / tempo
+    ratio = period * 1e6 / us_per_quarter
+
+    def boundary_tick(sample: int) -> int:
+        return round(sample * WRITE_TICKS_PER_QUARTER * ratio)
+
+    note_edges: list[tuple[int, int, int]] = []
+    for pitch in range(128):
+        row = roll.data[pitch]
+        edges = np.diff(np.concatenate(([0], row, [0])).astype(np.int8))
+        for start, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+            note_edges.append((boundary_tick(int(start)), 1, pitch))
+            note_edges.append((boundary_tick(int(stop)), 0, pitch))
+    note_edges.sort()
+
+    track = bytearray()
+    track += _encode_vlq(0) + b"\xff\x51\x03" + us_per_quarter.to_bytes(3, "big")
+    prev_tick = 0
+    for tick, is_on, pitch in note_edges:
+        track += _encode_vlq(tick - prev_tick)
+        status = 0x90 if is_on else 0x80
+        track += bytes((status, pitch, NOTE_VELOCITY if is_on else 0))
+        prev_tick = tick
+    track += _encode_vlq(0) + b"\xff\x2f\x00"
+
+    header = struct.pack(">4sIHHH", b"MThd", 6, 0, 1, WRITE_TICKS_PER_QUARTER)
+    return header + struct.pack(">4sI", b"MTrk", len(track)) + bytes(track)

@@ -428,6 +428,15 @@ class TestCheckpointIo:
         assert loaded.params.step == 1
         assert checkpoint_to_bytes(loaded.params) == (tmp_path / "m.ckpt").read_bytes()
 
+    def test_cut_inside_a_tensor_names_it(self, tmp_path):
+        cfg = small_config()
+        blob = checkpoint_to_bytes(Model(cfg, rng=np.random.default_rng(29)).params)
+        for cut, name in ((40, "combine.W"), (len(blob) - 3, "adam/step")):
+            (tmp_path / "m.ckpt").write_bytes(blob[:cut])
+            with pytest.raises(ValueError) as exc:
+                load_model(tmp_path / "m.ckpt", cfg)
+            assert str(exc.value) == f"checkpoint truncated at byte {cut}, inside tensor {name!r}"
+
     def test_attention_checkpoint_with_ablated_config_rejected(self, tmp_path):
         save_model(Model(small_config(), rng=np.random.default_rng(28)), tmp_path / "m.ckpt")
         with pytest.raises(ValueError) as exc:
