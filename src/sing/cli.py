@@ -280,7 +280,7 @@ def _plain_items(rolls, seed_len: int) -> list[training.TrainItem]:
         if roll.n_samples <= seed_len:
             log.warning("validation piece %s too short, skipped", roll.source_id)
             continue
-        items.append(training.TrainItem.from_roll(roll.source_id, 0, roll))
+        items.append(training.TrainItem(roll.source_id, 0, roll))
     return items
 
 

@@ -73,16 +73,17 @@ def evaluate(
             log.warning("skipping %s: only %d samples", item.label, n)
             continue
         seed = item.roll.data.T[: cfg.seed_len]
-        template = centre(item.template)
+        template = ssm(chroma(item.roll))
+        centred = centre(template)
         scores = []
         try:
             for _ in range(generations):
                 if model is None:
                     roll = random_baseline(n, cfg, rng)
                 else:
-                    roll = generate(model, seed, item.template, rng, tempo=item.roll.tempo)
+                    roll = generate(model, seed, template, rng, tempo=item.roll.tempo)
                 generated = ssm(chroma(roll), role="generated")
-                scores.append(standardized_mse(template, generated))
+                scores.append(standardized_mse(centred, generated))
         except ValueError as exc:
             raise ValueError(f"piece {item.label}: {exc}") from exc
         run.piece_ids.append(item.label)

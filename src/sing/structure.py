@@ -186,9 +186,12 @@ def render_pgm(matrix: SelfSimilarityMatrix) -> bytes:
     return header + pixels.tobytes()
 
 
+def _ssm_header(n: int) -> bytes:
+    return SSM_MAGIC + struct.pack("<I", n)
+
+
 def ssm_to_bytes(matrix: SelfSimilarityMatrix) -> bytes:
-    header = SSM_MAGIC + struct.pack("<I", matrix.n)
-    return header + matrix.values.astype("<f4").tobytes()
+    return _ssm_header(matrix.n) + matrix.values.astype("<f4").tobytes()
 
 
 def ssm_from_bytes(data: bytes) -> SelfSimilarityMatrix:
@@ -219,7 +222,10 @@ def ssm_from_bytes(data: bytes) -> SelfSimilarityMatrix:
 
 
 def save_ssm(matrix: SelfSimilarityMatrix, path: str | Path) -> None:
-    Path(path).write_bytes(ssm_to_bytes(matrix))
+    """Write the bytes of `ssm_to_bytes`, the payload straight from its cast."""
+    with open(path, "wb") as handle:
+        handle.write(_ssm_header(matrix.n))
+        handle.write(matrix.values.astype("<f4", order="C"))
 
 
 def load_ssm(path: str | Path) -> SelfSimilarityMatrix:

@@ -80,17 +80,12 @@ class EpochReport:
 
 @dataclass
 class TrainItem:
-    """One edited segment ready for training or evaluation."""
+    """One edited segment ready for training or evaluation. Its template,
+    the chroma SSM of its roll, is built where the piece runs."""
 
     piece_id: str
     segment_index: int
     roll: PianoRoll
-    template: SelfSimilarityMatrix
-
-    @classmethod
-    def from_roll(cls, piece_id: str, segment_index: int, roll: PianoRoll) -> "TrainItem":
-        """An item whose template is the chroma SSM of its own roll."""
-        return cls(piece_id, segment_index, roll, ssm(chroma(roll)))
 
     @property
     def label(self) -> str:
@@ -215,8 +210,9 @@ def _finite_loss(
     """One piece's total loss; a failed forward pass or a non-finite loss
     raises TrainingError naming the piece and the epoch."""
     try:
-        trace = forward_piece(model, item.roll, item.template, tcfg.p_feedback, rng)
-        loss = piece_loss(model, trace, item.roll, item.template, with_grad=with_grad)
+        template = ssm(chroma(item.roll))
+        trace = forward_piece(model, item.roll, template, tcfg.p_feedback, rng)
+        loss = piece_loss(model, trace, item.roll, template, with_grad=with_grad)
     except ValueError as exc:
         raise TrainingError(
             f"non-finite forward pass on piece {item.label} (epoch {epoch}): {exc}"
@@ -280,11 +276,11 @@ def train(
     seed_len = model.cfg.seed_len
     if not any(plan.batches):
         raise ValueError("plan batches no segment; nothing to train on")
-    for item in items:
+    for item in (*items, *val_items):
         if item.roll.n_samples <= seed_len:
             raise ValueError(f"piece {item.label} has {item.roll.n_samples} samples, "
                              f"no more than seed length {seed_len}")
-    if not any(item.roll.n_samples > seed_len for item in val_items):
+    if not val_items:
         raise ValueError(f"no validation piece has more than seed length {seed_len} samples")
     ckpt_dir = Path(checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -368,5 +364,5 @@ def items_from_plan(plan: BatchPlan, rolls_by_id: dict[str, PianoRoll]) -> list[
                 f"of the equal segments of its {n}-sample roll"
             )
         edited = apply_edit(cut_segment(roll, i, s), assignment.target_length)
-        items.append(TrainItem.from_roll(assignment.piece_id, i, edited))
+        items.append(TrainItem(assignment.piece_id, i, edited))
     return items

@@ -19,9 +19,12 @@ same lines:
 `--values` prints numbers where a change may move the last bits: one
 `key value` line per `report.csv` loss, per norm and maximum of each
 checkpoint tensor, and per `evaluate` score; every other file keeps its
-hash. `--compare` reads two such listings and passes (exit 0) when both
-have the same keys, equal hashes, and every number within `oracles.RTOL`
-relative of the other; it prints each line that moved and by how much.
+hash, and each `.proll` also gets a `:samples` line listing the pitches
+on at each sample. `--compare` reads two such listings and passes (exit 0)
+when both have the same keys, equal hashes and sample lists, and every
+number within `oracles.RTOL` relative of the other; it prints each line
+that moved and by how much, and for a `.proll` the first sample that
+differs and how many do.
 
 The corpus covers every planning case: `batch-plan` slices the pieces
 longer than 36 samples, pads, truncates, keeps exact lengths and excludes
@@ -178,7 +181,22 @@ def values(out: Path) -> list[str]:
             lines += [f"{name}:{piece}:{index} {value}" for piece, index, value in rows]
         else:
             lines.append(f"{name} sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}")
+            if path.suffix == ".proll":
+                lines.append(f"{name}:samples {sample_record(load_proll(path))}")
     return lines
+
+
+def sample_record(roll: PianoRoll) -> str:
+    """The pitches on at each sample: `60.64/61//...`, a silent sample empty."""
+    return "/".join(".".join(map(str, np.flatnonzero(column))) for column in roll.data.T)
+
+
+def sample_difference(old: str, new: str) -> str:
+    """Where two `sample_record`s part: the first sample that differs and the count."""
+    a, b = old.split("/"), new.split("/")
+    differ = [t for t, (x, y) in enumerate(zip(a, b)) if x != y]
+    differ += range(min(len(a), len(b)), max(len(a), len(b)))
+    return f"sample {differ[0]} is the first of {len(differ)} of {max(len(a), len(b))} that differ"
 
 
 def compare(old: list[str], new: list[str]) -> tuple[list[str], bool]:
@@ -191,6 +209,10 @@ def compare(old: list[str], new: list[str]) -> tuple[list[str], bool]:
     for key in sorted(before.keys() & after.keys()):
         a, b = before[key], after[key]
         if a == b:
+            continue
+        if key.endswith(":samples"):
+            report.append(f"FAIL {key}: {sample_difference(a, b)}")
+            ok = False
             continue
         if a.startswith("sha256:") or b.startswith("sha256:"):
             report.append(f"FAIL {key} differs")

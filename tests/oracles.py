@@ -18,6 +18,7 @@ loss sum, the standardized MSE), which `close` checks to RTOL.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 import struct
 from itertools import combinations
@@ -251,8 +252,8 @@ def attention_weights_per_row(S: np.ndarray, first_row: int) -> np.ndarray:
     return W
 
 
-def sample_notes_lexsort(d: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
-    """Top-k sampler ranking the allowed pitches by lexsort on (-prob, pitch)."""
+def _top_k_weights(d: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """The pitches the lexsort sampler draws from, and their probabilities."""
     probs = sigmoid_masked(np.asarray(d, dtype=np.float64))
     allowed = np.arange(cfg.pitch_lo, cfg.pitch_hi + 1)
     order = np.lexsort((allowed, -probs[allowed]))
@@ -260,14 +261,30 @@ def sample_notes_lexsort(d: np.ndarray, cfg, rng: np.random.Generator) -> np.nda
     mass = probs[top]
     total = mass.sum()
     if total <= 0.0:
-        top = allowed
-        weights = np.full(len(allowed), 1.0 / len(allowed))
-    else:
-        weights = mass / total
+        return allowed, np.full(len(allowed), 1.0 / len(allowed))
+    return top, mass / total
+
+
+def sample_notes_lexsort(d: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
+    """Top-k sampler ranking the allowed pitches by lexsort on (-prob, pitch)."""
+    top, weights = _top_k_weights(d, cfg)
     draws = rng.choice(top, size=cfg.max_notes, replace=True, p=weights)
     sample = np.zeros(128, dtype=np.uint8)
     sample[np.unique(draws)] = 1
     return sample
+
+
+def draw_margin(d: np.ndarray, cfg, rng: np.random.Generator) -> float:
+    """Distance from the uniforms `sample_notes_lexsort(d, cfg, rng)` is about
+    to draw to the nearest inner boundary of the CDF that rng.choice searches
+    them in. Replayed on a copy, so rng does not advance. Two samplers can
+    draw different pitches from one uniform only if their CDFs move a
+    boundary past it."""
+    _, weights = _top_k_weights(d, cfg)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    uniforms = copy.deepcopy(rng).random(cfg.max_notes)
+    return float(np.abs(uniforms[:, None] - cdf[:-1]).min(initial=np.inf))
 
 
 def lstm_cell_backward_concat(step, dh, dc):
@@ -308,11 +325,12 @@ def _logits(params, cfg, z, S, t, history):
     return params["combine.w_a"][0] * a + params["combine.w_z"][0] * z + params["combine.b"][0], a
 
 
-def forward_piece_per_step(params, cfg, target, S, p_feedback, rng):
+def forward_piece_per_step(params, cfg, target, S, p_feedback, rng, margins=None):
     """Scheduled-sampling forward pass, one step at a time.
 
     target is the (n, 128) float sample matrix. Returns (X, D, A) laid out
-    as in training.PieceTrace.
+    as in training.PieceTrace. A `margins` dict receives the `draw_margin`
+    of each step t that samples X[t].
     """
     n, seed_len = target.shape[0], cfg.seed_len
     X = np.zeros((n - 1, 128))
@@ -328,14 +346,17 @@ def forward_piece_per_step(params, cfg, target, S, p_feedback, rng):
         A.append(a)
         if t <= n - 2:
             if rng.random() < p_feedback:
+                if margins is not None:
+                    margins[t] = draw_margin(d, cfg, rng)
                 X[t] = sample_notes_lexsort(d, cfg, rng).astype(np.float64)
             else:
                 X[t] = target[t]
     return X, np.array(D), np.array(A) if cfg.attention_enabled else None
 
 
-def generate_per_step(params, cfg, seed, S, rng):
-    """Continue seed to the template's length, one step at a time; (128, n) uint8."""
+def generate_per_step(params, cfg, seed, S, rng, margins=None):
+    """Continue seed to the template's length, one step at a time; (128, n)
+    uint8. A `margins` dict receives the `draw_margin` of each step t."""
     n, seed_len = S.shape[0], cfg.seed_len
     out = np.zeros((n, 128))
     out[:seed_len] = seed
@@ -344,6 +365,8 @@ def generate_per_step(params, cfg, seed, S, rng):
         state = _lstm_step(params, out[t - 1], state)
         if t >= seed_len:
             d, _ = _logits(params, cfg, state[0], S, t, out[:t])
+            if margins is not None:
+                margins[t] = draw_margin(d, cfg, rng)
             out[t] = sample_notes_lexsort(d, cfg, rng)
     return out.T.astype(np.uint8)
 

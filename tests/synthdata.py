@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from sing.midi_io import PianoRoll
-from sing.structure import chroma, ssm
 from sing.training import TrainItem
 
 ARCHETYPES = ("AABB", "ABAB", "ABBA", "AABA")
@@ -32,7 +31,7 @@ def make_block_piece(
         for pitch in chords[section]:
             data[pitch + 12 * int(rng.integers(0, 2)), s] = 1
     roll = PianoRoll(data=data, tempo=120.0, source_id=source_id)
-    return TrainItem(source_id, 0, roll, ssm(chroma(roll)))
+    return TrainItem(source_id, 0, roll)
 
 
 def make_corpus(

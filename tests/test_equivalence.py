@@ -9,6 +9,7 @@ from oracles import (
     _lstm_step,
     attention_weights_per_row,
     close,
+    draw_margin,
     forward_piece_per_step,
     generate_per_step,
     lstm_cell_backward_concat,
@@ -291,16 +292,32 @@ def model_and_piece(cfg, n):
 LENGTHS = [SEED_LEN + rows for rows in (63, 64, 65, 129, 145)]
 
 
+def first_differing_step(fast: np.ndarray, ref: np.ndarray, margins: dict[int, float]) -> str:
+    """Failure message for two (steps, 128) sample arrays: the first step
+    whose sample differs, and how far that step's uniforms lay from the
+    reference's CDF boundaries. A distance near 1e-16 means the last bits
+    of the logits flipped a draw; a large one, a real difference."""
+    steps = np.flatnonzero((fast != ref).any(axis=1))
+    if steps.size == 0:
+        return "the samples agree"
+    t = int(steps[0])
+    where = (f"its uniforms lie {margins[t]:.3g} from the nearest reference CDF boundary"
+             if t in margins else "the reference drew no sample there")
+    return f"step {t} is the first of {steps.size} whose samples differ; {where}"
+
+
 @pytest.mark.parametrize("cfg", MODELS, ids=["dense", "per_pitch", "ablated"])
 class TestForwardMatchesStepReference:
     def test_forward_piece(self, cfg):
         for n in LENGTHS:
             model, roll, S = model_and_piece(cfg, n)
             trace = forward_piece(model, roll, S, 0.5, np.random.default_rng(33))
+            margins = {}
             X, D, A = forward_piece_per_step(model.params.values, cfg,
                                              roll.data.T.astype(np.float64), S.values, 0.5,
-                                             np.random.default_rng(33))
-            assert same_bits(trace.X, X), n  # the draws
+                                             np.random.default_rng(33), margins)
+            # the draws
+            assert same_bits(trace.X, X), f"n={n}: {first_differing_step(trace.X, X, margins)}"
             assert close(trace.D, D), n
             assert (trace.A is None) == (A is None)
             assert A is None or same_bits(trace.A, A), n  # weights times the draws alone
@@ -311,9 +328,50 @@ class TestForwardMatchesStepReference:
             seed = roll.data.T[: cfg.seed_len]
             fast, ref = np.random.default_rng(34), np.random.default_rng(34)
             out = generate(model, seed, S, fast)
-            expected = generate_per_step(model.params.values, cfg, seed, S.values, ref)
-            assert np.array_equal(out.data, expected), n
+            margins = {}
+            expected = generate_per_step(model.params.values, cfg, seed, S.values, ref, margins)
+            assert np.array_equal(out.data, expected), (
+                f"n={n}: {first_differing_step(out.data.T, expected.T, margins)}")
             assert fast.bit_generator.state == ref.bit_generator.state
+
+
+class TestFirstDifferingStep:
+    def test_draw_margin_replays_the_sampler_without_advancing_rng(self):
+        cfg = ModelConfig(top_k=8, max_notes=3)
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            d = rng.normal(0.0, 3.0, 128)
+            before = rng.bit_generator.state
+            margin = draw_margin(d, cfg, rng)
+            assert rng.bit_generator.state == before
+            replay = np.random.Generator(np.random.PCG64())
+            replay.bit_generator.state = before
+            u = replay.random(cfg.max_notes)
+            probs = 1.0 / (1.0 + np.exp(-d[cfg.pitch_lo : cfg.pitch_hi + 1]))
+            cdf = np.sort(probs)[::-1][: cfg.top_k].cumsum()
+            cdf /= cdf[-1]
+            assert margin == pytest.approx(np.abs(u[:, None] - cdf[:-1]).min(), abs=1e-12)
+            sample_notes_lexsort(d, cfg, rng)  # draws exactly those uniforms
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_names_the_step_and_its_margin(self):
+        cfg = MODELS[0]
+        model, roll, S = model_and_piece(cfg, LENGTHS[0])
+        margins = {}
+        X, _, _ = forward_piece_per_step(model.params.values, cfg,
+                                         roll.data.T.astype(np.float64), S.values, 1.0,
+                                         np.random.default_rng(33), margins)
+        assert sorted(margins) == list(range(SEED_LEN, LENGTHS[0] - 1))
+        flipped = X.copy()
+        flipped[SEED_LEN + 7, 60] = 1.0 - flipped[SEED_LEN + 7, 60]
+        flipped[SEED_LEN + 9] = 0.0
+        assert first_differing_step(flipped, X, margins) == (
+            f"step {SEED_LEN + 7} is the first of 2 whose samples differ; its uniforms lie "
+            f"{margins[SEED_LEN + 7]:.3g} from the nearest reference CDF boundary")
+        flipped[1, 0] = 1.0 - flipped[1, 0]  # a seed row: nothing was drawn there
+        assert first_differing_step(flipped, X, margins).endswith(
+            "the reference drew no sample there")
+        assert first_differing_step(X, X, margins) == "the samples agree"
 
 
 def chord_roll(n: int, seed: int) -> PianoRoll:

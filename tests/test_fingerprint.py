@@ -1,9 +1,11 @@
 """tests/fingerprint.py is deterministic, hashes every output it makes, and
 its values listing and compare step agree with its hashes."""
 
+import numpy as np
 import pytest
 
 import fingerprint
+from sing.midi_io import load_proll
 
 
 def expected_paths() -> list[str]:
@@ -47,6 +49,11 @@ def test_values_are_deterministic_and_cover_every_output(two_runs):
     assert "train_dense/best.ckpt:adam/v/lstm.W_x:max" in keys
     assert "eval_dense.csv:mean:sing" in keys
     assert any(line.startswith("gen_dense.proll sha256:") for line in values)
+    record = dict(line.split(" ", 1) for line in values)["gen_dense.proll:samples"]
+    roll = load_proll(a / "gen_dense.proll")
+    assert record == fingerprint.sample_record(roll)
+    assert [[int(p) for p in sample.split(".") if p] for sample in record.split("/")] == [
+        list(np.flatnonzero(column)) for column in roll.data.T]
 
 
 def test_compare_passes_within_rtol_and_names_what_moved():
@@ -67,6 +74,19 @@ def test_compare_fails_on_hash_key_or_nan(new):
     old = ["r.csv:0:train_loss 2.0", "c.ckpt:lstm.b:max 0.5", "g.proll sha256:ab"]
     report, ok = fingerprint.compare(old, new)
     assert not ok and report[0].startswith("FAIL")
+
+
+@pytest.mark.parametrize("new, difference", [
+    ("60.64/61/70/62/64", "sample 2 is the first of 2 of 5 that differ"),  # two draws flip
+    ("60.64/61//62", "sample 4 is the first of 1 of 5 that differ"),  # one sample short
+    ("60/61//62/63", "sample 0 is the first of 1 of 5 that differ"),
+])
+def test_compare_names_the_first_sample_that_differs(new, difference):
+    old = ["g.proll sha256:ab", "g.proll:samples 60.64/61//62/63", "r.csv:0:train_loss 2.0"]
+    report, ok = fingerprint.compare(old, ["g.proll sha256:cd", f"g.proll:samples {new}", old[2]])
+    assert not ok
+    assert report[:2] == ["FAIL g.proll differs", f"FAIL g.proll:samples: {difference}"]
+    assert report[2].startswith("2 of 3 lines moved")
 
 
 def test_report_is_hashed_over_its_loss_columns(tmp_path):

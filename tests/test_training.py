@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sing.evaluation
+import sing.training
 from oracles import piece_gradients_per_step, relative_error
 from sing.batching import (
     Assignment,
@@ -15,6 +17,7 @@ from sing.batching import (
     plan_to_text,
     segment_lengths,
 )
+from sing.evaluation import GENERATIONS_PER_PIECE, evaluate
 from sing.midi_io import PianoRoll
 from sing.model import Model, ModelConfig, PieceTrace, generate
 from sing.structure import SelfSimilarityMatrix, chroma, ssm
@@ -48,7 +51,7 @@ def toy_items(n_pieces: int, n: int, rng: np.random.Generator) -> list[TrainItem
     for i in range(n_pieces):
         root = int(rng.integers(40, 70))
         roll = chord_roll(n, [root, root + 4, root + 7], source_id=f"toy{i}")
-        items.append(TrainItem(f"toy{i}", 0, roll, ssm(chroma(roll))))
+        items.append(TrainItem(f"toy{i}", 0, roll))
     return items
 
 
@@ -347,6 +350,69 @@ class TestTrainDeterminism:
         assert self._run(tmp_path, "a") == self._run(tmp_path, "b")
 
 
+class TestTrainRejectsBeforeWriting:
+    def test_short_validation_piece_beside_a_long_one(self, tmp_path):
+        cfg = ModelConfig(hidden_size=4, seed_len=5)
+        model = Model(cfg, rng=np.random.default_rng(102))
+        items = toy_items(2, 20, np.random.default_rng(103))
+        short = TrainItem("short", 0, chord_roll(3, [60, 64, 67], source_id="short"))
+        out = tmp_path / "ckpt"
+        with pytest.raises(ValueError, match=r"piece short\[0\] has 3 samples, "
+                                             r"no more than seed length 5"):
+            train(model, single_batch_plan(items), items, [items[0], short],
+                  TrainConfig(epochs=1), out, np.random.default_rng(104))
+        assert not out.exists()
+
+
+class TestTemplatePerPiece:
+    """Every pass runs its piece against the chroma SSM of the item's roll,
+    built once per pass and shared by the forward pass and the loss."""
+
+    @staticmethod
+    def record(monkeypatch, module, name, seen):
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    def test_train_epoch_and_validate(self, monkeypatch):
+        cfg = ModelConfig(hidden_size=4, seed_len=2)
+        model = Model(cfg, rng=np.random.default_rng(108))
+        items = toy_items(3, 12, np.random.default_rng(109))
+        items.append(TrainItem("other", 0, chord_roll(15, [50, 53, 57, 62], source_id="other")))
+        forwards, losses = [], []
+        self.record(monkeypatch, sing.training, "forward_piece", forwards)
+        self.record(monkeypatch, sing.training, "piece_loss", losses)
+        train_epoch(model, single_batch_plan(items), items, TrainConfig(),
+                    np.random.default_rng(110))
+        validate(model, items, TrainConfig(), np.random.default_rng(111))
+        assert len(forwards) == len(losses) == 2 * len(items)
+        for k, (forward, loss) in enumerate(zip(forwards, losses)):
+            item = items[k % len(items)]
+            _, target, S, _, _ = forward
+            assert target is item.roll and loss[2] is item.roll
+            assert loss[3] is S  # built once for the pass
+            assert np.array_equal(S.values, ssm(chroma(item.roll)).values)
+
+    def test_evaluate(self, monkeypatch):
+        cfg = ModelConfig(hidden_size=4, seed_len=3)
+        model = Model(cfg, rng=np.random.default_rng(112))
+        items = toy_items(2, 12, np.random.default_rng(113))
+        items.append(TrainItem("other", 0, chord_roll(9, [50, 53, 57, 62], source_id="other")))
+        generations = []
+        self.record(monkeypatch, sing.evaluation, "generate", generations)
+        evaluate(items, cfg, np.random.default_rng(114), model=model)
+        assert len(generations) == GENERATIONS_PER_PIECE * len(items)
+        for k, (_, seed, S, _) in enumerate(generations):
+            item = items[k // GENERATIONS_PER_PIECE]
+            assert np.array_equal(seed, item.roll.data.T[: cfg.seed_len])
+            assert S is generations[k - k % GENERATIONS_PER_PIECE][2]  # once per piece
+            assert np.array_equal(S.values, ssm(chroma(item.roll)).values)
+
+
 class TestValidate:
     def test_mean_over_items(self):
         cfg = ModelConfig(hidden_size=4, seed_len=2)
@@ -380,7 +446,6 @@ class TestPrepareCorpus:
             assert assignment.piece_id == item.piece_id
             assert assignment.target_length in grid
             assert item.roll.n_samples == assignment.target_length
-            assert item.template.n == item.roll.n_samples
 
     @pytest.mark.parametrize("max_len", [40, 64, 100, 150, 700])
     def test_saved_plan_rebuilds_items_at_its_own_slicing(self, max_len):
@@ -401,7 +466,22 @@ class TestPrepareCorpus:
             cut = rolls_by_id[a.piece_id].data[:, i * s : (i + 1) * s]
             expected = apply_edit(PianoRoll(data=cut, tempo=120.0), a.target_length)
             assert np.array_equal(item.roll.data, expected.data)
-            assert np.array_equal(item.template.values, ssm(chroma(expected)).values)
+
+    def test_items_hold_no_template(self):
+        """Ten 300-sample segments cost less than one 300 x 300 float64 matrix:
+        an item holds its roll, and its template is built where it runs."""
+        n, s = 3000, 300
+        rolls = {"p0": chord_roll(n, [60, 64, 67, 71], source_id="p0")}
+        assignments = [Assignment("p0", i, s, s) for i in range(n // s)]
+        plan = BatchPlan(assignments=assignments, batches=[list(range(len(assignments)))])
+        tracemalloc.start()
+        try:
+            items = items_from_plan(plan, rolls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(items) == 10 and all(item.roll.n_samples == s for item in items)
+        assert peak < s * s * 8
 
     def test_plans_from_lengths_without_cutting_a_roll(self, monkeypatch):
         def refuse(*args):
