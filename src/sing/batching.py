@@ -64,11 +64,7 @@ def cut_segment(roll: PianoRoll, index: int, length: int) -> PianoRoll:
     itself when the segment is all of it."""
     if length == roll.n_samples:
         return roll
-    return PianoRoll(
-        data=roll.data[:, index * length : (index + 1) * length],
-        tempo=roll.tempo,
-        source_id=f"{roll.source_id}#{index}" if roll.source_id else f"#{index}",
-    )
+    return PianoRoll(data=roll.data[:, index * length : (index + 1) * length], tempo=roll.tempo)
 
 
 def build_grid(

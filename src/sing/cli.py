@@ -140,8 +140,6 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--template", required=True, help="template .ssm steering the structure")
     p.add_argument("--out", dest="output_path", required=True, help="output prefix (writes .proll and .mid)")
     p.add_argument("--model-config", help="model config file (default: next to checkpoint)")
-    p.add_argument("--ablated", action="store_true",
-                   help="assert the checkpoint is the attention-free model")
 
     p = sub.add_parser("evaluate", parents=[common], formatter_class=fmt,
                        help="checkpoint(s) + test corpus -> standardized-MSE CSV")
@@ -211,6 +209,11 @@ def _cmd_preprocess(args) -> int:
     )
     if not midi_paths:
         raise FileNotFoundError(f"no MIDI files in {args.input_path}")
+    first_of_stem: dict[str, Path] = {}
+    for path in midi_paths:
+        if first_of_stem.setdefault(path.stem, path) != path:
+            raise ValueError(f"{first_of_stem[path.stem]} and {path} would both write "
+                             f"{path.stem}.proll")
     out_dir = Path(args.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = skipped = 0
@@ -286,8 +289,6 @@ def _plain_items(rolls, seed_len: int) -> list[training.TrainItem]:
 
 def _cmd_generate(args) -> int:
     cfg = _model_config_for(args.checkpoint, args.model_config)
-    if args.ablated and cfg.attention_enabled:
-        raise ValueError("--ablated given but the checkpoint is an attention model")
     model = _require(args.checkpoint, lambda p: load_model(p, cfg))
     seed_roll = _require(args.input_path, midi_io.load_proll)
     if seed_roll.n_samples < cfg.seed_len:
@@ -299,9 +300,7 @@ def _cmd_generate(args) -> int:
                          f"no more than seed length {cfg.seed_len}")
     rng = np.random.default_rng(args.seed)
     seed = seed_roll.data.T[: cfg.seed_len]
-    roll = generate(
-        model, seed, template, rng, tempo=seed_roll.tempo, source_id=Path(args.output_path).stem
-    )
+    roll = generate(model, seed, template, rng, tempo=seed_roll.tempo)
     out_prefix = Path(args.output_path)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     proll_path = out_prefix.with_suffix(".proll")
@@ -375,7 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return _HANDLERS[args.verb](args)
     except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        # the OS names the file in .filename; _require and _load_rolls in args[0]
+        print(f"error: file not found: {exc.filename or exc.args[0]}", file=sys.stderr)
         return 1
     except (ValueError, OSError, training.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

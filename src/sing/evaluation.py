@@ -9,6 +9,8 @@ unrelated output scores about 2.
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 from dataclasses import dataclass, field
 
@@ -48,7 +50,7 @@ def random_baseline(n: int, cfg: ModelConfig, rng: np.random.Generator) -> Piano
     for s in range(n):
         picks = rng.choice(allowed, size=cfg.max_notes, replace=False)
         data[picks, s] = 1
-    return PianoRoll(data=data, tempo=120.0, source_id="random-baseline")
+    return PianoRoll(data=data, tempo=120.0)
 
 
 def evaluate(
@@ -94,11 +96,14 @@ def evaluate(
 
 
 def eval_run_to_csv(run: EvalRun) -> str:
-    lines = ["piece_id,generation_index,std_mse"]
+    """One row per generation, then the mean; a piece id holding a comma or
+    quote is quoted, so it reads back as one field."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["piece_id", "generation_index", "std_mse"])
     for piece_id, scores in zip(run.piece_ids, run.mses):
-        for gen_idx, value in enumerate(scores):
-            lines.append(f"{piece_id},{gen_idx},{value!r}")
-    lines.append(f"mean,{run.generator},{run.mean!r}")
+        writer.writerows([piece_id, gen_idx, repr(value)] for gen_idx, value in enumerate(scores))
+    writer.writerow(["mean", run.generator, repr(run.mean)])
     if run.skipped:
-        lines.append(f"skipped,{run.generator},{len(run.skipped)}")
-    return "\n".join(lines) + "\n"
+        writer.writerow(["skipped", run.generator, len(run.skipped)])
+    return out.getvalue()

@@ -98,10 +98,8 @@ def attention_weights(S: SelfSimilarityMatrix, start: int, stop: int) -> np.ndar
     Returns (stop - start, stop - 1): row i holds sparsemax(S[t, :t]) for
     t = start + i in its first t entries, then zeros. The rows are one
     sparsemax call, with the entries at and right of the diagonal masked
-    to -inf.
+    to -inf. unroll passes 1 <= start < stop <= S.n.
     """
-    if not 1 <= start < stop <= S.n:
-        raise ValueError(f"SSM of size {S.n} has no attention rows {start}..{stop - 1}")
     width = stop - 1  # the longest prefix
     prefix = np.arange(width) < np.arange(start, stop)[:, None]
     return nn.sparsemax(np.where(prefix, S.values[start:stop, :width], -np.inf))
@@ -113,17 +111,13 @@ def attention_step(w: np.ndarray, history: np.ndarray) -> np.ndarray:
     w is (t,): the first t entries of the step's row of attention_weights.
     history is (t, 128): the input samples at steps 0..t-1 in order.
     """
-    if not (isinstance(w, np.ndarray) and w.ndim == 1 and w.shape[0] >= 1):
-        raise ValueError("attention needs one non-empty row of attention weights, not an SSM")
-    if history.shape != (w.shape[0], N_PITCHES):
-        raise ValueError(f"history must be ({w.shape[0]}, 128), got {history.shape}")
     return w @ history
 
 
 def combine_forward(params: nn.ParamSet, mode: str, a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Merge attention vector and LSTM output into 128 logits."""
     if mode == "dense":
-        return nn.dense_forward(params["combine.W"], params["combine.b"], np.concatenate([a, z]))
+        return params["combine.W"] @ np.concatenate([a, z]) + params["combine.b"]
     w_a = params["combine.w_a"][0]
     w_z = params["combine.w_z"][0]
     return w_a * a + w_z * z + params["combine.b"][0]
@@ -153,19 +147,15 @@ def forward_step(
     """The logits of sample t from the LSTM output h of step t.
 
     history holds samples 0..t-1 and w the step's attention weights over
-    them (see attention_step); the ablated model takes w = None.
+    them (see attention_step); the ablated model reads neither.
     Returns (d, a). With attention enabled the logits combine the attention
     vector a with h; otherwise the dense head maps h alone and a is None.
     """
     p = model.params
     if model.cfg.attention_enabled:
-        if w is None:
-            raise ValueError("attention model needs attention weights")
         a = attention_step(w, history)
         return combine_forward(p, model.cfg.combiner_mode, a, h), a
-    if w is not None:
-        raise ValueError("the ablated model takes no attention weights")
-    return nn.dense_forward(p["head.W"], p["head.b"], h), None
+    return p["head.W"] @ h + p["head.b"], None
 
 
 def head_backward(
@@ -289,7 +279,6 @@ def generate(
     S: SelfSimilarityMatrix,
     rng: np.random.Generator,
     tempo: float = 120.0,
-    source_id: str = "generated",
 ) -> PianoRoll:
     """Continue a seed out to the template SSM's length.
 
@@ -301,7 +290,7 @@ def generate(
     X, last = trace.X, trace.D[-1]
     del trace  # free the states and gates before the output copies
     out = np.vstack([X, sample_notes(last, cfg, rng)])
-    return PianoRoll(data=out.T.astype(np.uint8, order="C"), tempo=tempo, source_id=source_id)
+    return PianoRoll(data=out.T.astype(np.uint8, order="C"), tempo=tempo)
 
 
 def save_model(model: Model, checkpoint_path: str | Path) -> None:

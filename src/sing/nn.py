@@ -1,10 +1,10 @@
 """Differentiable numeric kernels, the Adam optimizer and the SINGCKPT container.
 
 Everything is 64-bit numpy with hand-written backward passes. Forward
-kernels keep no cache: `dense_forward` and `sparsemax` return their output
-alone, and `lstm_cell_forward` writes one step's state and gate activations
-into rows the caller owns and passes back to `lstm_cell_backward`. Backward
-functions take the upstream gradient and return the gradients of the inputs.
+kernels keep no cache: `sparsemax` returns its output alone, and
+`lstm_cell_forward` writes one step's state and gate activations into rows
+the caller owns and passes back to `lstm_cell_backward`. Backward functions
+take the upstream gradient and return the gradients of the inputs.
 
 Numerics contract, checked against the references in tests/oracles.py:
 bit for bit for the sampler's draws, `sigmoid`, the attention weights and
@@ -15,6 +15,7 @@ bit on up to two binary ones) and the structural-loss sum.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -37,10 +38,6 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # dense affine map
-
-
-def dense_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return W @ x + b
 
 
 def dense_backward(
@@ -309,8 +306,20 @@ def checkpoint_from_bytes(data: bytes, into: ParamSet) -> None:
     into.step = int(step)
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write data to a temporary name beside path, then rename it over path:
+    a failed write leaves the earlier file whole and no temporary behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(params: ParamSet, path: str | Path) -> None:
-    Path(path).write_bytes(checkpoint_to_bytes(params))
+    write_atomic(path, checkpoint_to_bytes(params))
 
 
 def load_checkpoint(path: str | Path, into: ParamSet) -> None:

@@ -271,8 +271,10 @@ def train(
     checkpoint_dir: str | Path,
     rng: np.random.Generator,
 ) -> tuple[list[EpochReport], Path]:
-    """Full training run; writes per-epoch checkpoints, a CSV, and best.ckpt.
-    Nothing is written until the plan, items and validation items pass."""
+    """Full training run; writes per-epoch checkpoints, a CSV, and best.ckpt,
+    refreshed after each epoch that beats every earlier one, so an
+    interrupted run keeps the best epoch so far. Nothing is written until
+    the plan, items and validation items pass."""
     seed_len = model.cfg.seed_len
     if not any(plan.batches):
         raise ValueError("plan batches no segment; nothing to train on")
@@ -289,14 +291,15 @@ def train(
     with open(csv_path, "w", newline="") as handle:
         csv.writer(handle).writerow(["epoch", "train_loss", "val_loss", "seconds"])
     reports: list[EpochReport] = []
-    ckpt_paths: list[Path] = []
+    best_path = ckpt_dir / "best.ckpt"
     for epoch in range(tcfg.epochs):
         report = train_epoch(model, plan, items, tcfg, rng, epoch=epoch)
         report.val_loss = validate(model, val_items, tcfg, rng, epoch=epoch)
         reports.append(report)
         path = ckpt_dir / f"epoch_{epoch}.ckpt"
         nn.save_checkpoint(model.params, path)
-        ckpt_paths.append(path)
+        if select_best(reports) == epoch:  # beats every earlier epoch; ties keep the earliest
+            nn.write_atomic(best_path, path.read_bytes())
         with open(csv_path, "a", newline="") as handle:
             csv.writer(handle).writerow(
                 [report.epoch, repr(report.train_loss), repr(report.val_loss),
@@ -309,9 +312,6 @@ def train(
             report.val_loss,
             report.seconds,
         )
-    best_idx = select_best(reports)
-    best_path = ckpt_dir / "best.ckpt"
-    best_path.write_bytes(ckpt_paths[best_idx].read_bytes())
     return reports, best_path
 
 

@@ -308,4 +308,3 @@ class TestCutSegment:
         for i, s in enumerate(parts):
             cut = cut_segment(roll, i, s)
             assert np.array_equal(cut.data, roll.data[:, i * s : (i + 1) * s])
-            assert cut.source_id == ("piece" if len(parts) == 1 else f"piece#{i}")

@@ -103,6 +103,17 @@ class TestPreprocess:
         assert [p.name for p in (tmp_path / "rolls").glob("*.proll")] == ["piece0.proll"]
         assert "excluded huge.mid" in caplog.text
 
+    def test_two_files_of_one_stem_are_an_error_and_write_nothing(self, tmp_path, capsys):
+        write_corpus_midi(tmp_path / "midi", n_pieces=2)
+        (tmp_path / "midi" / "piece0.MIDI").write_bytes((tmp_path / "midi" / "piece1.mid").read_bytes())
+        code = main(["preprocess", "--in", str(tmp_path / "midi"),
+                     "--out", str(tmp_path / "rolls")])
+        assert code == 1
+        midi = tmp_path / "midi"
+        assert single_error_line(capsys) == (
+            f"error: {midi / 'piece0.MIDI'} and {midi / 'piece0.mid'} would both write piece0.proll")
+        assert not (tmp_path / "rolls").exists()
+
     def test_roll_and_ssm_agree(self, tmp_path):
         write_corpus_midi(tmp_path / "midi", n_pieces=1)
         main(["preprocess", "--in", str(tmp_path / "midi"), "--out", str(tmp_path / "rolls")])
@@ -189,6 +200,7 @@ class TestOneSourcePerSetting:
     def test_removed_flags_are_gone(self, capsys):
         for verb, gone in {
             "train": ["--max-len"],
+            "generate": ["--ablated"],
             "evaluate": ["--seed-len", "--top-k", "--max-notes", "--pitch-lo", "--pitch-hi",
                          "--ablated", "--batch-cap"],
         }.items():
@@ -320,25 +332,30 @@ class TestAblatedFlag:
                      "--seed", "3"]) == 0
         assert "mean,ablated," in result.read_text()
 
-    def test_generate_ablated_mismatch_rejected(self, tmp_path, capsys):
+    def test_generate_from_ablated_checkpoint_needs_no_flag(self, tmp_path):
+        """The model kind comes from model_config.txt alone."""
         corpus = tmp_path / "corpus"
         write_corpus_prolls(corpus, n_pieces=4, n=24)
         plan = tmp_path / "plan.txt"
-        main(["batch-plan", "--in", str(corpus), "--out", str(plan), "--grid-k", "2",
-              "--grid-count", "4", "--max-len", "24", "--batch-cap", "2", "--seed", "5"])
+        assert main(["batch-plan", "--in", str(corpus), "--out", str(plan), "--grid-k", "2",
+                     "--grid-count", "4", "--max-len", "24", "--batch-cap", "2",
+                     "--seed", "5"]) == 0
         out = tmp_path / "ckpt"
-        main(["train", "--in", str(corpus), "--plan", str(plan), "--out", str(out),
-              "--epochs", "1", "--hidden", "6", "--seed-len", "4",
-              "--seed", "5"])
+        assert main(["train", "--in", str(corpus), "--plan", str(plan), "--out", str(out),
+                     "--epochs", "1", "--hidden", "6", "--seed-len", "4", "--seed", "5",
+                     "--ablated"]) == 0
         spec = tmp_path / "spec.txt"
         spec.write_text("length=20\n")
-        main(["synth-ssm", "--in", str(spec), "--out", str(tmp_path / "t.ssm")])
-        code = main(["generate", "--checkpoint", str(out / "best.ckpt"),
+        assert main(["synth-ssm", "--in", str(spec), "--out", str(tmp_path / "t.ssm")]) == 0
+        assert main(["generate", "--checkpoint", str(out / "best.ckpt"),
                      "--in", str(next(corpus.glob("*.proll"))),
                      "--template", str(tmp_path / "t.ssm"),
-                     "--out", str(tmp_path / "gen"), "--ablated"])
-        assert code == 1
-        assert "attention" in capsys.readouterr().err
+                     "--out", str(tmp_path / "gen")]) == 0
+        roll = load_proll(tmp_path / "gen.proll")
+        assert roll.n_samples == 20
+        model = load_model(out / "best.ckpt", ModelConfig.from_text(
+            (out / "model_config.txt").read_text()))
+        assert "head.W" in model.params.names()
 
 
 class TestBadInputs:
@@ -623,6 +640,32 @@ class TestBadInputs:
         assert code == 1
         assert single_error_line(capsys) == (
             f"error: {ckpt}: checkpoint tensor 'combine.W' (128, 134) where 'head.W' (128, 6) belongs")
+
+
+class TestMissingOutputDirectory:
+    """A verb that writes into a directory that does not exist names the path."""
+
+    def _argv(self, verb, tmp_path):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=4, n=24)
+        spec = tmp_path / "spec.txt"
+        spec.write_text("length=8\n")
+        save_ssm(synth_ssm(SynthSpec(length=8)), tmp_path / "t.ssm")
+        out = tmp_path / "nodir" / {"batch-plan": "plan.txt", "evaluate": "s.csv",
+                                    "render-ssm": "t.pgm", "synth-ssm": "t.ssm"}[verb]
+        inputs = {"batch-plan": [tmp_path / "corpus", "--grid-k", "2", "--grid-count", "4",
+                                 "--max-len", "24"],
+                  "evaluate": [tmp_path / "corpus", "--generator", "random", "--grid-k", "2",
+                               "--grid-count", "4", "--max-len", "24"],
+                  "render-ssm": [tmp_path / "t.ssm"],
+                  "synth-ssm": [spec]}[verb]
+        return [verb, "--in", *map(str, inputs), "--out", str(out)], out
+
+    @pytest.mark.parametrize("verb", ["batch-plan", "evaluate", "render-ssm", "synth-ssm"])
+    def test_error_names_the_output_path(self, verb, tmp_path, capsys):
+        argv, out = self._argv(verb, tmp_path)
+        assert main(argv) == 1
+        assert single_error_line(capsys) == f"error: file not found: {out}"
+        assert not (tmp_path / "nodir").exists()
 
 
 class TestPieceIds:

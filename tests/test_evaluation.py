@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -149,3 +152,17 @@ class TestCsv:
         assert lines[0] == "piece_id,generation_index,std_mse"
         assert lines[1].startswith("x[0],0,")
         assert lines[-1].startswith("mean,sing,")
+
+    @pytest.mark.parametrize("piece_id", ["take,0[0]", "mean,x[0]", 'say "hi"[0]'])
+    def test_id_with_a_comma_or_quote_reads_back_as_one_field(self, piece_id):
+        run = EvalRun(generator="sing", piece_ids=[piece_id], mses=[[1.5]])
+        rows = list(csv.reader(io.StringIO(eval_run_to_csv(run))))
+        assert rows[1] == [piece_id, "0", "1.5"]
+        assert [row[0] for row in rows] == ["piece_id", piece_id, "mean"]
+
+    def test_plain_ids_keep_their_bytes(self):
+        run = EvalRun(generator="random", piece_ids=["a[0]", "b[1]"], mses=[[0.25], [2.0, 1.0]],
+                      skipped=["c[0]"])
+        assert eval_run_to_csv(run) == (
+            "piece_id,generation_index,std_mse\na[0],0,0.25\nb[1],0,2.0\nb[1],1,1.0\n"
+            "mean,random,1.0833333333333333\nskipped,random,1\n")

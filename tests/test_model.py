@@ -80,18 +80,6 @@ class TestAttentionStep:
         assert a.sum() == 0.0
         assert w.sum() == pytest.approx(1.0)
 
-    def test_t_zero_rejected(self):
-        with pytest.raises(ValueError):
-            attention_weights(SelfSimilarityMatrix(values=np.eye(3)), 0, 1)
-        with pytest.raises(ValueError):
-            attention_step(np.zeros(0), np.zeros((0, 128)))
-
-    def test_row_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            attention_weights(SelfSimilarityMatrix(values=np.eye(3)), 3, 4)
-        with pytest.raises(ValueError):
-            attention_step(np.full(2, 0.5), np.zeros((3, 128)))
-
     def test_weights_nonnegative_sum_one_sparse(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -173,19 +161,6 @@ class TestForwardStep:
         ]
         assert np.array_equal(rolls[0].data, rolls[1].data)
 
-    @pytest.mark.parametrize("attention", [True, False])
-    def test_raw_ssm_rejected(self, attention):
-        model = Model(small_config(attention_enabled=attention), rng=np.random.default_rng(4))
-        S = np.random.default_rng(6).random((8, 8))
-        for w in (S, attention_weights(SelfSimilarityMatrix(values=S), 3, 8)):
-            with pytest.raises(ValueError):
-                forward_step(model, w, np.zeros((3, 128)), zero_state(model)[0])
-
-    def test_ablated_model_rejects_weights(self):
-        model = Model(small_config(attention_enabled=False), rng=np.random.default_rng(4))
-        with pytest.raises(ValueError):
-            forward_step(model, np.full(3, 1 / 3), np.zeros((3, 128)), zero_state(model)[0])
-
     def test_zero_model_gives_half_probabilities(self):
         cfg = small_config()
         model = Model(cfg, rng=np.random.default_rng(8))
@@ -208,11 +183,6 @@ class TestForwardStep:
         d1, _ = forward_step(model, w, history, h)
         d2, _ = forward_step(model, w, history, h)
         assert np.array_equal(d1, d2)
-
-    def test_attention_model_requires_ssm(self):
-        model = Model(small_config(), rng=np.random.default_rng(13))
-        with pytest.raises(ValueError):
-            forward_step(model, None, np.zeros((2, 128)), zero_state(model)[0])
 
 
 class TestUnroll:

@@ -1,4 +1,6 @@
+import errno
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,28 +20,16 @@ from sing.nn import (
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     dense_backward,
-    dense_forward,
     init_uniform,
     lstm_cell_backward,
     lstm_cell_forward,
+    save_checkpoint,
     sigmoid,
     sparsemax,
 )
 
 
 class TestDense:
-    def test_identity(self):
-        x = np.arange(4, dtype=float)
-        assert np.array_equal(dense_forward(np.eye(4), np.zeros(4), x), x)
-
-    def test_constant_map(self):
-        c = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(dense_forward(np.zeros((3, 5)), c, np.ones(5)), c)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dense_forward(np.eye(3), np.zeros(3), np.zeros(4))
-
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(0)
         W = rng.normal(size=(8, 8))
@@ -329,6 +319,26 @@ class TestCheckpoint:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             checkpoint_from_bytes(b"BADMAGIC" + bytes(20), self._fresh())
+
+    def test_write_failing_midway_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "epoch_0.ckpt"
+        save_checkpoint(self._fresh(), path)
+        earlier = path.read_bytes()
+        write_bytes = Path.write_bytes
+
+        def half_then_full_disk(self_path, data):
+            write_bytes(self_path, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_full_disk)
+        with pytest.raises(OSError):
+            save_checkpoint(self._params(), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["epoch_0.ckpt"]
+        save_checkpoint(self._params(), path)
+        assert path.read_bytes() == checkpoint_to_bytes(self._params())
+        assert [p.name for p in tmp_path.iterdir()] == ["epoch_0.ckpt"]
 
 
 def test_sigmoid_stable_at_extremes():

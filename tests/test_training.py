@@ -350,6 +350,38 @@ class TestTrainDeterminism:
         assert self._run(tmp_path, "a") == self._run(tmp_path, "b")
 
 
+class TestBestCheckpoint:
+    """best.ckpt follows the best epoch so far, so an interrupted run keeps it."""
+
+    def _train(self, out, monkeypatch, val_losses, stop_at=None):
+        """train whose validation losses are val_losses, interrupted in epoch stop_at."""
+        losses = iter(val_losses)
+
+        def scripted_validate(model, items, tcfg, rng, epoch=0):
+            if epoch == stop_at:
+                raise KeyboardInterrupt
+            return next(losses)
+
+        monkeypatch.setattr(sing.training, "validate", scripted_validate)
+        cfg = ModelConfig(hidden_size=4, seed_len=2)
+        items = toy_items(2, 12, np.random.default_rng(105))
+        train(Model(cfg, rng=np.random.default_rng(106)), single_batch_plan(items), items,
+              items, TrainConfig(epochs=len(val_losses)), out, np.random.default_rng(107))
+
+    def test_ties_keep_the_earliest_epoch(self, tmp_path, monkeypatch):
+        self._train(tmp_path, monkeypatch, [3.0, 1.0, 2.0, 1.0])
+        assert (tmp_path / "best.ckpt").read_bytes() == (tmp_path / "epoch_1.ckpt").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "best.ckpt", "epoch_0.ckpt", "epoch_1.ckpt", "epoch_2.ckpt", "epoch_3.ckpt",
+            "model_config.txt", "report.csv"]
+
+    def test_interrupted_run_keeps_the_best_epoch_so_far(self, tmp_path, monkeypatch):
+        with pytest.raises(KeyboardInterrupt):
+            self._train(tmp_path, monkeypatch, [3.0, 1.0, 2.0, 0.5], stop_at=3)
+        assert (tmp_path / "best.ckpt").read_bytes() == (tmp_path / "epoch_1.ckpt").read_bytes()
+        assert not (tmp_path / "epoch_3.ckpt").exists()
+
+
 class TestTrainRejectsBeforeWriting:
     def test_short_validation_piece_beside_a_long_one(self, tmp_path):
         cfg = ModelConfig(hidden_size=4, seed_len=5)
