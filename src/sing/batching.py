@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sing.midi_io import MAX_SAMPLES, N_PITCHES, PianoRoll
+from sing.midi_io import MAX_SAMPLES
 
 GRID_K = 10
 GRID_COUNT = 16
@@ -57,14 +57,6 @@ def segment_lengths(n: int, max_len: int) -> list[int]:
         return [n]
     m = math.ceil(n / max_len)
     return [n // m] * m
-
-
-def cut_segment(roll: PianoRoll, index: int, length: int) -> PianoRoll:
-    """Samples [index * length, (index + 1) * length) of a roll; the roll
-    itself when the segment is all of it."""
-    if length == roll.n_samples:
-        return roll
-    return PianoRoll(data=roll.data[:, index * length : (index + 1) * length], tempo=roll.tempo)
 
 
 def build_grid(
@@ -105,19 +97,6 @@ def assign(
     # min keeps the first of equal distances: the smaller target
     target = min(grid, key=lambda length: abs(log_len - math.log(length)))
     return None if abs(roll_length - target) / roll_length > max_edit_fraction else target
-
-
-def apply_edit(roll: PianoRoll, target_length: int) -> PianoRoll:
-    """Pad with silent samples or drop trailing samples to hit the target."""
-    n = roll.n_samples
-    if n == target_length:
-        return roll
-    if n > target_length:
-        data = roll.data[:, :target_length]
-    else:
-        pad = np.zeros((N_PITCHES, target_length - n), dtype=np.uint8)
-        data = np.concatenate([roll.data, pad], axis=1)
-    return PianoRoll(data=data, tempo=roll.tempo, source_id=roll.source_id)
 
 
 def make_batches(

@@ -13,7 +13,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -194,6 +194,12 @@ def _model_config_for(checkpoint: str | None, explicit: str | None) -> ModelConf
     return _require(cfg_path, lambda p: ModelConfig.from_text(p.read_text()))
 
 
+def _require_out_dir(path: str) -> None:
+    """Fail before any work when the directory of an output file is missing."""
+    if not Path(path).parent.exists():
+        raise FileNotFoundError(path)
+
+
 def _prepare(args, rolls, rng, **options):
     """prepare_corpus with the grid, slicing and edit flags of batch-plan and evaluate."""
     return training.prepare_corpus(
@@ -236,6 +242,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_batch_plan(args) -> int:
+    _require_out_dir(args.output_path)
     rolls = _load_rolls(args.input_path)
     rng = np.random.default_rng(args.seed)
     plan, _, excluded = _prepare(args, rolls, rng, batch_cap=args.batch_cap)
@@ -277,13 +284,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _plain_items(rolls, seed_len: int) -> list[training.TrainItem]:
+def _plain_items(rolls, seed_len: int) -> list[midi_io.PianoRoll]:
     items = []
     for roll in rolls:
         if roll.n_samples <= seed_len:
             log.warning("validation piece %s too short, skipped", roll.source_id)
             continue
-        items.append(training.TrainItem(roll.source_id, 0, roll))
+        items.append(replace(roll, source_id=f"{roll.source_id}[0]"))
     return items
 
 
@@ -301,10 +308,10 @@ def _cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     seed = seed_roll.data.T[: cfg.seed_len]
     roll = generate(model, seed, template, rng, tempo=seed_roll.tempo)
-    out_prefix = Path(args.output_path)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    proll_path = out_prefix.with_suffix(".proll")
-    midi_path = out_prefix.with_suffix(".mid")
+    # appended, not with_suffix: prefixes take.1 and take.2 write apart
+    proll_path = Path(f"{args.output_path}.proll")
+    midi_path = Path(f"{args.output_path}.mid")
+    proll_path.parent.mkdir(parents=True, exist_ok=True)
     midi_io.save_proll(roll, proll_path)
     midi_path.write_bytes(midi_io.to_midi(roll))
     print(f"generate: wrote {proll_path} and {midi_path}")
@@ -312,6 +319,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _require_out_dir(args.output_path)
     rolls = _load_rolls(args.input_path)
     rng = np.random.default_rng(args.seed)
     cfg = _model_config_for(args.checkpoint, args.model_config)

@@ -19,7 +19,6 @@ import numpy as np
 from sing.midi_io import N_PITCHES, PianoRoll
 from sing.model import Model, ModelConfig, generate
 from sing.structure import centre, chroma, ssm, standardized_mse
-from sing.training import TrainItem
 
 log = logging.getLogger(__name__)
 
@@ -41,20 +40,21 @@ class EvalRun:
 
 
 def random_baseline(n: int, cfg: ModelConfig, rng: np.random.Generator) -> PianoRoll:
-    """Uniform noise matching the sampler's constraints: 3 distinct pitches
-    per sample, drawn from the allowed range."""
+    """Uniform noise matching the sampler's constraints: max_notes distinct
+    pitches per sample (every allowed one when the range is narrower),
+    drawn from the allowed range."""
     if n < 1:
         raise ValueError("need at least one sample")
     allowed = np.arange(cfg.pitch_lo, cfg.pitch_hi + 1)
     data = np.zeros((N_PITCHES, n), dtype=np.uint8)
     for s in range(n):
-        picks = rng.choice(allowed, size=cfg.max_notes, replace=False)
+        picks = rng.choice(allowed, size=min(cfg.max_notes, allowed.size), replace=False)
         data[picks, s] = 1
     return PianoRoll(data=data, tempo=120.0)
 
 
 def evaluate(
-    items: list[TrainItem],
+    items: list[PianoRoll],
     cfg: ModelConfig,
     rng: np.random.Generator,
     model: Model | None = None,
@@ -69,13 +69,13 @@ def evaluate(
     label = "sing" if cfg.attention_enabled else "ablated"
     run = EvalRun(generator="random" if model is None else label)
     for item in items:
-        n = item.roll.n_samples
+        n = item.n_samples
         if n <= cfg.seed_len:
-            run.skipped.append(item.label)
-            log.warning("skipping %s: only %d samples", item.label, n)
+            run.skipped.append(item.source_id)
+            log.warning("skipping %s: only %d samples", item.source_id, n)
             continue
-        seed = item.roll.data.T[: cfg.seed_len]
-        template = ssm(chroma(item.roll))
+        seed = item.data.T[: cfg.seed_len]
+        template = ssm(chroma(item))
         centred = centre(template)
         scores = []
         try:
@@ -83,12 +83,12 @@ def evaluate(
                 if model is None:
                     roll = random_baseline(n, cfg, rng)
                 else:
-                    roll = generate(model, seed, template, rng, tempo=item.roll.tempo)
+                    roll = generate(model, seed, template, rng, tempo=item.tempo)
                 generated = ssm(chroma(roll), role="generated")
                 scores.append(standardized_mse(centred, generated))
         except ValueError as exc:
-            raise ValueError(f"piece {item.label}: {exc}") from exc
-        run.piece_ids.append(item.label)
+            raise ValueError(f"piece {item.source_id}: {exc}") from exc
+        run.piece_ids.append(item.source_id)
         run.mses.append(scores)
     if not run.piece_ids:
         raise ValueError(f"no piece has more than seed length {cfg.seed_len} samples")

@@ -27,10 +27,8 @@ from sing.batching import (
     MAX_EDIT_FRACTION,
     Assignment,
     BatchPlan,
-    apply_edit,
     assign,
     build_grid,
-    cut_segment,
     make_batches,
     segment_lengths,
 )
@@ -76,20 +74,6 @@ class EpochReport:
     train_loss: float
     val_loss: float
     seconds: float
-
-
-@dataclass
-class TrainItem:
-    """One edited segment ready for training or evaluation. Its template,
-    the chroma SSM of its roll, is built where the piece runs."""
-
-    piece_id: str
-    segment_index: int
-    roll: PianoRoll
-
-    @property
-    def label(self) -> str:
-        return f"{self.piece_id}[{self.segment_index}]"
 
 
 @dataclass
@@ -201,7 +185,7 @@ def _backward_through_time(model: Model, trace: PieceTrace, dD: np.ndarray) -> N
 
 def _finite_loss(
     model: Model,
-    item: TrainItem,
+    item: PianoRoll,
     tcfg: TrainConfig,
     rng: np.random.Generator,
     epoch: int,
@@ -210,22 +194,22 @@ def _finite_loss(
     """One piece's total loss; a failed forward pass or a non-finite loss
     raises TrainingError naming the piece and the epoch."""
     try:
-        template = ssm(chroma(item.roll))
-        trace = forward_piece(model, item.roll, template, tcfg.p_feedback, rng)
-        loss = piece_loss(model, trace, item.roll, template, with_grad=with_grad)
+        template = ssm(chroma(item))
+        trace = forward_piece(model, item, template, tcfg.p_feedback, rng)
+        loss = piece_loss(model, trace, item, template, with_grad=with_grad)
     except ValueError as exc:
         raise TrainingError(
-            f"non-finite forward pass on piece {item.label} (epoch {epoch}): {exc}"
+            f"non-finite forward pass on piece {item.source_id} (epoch {epoch}): {exc}"
         ) from exc
     if not math.isfinite(loss.total):
-        raise TrainingError(f"non-finite loss on piece {item.label} (epoch {epoch})")
+        raise TrainingError(f"non-finite loss on piece {item.source_id} (epoch {epoch})")
     return loss.total
 
 
 def train_epoch(
     model: Model,
     plan: BatchPlan,
-    items: list[TrainItem],
+    items: list[PianoRoll],
     tcfg: TrainConfig,
     rng: np.random.Generator,
     epoch: int = 0,
@@ -247,7 +231,7 @@ def train_epoch(
 
 def validate(
     model: Model,
-    items: list[TrainItem],
+    items: list[PianoRoll],
     tcfg: TrainConfig,
     rng: np.random.Generator,
     epoch: int = 0,
@@ -265,8 +249,8 @@ def select_best(reports: list[EpochReport]) -> int:
 def train(
     model: Model,
     plan: BatchPlan,
-    items: list[TrainItem],
-    val_items: list[TrainItem],
+    items: list[PianoRoll],
+    val_items: list[PianoRoll],
     tcfg: TrainConfig,
     checkpoint_dir: str | Path,
     rng: np.random.Generator,
@@ -279,8 +263,8 @@ def train(
     if not any(plan.batches):
         raise ValueError("plan batches no segment; nothing to train on")
     for item in (*items, *val_items):
-        if item.roll.n_samples <= seed_len:
-            raise ValueError(f"piece {item.label} has {item.roll.n_samples} samples, "
+        if item.n_samples <= seed_len:
+            raise ValueError(f"piece {item.source_id} has {item.n_samples} samples, "
                              f"no more than seed length {seed_len}")
     if not val_items:
         raise ValueError(f"no validation piece has more than seed length {seed_len} samples")
@@ -343,15 +327,17 @@ def prepare_corpus(
     return make_batches(assignments, batch_cap, rng), grid, excluded
 
 
-def items_from_plan(plan: BatchPlan, rolls_by_id: dict[str, PianoRoll]) -> list[TrainItem]:
+def items_from_plan(plan: BatchPlan, rolls_by_id: dict[str, PianoRoll]) -> list[PianoRoll]:
     """The edited items of a plan, cut from its source rolls: the one way
-    `train` and `evaluate` turn rolls into items.
+    `train` and `evaluate` turn rolls into items. Item `piece[i]` (its
+    `source_id`) is segment i of roll `piece`, padded with silent samples
+    or truncated to its target length.
 
     Segment i of a piece is samples [i * s, (i + 1) * s) of its roll, where
     s is the segment length the plan records: the equal slicing
     `segment_lengths` gave when the plan was written.
     """
-    items: list[TrainItem] = []
+    items: list[PianoRoll] = []
     for assignment in plan.assignments:
         if assignment.piece_id not in rolls_by_id:
             raise ValueError(f"plan references unknown piece {assignment.piece_id!r}")
@@ -363,6 +349,10 @@ def items_from_plan(plan: BatchPlan, rolls_by_id: dict[str, PianoRoll]) -> list[
                 f"plan segment {i} of {assignment.piece_id!r} ({s} samples) is not one "
                 f"of the equal segments of its {n}-sample roll"
             )
-        edited = apply_edit(cut_segment(roll, i, s), assignment.target_length)
-        items.append(TrainItem(assignment.piece_id, i, edited))
+        target = assignment.target_length
+        # a view; PianoRoll copies it once unless it is all of the roll
+        data = roll.data[:, i * s : i * s + min(s, target)]
+        if target > s:
+            data = np.concatenate([data, np.zeros((N_PITCHES, target - s), np.uint8)], axis=1)
+        items.append(PianoRoll(data, roll.tempo, source_id=f"{assignment.piece_id}[{i}]"))
     return items

@@ -11,14 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from sing.midi_io import PianoRoll
-from sing.training import TrainItem
 
 ARCHETYPES = ("AABB", "ABAB", "ABBA", "AABA")
 
 
 def make_block_piece(
     archetype: str, n: int, rng: np.random.Generator, source_id: str
-) -> TrainItem:
+) -> PianoRoll:
+    """A whole piece as an item, labelled `<source_id>[0]`."""
     root = int(rng.integers(36, 56))
     chords = {
         "A": (root, root + 4, root + 7),
@@ -30,13 +30,12 @@ def make_block_piece(
         section = archetype[min(s // section_len, len(archetype) - 1)]
         for pitch in chords[section]:
             data[pitch + 12 * int(rng.integers(0, 2)), s] = 1
-    roll = PianoRoll(data=data, tempo=120.0, source_id=source_id)
-    return TrainItem(source_id, 0, roll)
+    return PianoRoll(data=data, tempo=120.0, source_id=f"{source_id}[0]")
 
 
 def make_corpus(
     n_pieces: int, n: int, rng: np.random.Generator, prefix: str = "synth"
-) -> list[TrainItem]:
+) -> list[PianoRoll]:
     return [
         make_block_piece(ARCHETYPES[i % len(ARCHETYPES)], n, rng, f"{prefix}{i}")
         for i in range(n_pieces)

@@ -270,10 +270,8 @@ def desk_models():
     rng = np.random.default_rng(DESK_SEED)
     train_items = make_corpus(25, DESK_LENGTH, rng, prefix="train")
     held_out = make_corpus(5, DESK_LENGTH, rng, prefix="test")
-    assignments = [
-        Assignment(item.piece_id, 0, DESK_LENGTH, DESK_LENGTH)
-        for item in train_items
-    ]
+    assignments = [Assignment(f"train{i}", 0, DESK_LENGTH, DESK_LENGTH)
+                   for i in range(len(train_items))]
     plan = make_batches(assignments, DESK_CAP, rng)
     models = {}
     started = time.perf_counter()

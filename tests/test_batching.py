@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from sing.batching import (
     Assignment,
     BatchPlan,
-    apply_edit,
     assign,
     build_grid,
-    cut_segment,
     load_plan,
     make_batches,
     plan_from_text,
@@ -21,6 +19,7 @@ from sing.batching import (
     segment_lengths,
 )
 from sing.midi_io import MAX_SAMPLES, PianoRoll
+from sing.training import items_from_plan
 
 
 def grid_255_700():
@@ -35,11 +34,20 @@ def make_roll(n: int) -> PianoRoll:
     return PianoRoll(data=data, tempo=120.0, source_id="piece")
 
 
+def items_of(roll: PianoRoll, *rows: tuple[int, int, int]) -> list[PianoRoll]:
+    """The items `items_from_plan` cuts from one roll for (segment, source, target) rows."""
+    plan = BatchPlan([Assignment(roll.source_id, *row) for row in rows])
+    return items_from_plan(plan, {roll.source_id: roll})
+
+
 class TestSliceLong:
     def test_boundary_stays_whole(self):
         assert segment_lengths(700, 700) == [700]
         roll = make_roll(700)
-        assert cut_segment(roll, 0, 700) is roll
+        (item,) = items_of(roll, (0, 700, 700))
+        assert item.source_id == "piece[0]"
+        assert np.shares_memory(item.data, roll.data)  # an unedited whole roll is not copied
+        assert np.array_equal(item.data, roll.data) and item.tempo == roll.tempo
 
     def test_1500_splits_into_three_of_500(self):
         assert segment_lengths(1500, 700) == [500, 500, 500]
@@ -52,7 +60,9 @@ class TestSliceLong:
         roll.data[61, 3] = 1
         parts = segment_lengths(roll.n_samples, 4)
         assert parts == [3, 3, 3]
-        assert cut_segment(roll, 1, parts[1]).data[61, 0] == 1  # sample 3 lands in segment 1
+        (item,) = items_of(roll, (1, parts[1], parts[1]))
+        assert item.data[61, 0] == 1  # sample 3 lands in segment 1
+        assert item.source_id == "piece[1]"
 
     def test_segment_count_and_size_rule(self):
         rng = np.random.default_rng(0)
@@ -131,16 +141,23 @@ class TestAssign:
 
 
 class TestApplyEdit:
+    """A plan item whose target differs from its segment is padded or truncated."""
+
     def test_pad_appends_silence(self):
         roll = make_roll(3)
-        edited = apply_edit(roll, 5)
+        (edited,) = items_of(roll, (0, 3, 5))
         assert edited.n_samples == 5
         assert edited.data[:, 3:].sum() == 0
         assert (edited.data[:, :3] == roll.data).all()
+        assert not np.shares_memory(edited.data, roll.data)
 
     def test_truncate_drops_trailing(self):
-        edited = apply_edit(make_roll(5), 3)
+        roll = make_roll(5)
+        roll.data[61, 2:] = 1
+        (edited,) = items_of(roll, (0, 5, 3))
         assert edited.n_samples == 3
+        assert np.array_equal(edited.data, roll.data[:, :3])
+        assert not np.shares_memory(edited.data, roll.data)
 
 
 class TestMakeBatches:
@@ -305,6 +322,7 @@ class TestCutSegment:
         roll = make_roll(n)
         roll.data[:, :] = np.random.default_rng(n).integers(0, 2, roll.data.shape)
         parts = segment_lengths(n, max_len)
-        for i, s in enumerate(parts):
-            cut = cut_segment(roll, i, s)
+        items = items_of(roll, *[(i, s, s) for i, s in enumerate(parts)])
+        for i, (s, cut) in enumerate(zip(parts, items)):
             assert np.array_equal(cut.data, roll.data[:, i * s : (i + 1) * s])
+            assert cut.source_id == f"piece[{i}]"

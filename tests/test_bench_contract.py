@@ -92,9 +92,8 @@ def test_evaluate_csv_scores_equal_the_generate_workload_recomputation(monkeypat
     model = Model(cfg, rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     items = [
-        sing.training.TrainItem(
-            f"piece{i}", 0, PianoRoll(data=(rng.random((128, n)) < 0.05).astype(np.uint8),
-                                      tempo=120.0))
+        PianoRoll(data=(rng.random((128, n)) < 0.05).astype(np.uint8), tempo=120.0,
+                  source_id=f"piece{i}[0]")
         for i, n in enumerate((14, 20))
     ]
     generate, rolls = sing.evaluation.generate, []
@@ -110,5 +109,5 @@ def test_evaluate_csv_scores_equal_the_generate_workload_recomputation(monkeypat
     per_piece = sing.evaluation.GENERATIONS_PER_PIECE
     assert len(scores) == len(rolls) == len(items) * per_piece
     for i, (score, roll) in enumerate(zip(scores, rolls)):
-        template = ssm(chroma(items[i // per_piece].roll))
+        template = ssm(chroma(items[i // per_piece]))
         assert score == standardized_mse(template, ssm(chroma(roll), role="generated")), i

@@ -187,6 +187,30 @@ class TestEndToEnd:
                      "--max-len", "24", "--seed", "3"]) == 0
         assert "mean,random," in result.read_text()
 
+    def test_generate_prefixes_that_differ_after_a_dot_write_apart(self, tmp_path, capsys):
+        ckpt = write_untrained_model(tmp_path / "model", hidden_size=6, seed_len=4)
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
+        gen = tmp_path / "gen"
+        for take in ("take.1", "take.2"):
+            assert main(["generate", "--checkpoint", str(ckpt),
+                         "--in", str(tmp_path / "corpus" / "piece0.proll"),
+                         "--template", str(tmp_path / "t.ssm"), "--out", str(gen / take)]) == 0
+            assert capsys.readouterr().out == (
+                f"generate: wrote {gen / take}.proll and {gen / take}.mid\n")
+        assert sorted(path.name for path in gen.iterdir()) == [
+            "take.1.mid", "take.1.proll", "take.2.mid", "take.2.proll"]
+
+    def test_random_baseline_on_a_range_narrower_than_max_notes(self, tmp_path):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=3, n=24)
+        model_cfg = ModelConfig(seed_len=6, max_notes=3, pitch_lo=60, pitch_hi=61)
+        (tmp_path / "model.txt").write_text(model_cfg.to_text())
+        result = tmp_path / "eval.csv"
+        assert main(["evaluate", "--in", str(tmp_path / "corpus"), "--out", str(result),
+                     "--generator", "random", "--model-config", str(tmp_path / "model.txt"),
+                     "--grid-k", "2", "--grid-count", "4", "--max-len", "24"]) == 0
+        assert "mean,random," in result.read_text()
+
     def test_generator_checkpoint_mismatch_rejected(self, tmp_path, capsys):
         out = self._train(tmp_path, "ckpt")  # attention model
         code = main(["evaluate", "--in", str(tmp_path / "corpus"),
@@ -666,6 +690,19 @@ class TestMissingOutputDirectory:
         assert main(argv) == 1
         assert single_error_line(capsys) == f"error: file not found: {out}"
         assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("verb", ["batch-plan", "evaluate"])
+    def test_checked_before_any_roll_is_read_or_planned(self, verb, tmp_path, capsys,
+                                                        monkeypatch):
+        argv, out = self._argv(verb, tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{verb} worked before checking {out}")
+
+        monkeypatch.setattr("sing.midi_io.load_proll", refuse)
+        monkeypatch.setattr("sing.training.prepare_corpus", refuse)
+        assert main(argv) == 1
+        assert single_error_line(capsys) == f"error: file not found: {out}"
 
 
 class TestPieceIds:

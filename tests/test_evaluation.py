@@ -8,11 +8,11 @@ from sing.evaluation import EvalRun, eval_run_to_csv, evaluate, random_baseline
 from sing.midi_io import PianoRoll
 from sing.model import Model, ModelConfig
 from sing.structure import chroma, ssm
-from sing.training import TrainItem
 
 
-def block_piece(n: int, rng: np.random.Generator, source_id: str = "piece") -> TrainItem:
-    """Two-section piece: chroma-stable halves with disjoint pitch classes."""
+def block_piece(n: int, rng: np.random.Generator, source_id: str = "piece") -> PianoRoll:
+    """Two-section piece: chroma-stable halves with disjoint pitch classes,
+    labelled `<source_id>[0]` as a whole-piece item."""
     root = int(rng.integers(36, 60))
     chords = [[root, root + 4, root + 7], [root + 2, root + 5, root + 9]]
     data = np.zeros((128, n), dtype=np.uint8)
@@ -20,8 +20,7 @@ def block_piece(n: int, rng: np.random.Generator, source_id: str = "piece") -> T
         chord = chords[0] if s < n // 2 else chords[1]
         for pitch in chord:
             data[pitch + 12 * int(rng.integers(0, 2)), s] = 1
-    roll = PianoRoll(data=data, tempo=120.0, source_id=source_id)
-    return TrainItem(source_id, 0, roll)
+    return PianoRoll(data=data, tempo=120.0, source_id=f"{source_id}[0]")
 
 
 class TestRandomBaseline:
@@ -38,6 +37,21 @@ class TestRandomBaseline:
         a = random_baseline(30, cfg, np.random.default_rng(7))
         b = random_baseline(30, cfg, np.random.default_rng(7))
         assert a == b
+
+    def test_range_narrower_than_max_notes_plays_every_allowed_pitch(self):
+        cfg = ModelConfig(pitch_lo=60, pitch_hi=61, max_notes=3)
+        roll = random_baseline(20, cfg, np.random.default_rng(2))
+        assert np.all(roll.data[[60, 61]] == 1)
+        assert roll.data.sum() == 2 * 20
+
+    def test_draws_max_notes_distinct_pitches_of_the_range_per_sample(self):
+        """A range at least max_notes wide keeps the draws it always had."""
+        cfg = ModelConfig(pitch_lo=60, pitch_hi=64, max_notes=3)
+        roll = random_baseline(5, cfg, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for s in range(5):
+            expected = np.sort(rng.choice(np.arange(60, 65), size=3, replace=False))
+            assert np.flatnonzero(roll.data[:, s]).tolist() == expected.tolist()
 
     def test_pitch_histogram_uniform_within_three_sigma(self):
         cfg = ModelConfig()
@@ -57,13 +71,11 @@ class TestEvaluate:
         cfg = ModelConfig(hidden_size=4, seed_len=4)
         model = Model(cfg, rng=np.random.default_rng(3))
 
-        originals = {item.label: item.roll for item in items}
-
         def replay(model_, seed, template, rng_, tempo=120.0, source_id=""):
             for item in items:
-                own = ssm(chroma(item.roll))
+                own = ssm(chroma(item))
                 if own.n == template.n and np.array_equal(own.values, template.values):
-                    return item.roll
+                    return item
             raise AssertionError("unknown template")
 
         monkeypatch.setattr("sing.evaluation.generate", replay)
@@ -81,9 +93,7 @@ class TestEvaluate:
     def test_short_pieces_skipped_and_logged(self):
         rng = np.random.default_rng(7)
         items = [block_piece(32, rng, "ok"), block_piece(32, rng, "short")]
-        items[1].roll.data = items[1].roll.data[:, :8]
-        items[1] = TrainItem("short", 0,
-                             PianoRoll(data=items[1].roll.data, tempo=120.0, source_id="short"))
+        items[1] = PianoRoll(data=items[1].data[:, :8], tempo=120.0, source_id="short[0]")
         cfg = ModelConfig(seed_len=10)
         run = evaluate(items, cfg, np.random.default_rng(8))
         assert run.piece_ids == ["ok[0]"]
@@ -122,7 +132,7 @@ class TestEvaluate:
         cfg = ModelConfig(hidden_size=4, seed_len=4)
         model = Model(cfg, rng=rng)
         model.params["lstm.W_x"][:, 0] = np.nan
-        assert not items[0].roll.data[0].any()
+        assert not items[0].data[0].any()
         with pytest.raises(ValueError, match=r"p0\[0\]: .*'lstm.W_x' holds non-finite"):
             evaluate(items, cfg, rng, model=model)
 

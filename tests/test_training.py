@@ -10,7 +10,6 @@ from oracles import piece_gradients_per_step, relative_error
 from sing.batching import (
     Assignment,
     BatchPlan,
-    apply_edit,
     build_grid,
     make_batches,
     plan_from_text,
@@ -24,7 +23,6 @@ from sing.structure import SelfSimilarityMatrix, chroma, ssm
 from sing.training import (
     EpochReport,
     TrainConfig,
-    TrainItem,
     TrainingError,
     forward_piece,
     items_from_plan,
@@ -46,21 +44,23 @@ def chord_roll(n: int, pitches: list[int], source_id: str = "toy") -> PianoRoll:
     return PianoRoll(data=data, tempo=120.0, source_id=source_id)
 
 
-def toy_items(n_pieces: int, n: int, rng: np.random.Generator) -> list[TrainItem]:
+def toy_items(n_pieces: int, n: int, rng: np.random.Generator) -> list[PianoRoll]:
+    """Whole pieces as items, labelled `toy<i>[0]` as `items_from_plan` labels them."""
     items = []
     for i in range(n_pieces):
         root = int(rng.integers(40, 70))
-        roll = chord_roll(n, [root, root + 4, root + 7], source_id=f"toy{i}")
-        items.append(TrainItem(f"toy{i}", 0, roll))
+        items.append(chord_roll(n, [root, root + 4, root + 7], source_id=f"toy{i}[0]"))
     return items
 
 
-def single_batch_plan(items: list[TrainItem]) -> BatchPlan:
-    assignments = [
-        Assignment(item.piece_id, 0, item.roll.n_samples, item.roll.n_samples)
-        for item in items
-    ]
-    return BatchPlan(assignments=assignments, batches=[[i] for i in range(len(items))])
+def whole_piece_assignments(items: list[PianoRoll]) -> list[Assignment]:
+    return [Assignment(item.source_id.removesuffix("[0]"), 0, item.n_samples, item.n_samples)
+            for item in items]
+
+
+def single_batch_plan(items: list[PianoRoll]) -> BatchPlan:
+    return BatchPlan(assignments=whole_piece_assignments(items),
+                     batches=[[i] for i in range(len(items))])
 
 
 class TestTrainConfig:
@@ -290,11 +290,8 @@ class TestTrainEpoch:
         cfg = ModelConfig(hidden_size=4, seed_len=2)
         model = Model(cfg, rng=np.random.default_rng(14))
         items = toy_items(6, 12, np.random.default_rng(15))
-        assignments = [
-            Assignment(i.piece_id, 0, i.roll.n_samples, i.roll.n_samples)
-            for i in items
-        ]
-        plan = make_batches(assignments, batch_cap=2, rng=np.random.default_rng(16))
+        plan = make_batches(whole_piece_assignments(items), batch_cap=2,
+                            rng=np.random.default_rng(16))
         train_epoch(model, plan, items, TrainConfig(), np.random.default_rng(0))
         assert model.params.step == len(plan.batches) == 3
 
@@ -387,7 +384,7 @@ class TestTrainRejectsBeforeWriting:
         cfg = ModelConfig(hidden_size=4, seed_len=5)
         model = Model(cfg, rng=np.random.default_rng(102))
         items = toy_items(2, 20, np.random.default_rng(103))
-        short = TrainItem("short", 0, chord_roll(3, [60, 64, 67], source_id="short"))
+        short = chord_roll(3, [60, 64, 67], source_id="short[0]")
         out = tmp_path / "ckpt"
         with pytest.raises(ValueError, match=r"piece short\[0\] has 3 samples, "
                                              r"no more than seed length 5"):
@@ -414,7 +411,7 @@ class TestTemplatePerPiece:
         cfg = ModelConfig(hidden_size=4, seed_len=2)
         model = Model(cfg, rng=np.random.default_rng(108))
         items = toy_items(3, 12, np.random.default_rng(109))
-        items.append(TrainItem("other", 0, chord_roll(15, [50, 53, 57, 62], source_id="other")))
+        items.append(chord_roll(15, [50, 53, 57, 62], source_id="other[0]"))
         forwards, losses = [], []
         self.record(monkeypatch, sing.training, "forward_piece", forwards)
         self.record(monkeypatch, sing.training, "piece_loss", losses)
@@ -425,24 +422,24 @@ class TestTemplatePerPiece:
         for k, (forward, loss) in enumerate(zip(forwards, losses)):
             item = items[k % len(items)]
             _, target, S, _, _ = forward
-            assert target is item.roll and loss[2] is item.roll
+            assert target is item and loss[2] is item
             assert loss[3] is S  # built once for the pass
-            assert np.array_equal(S.values, ssm(chroma(item.roll)).values)
+            assert np.array_equal(S.values, ssm(chroma(item)).values)
 
     def test_evaluate(self, monkeypatch):
         cfg = ModelConfig(hidden_size=4, seed_len=3)
         model = Model(cfg, rng=np.random.default_rng(112))
         items = toy_items(2, 12, np.random.default_rng(113))
-        items.append(TrainItem("other", 0, chord_roll(9, [50, 53, 57, 62], source_id="other")))
+        items.append(chord_roll(9, [50, 53, 57, 62], source_id="other[0]"))
         generations = []
         self.record(monkeypatch, sing.evaluation, "generate", generations)
         evaluate(items, cfg, np.random.default_rng(114), model=model)
         assert len(generations) == GENERATIONS_PER_PIECE * len(items)
         for k, (_, seed, S, _) in enumerate(generations):
             item = items[k // GENERATIONS_PER_PIECE]
-            assert np.array_equal(seed, item.roll.data.T[: cfg.seed_len])
+            assert np.array_equal(seed, item.data.T[: cfg.seed_len])
             assert S is generations[k - k % GENERATIONS_PER_PIECE][2]  # once per piece
-            assert np.array_equal(S.values, ssm(chroma(item.roll)).values)
+            assert np.array_equal(S.values, ssm(chroma(item)).values)
 
 
 class TestValidate:
@@ -475,9 +472,9 @@ class TestPrepareCorpus:
         items = items_from_plan(plan, {r.source_id: r for r in rolls})
         assert len(plan.assignments) == len(items)
         for assignment, item in zip(plan.assignments, items):
-            assert assignment.piece_id == item.piece_id
+            assert item.source_id == f"{assignment.piece_id}[{assignment.segment_index}]"
             assert assignment.target_length in grid
-            assert item.roll.n_samples == assignment.target_length
+            assert item.n_samples == assignment.target_length
 
     @pytest.mark.parametrize("max_len", [40, 64, 100, 150, 700])
     def test_saved_plan_rebuilds_items_at_its_own_slicing(self, max_len):
@@ -493,11 +490,14 @@ class TestPrepareCorpus:
         rebuilt = items_from_plan(plan_from_text(plan_to_text(plan)), rolls_by_id)
         assert len(rebuilt) == len(plan.assignments)
         for a, item in zip(plan.assignments, rebuilt):
-            i, s = a.segment_index, a.source_length
-            assert (item.piece_id, item.segment_index) == (a.piece_id, i)
+            i, s, t = a.segment_index, a.source_length, a.target_length
+            assert item.source_id == f"{a.piece_id}[{i}]"
             cut = rolls_by_id[a.piece_id].data[:, i * s : (i + 1) * s]
-            expected = apply_edit(PianoRoll(data=cut, tempo=120.0), a.target_length)
-            assert np.array_equal(item.roll.data, expected.data)
+            expected = np.zeros((128, t), dtype=np.uint8)  # silence pads a short segment
+            expected[:, : min(s, t)] = cut[:, :t]
+            assert np.array_equal(item.data, expected)
+            whole = (s, t) == (rolls_by_id[a.piece_id].n_samples, s)
+            assert np.shares_memory(item.data, rolls_by_id[a.piece_id].data) == whole
 
     def test_items_hold_no_template(self):
         """Ten 300-sample segments cost less than one 300 x 300 float64 matrix:
@@ -512,17 +512,16 @@ class TestPrepareCorpus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(items) == 10 and all(item.roll.n_samples == s for item in items)
+        assert len(items) == 10 and all(item.n_samples == s for item in items)
         assert peak < s * s * 8
 
     def test_plans_from_lengths_without_cutting_a_roll(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("planning cut a roll")
+            raise AssertionError("planning built a roll")
 
-        monkeypatch.setattr("sing.batching.cut_segment", refuse)
-        monkeypatch.setattr("sing.training.cut_segment", refuse)
         rolls = [chord_roll(n, [60, 64, 67], source_id=f"p{i}")
                  for i, n in enumerate([90, 96, 100, 98, 250])]
+        monkeypatch.setattr(PianoRoll, "__post_init__", refuse)
         plan, grid, excluded = prepare_corpus(
             rolls, np.random.default_rng(30), k=2, count=4, max_len=100, batch_cap=3,
             max_edit_fraction=0.05,
