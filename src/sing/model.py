@@ -125,20 +125,23 @@ def combine_forward(params: nn.ParamSet, mode: str, a: np.ndarray, z: np.ndarray
 
 def combine_backward(
     params: nn.ParamSet, mode: str, A: np.ndarray, Z: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Backprop stacked steps: rows of A, Z and upstream belong to one step.
 
-    Accumulates the combiner gradients summed over the rows; returns (dA, dZ).
+    Accumulates the combiner gradients summed over the rows; returns dZ.
+    The attention vectors take no gradient, so none is formed for A.
     """
     if mode == "dense":
-        dW, db, dAZ = nn.dense_backward(params["combine.W"], np.hstack([A, Z]), upstream)
-        params.accumulate("combine.W", dW)
+        n_a = A.shape[1]
+        dW_z, db, dZ = nn.dense_backward(params["combine.W"][:, n_a:], Z, upstream)
+        params.accumulate("combine.W", upstream.T @ A, columns=slice(None, n_a))
+        params.accumulate("combine.W", dW_z, columns=slice(n_a, None))
         params.accumulate("combine.b", db)
-        return dAZ[:, : A.shape[1]], dAZ[:, A.shape[1] :]
+        return dZ
     params.accumulate("combine.w_a", np.array([float(np.sum(upstream * A))]))
     params.accumulate("combine.w_z", np.array([float(np.sum(upstream * Z))]))
     params.accumulate("combine.b", np.array([float(upstream.sum())]))
-    return params["combine.w_a"][0] * upstream, params["combine.w_z"][0] * upstream
+    return params["combine.w_z"][0] * upstream
 
 
 def forward_step(
@@ -167,7 +170,7 @@ def head_backward(
     """
     p = model.params
     if model.cfg.attention_enabled:
-        return combine_backward(p, model.cfg.combiner_mode, A, Z, dD)[1]
+        return combine_backward(p, model.cfg.combiner_mode, A, Z, dD)
     dW, db, dZ = nn.dense_backward(p["head.W"], Z, dD)
     p.accumulate("head.W", dW)
     p.accumulate("head.b", db)

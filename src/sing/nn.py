@@ -3,14 +3,17 @@
 Everything is 64-bit numpy with hand-written backward passes. Forward
 kernels keep no cache: `sparsemax` returns its output alone, and
 `lstm_cell_forward` writes one step's state and gate activations into rows
-the caller owns and passes back to `lstm_cell_backward`. Backward functions
-take the upstream gradient and return the gradients of the inputs.
+the caller owns, from which `lstm_backward_factors` forms the backward
+pass's factors. Backward functions take the upstream gradient and return
+the gradients of the inputs.
 
 Numerics contract, checked against the references in tests/oracles.py:
-bit for bit for the sampler's draws, `sigmoid`, the attention weights and
-the order of the LSTM row writes; within 1e-12 relative for the LSTM input
-projection (a gather of the columns of W_x at the active inputs; bit for
-bit on up to two binary ones) and the structural-loss sum.
+bit for bit for the sampler's draws, `sigmoid`, the attention weights,
+the order of the LSTM row writes and Adam; within 1e-12 relative for the
+LSTM input projection (a gather of the columns of W_x at the active
+inputs; bit for bit on up to two binary ones), the LSTM backward step
+(its factors formed once per piece) and the structural loss and its
+gradients.
 """
 
 from __future__ import annotations
@@ -88,29 +91,53 @@ def lstm_cell_forward(
     return h, c, gates
 
 
+def lstm_backward_factors(H: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The factors of the gate derivatives of T steps, formed for all steps at once.
+
+    H and C are the (T + 1, hidden) hidden and cell states, row 0 the
+    initial ones, and G the (T, 4 * hidden) gate activations, as
+    lstm_cell_forward wrote them (so H[t] = o tanh(C[t])). K[:, t - 1] of
+    the (6, T, hidden) result belongs to step t and holds o(1 - tanh(c)^2),
+    g i(1 - i), c_prev f(1 - f), i(1 - g^2), tanh(c) o(1 - o) and f, which
+    lstm_cell_backward reads.
+    """
+    hidden = C.shape[1]
+    i, f, g, o = (G[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    one_minus = np.subtract(1.0, G)
+    K = np.empty((6, G.shape[0], hidden))
+    tc = np.tanh(C[1:])
+    np.multiply(H[1:], tc, out=K[0])
+    np.subtract(o, K[0], out=K[0])  # o - (o tanh(c)) tanh(c)
+    np.multiply(one_minus[:, :hidden], i, out=K[1])
+    K[1] *= g
+    np.multiply(one_minus[:, hidden : 2 * hidden], f, out=K[2])
+    K[2] *= C[:-1]
+    np.multiply(g, g, out=K[3])
+    np.subtract(1.0, K[3], out=K[3])
+    K[3] *= i
+    np.multiply(H[1:], one_minus[:, 3 * hidden :], out=K[4])  # (o tanh(c))(1 - o)
+    K[5] = f
+    return K
+
+
 def lstm_cell_backward(
     step: tuple, dh: np.ndarray, dc: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dh_prev, dc_prev, dpre) for step = (W_x, W_h, c_prev, gates, tanh(c)).
+    """Returns (dh_prev, dc_prev, dpre) for step = (W_x, W_h, k).
 
-    dpre, written into out, is the gradient of the stacked gate
+    k is the step's column K[:, t - 1] of lstm_backward_factors; W_x is not
+    read. dpre, written into out, is the gradient of the stacked gate
     pre-activations; the step's weight gradients are outer(dpre, x),
     outer(dpre, h_prev) and dpre, which a caller sums over many steps as
     one matrix product.
     """
-    _, W_h, c_prev, gates, tc = step
-    hidden = tc.shape[0]
-    i, f, g, o = _gate_blocks(gates, hidden)
-    di, df, dg, do = _gate_blocks(out, hidden)
-    dct = dc + dh * o * (1.0 - tc * tc)
-    # a sigmoid block is (upstream * x) * y * (1 - y), left to right: the order fixes the bits
-    for block, upstream, x, y in ((di, dct, g, i), (df, dct, c_prev, f), (do, dh, tc, o)):
-        np.multiply(upstream, x, out=block)
-        block *= y
-        block *= 1.0 - y
-    np.multiply(dct, i, out=dg)
-    dg *= 1.0 - g * g
-    return W_h.T @ out, dct * f, out
+    _, W_h, k = step
+    dct = dh * k[0]
+    dct += dc
+    blocks = out.reshape(4, -1)
+    np.multiply(k[1:4], dct, out=blocks[:3])  # the input, forget and candidate blocks
+    np.multiply(dh, k[4], out=blocks[3])
+    return out @ W_h, dct * k[5], out
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +212,14 @@ class ParamSet:
     def names(self) -> list[str]:
         return list(self.values)
 
-    def accumulate(self, name: str, grad: np.ndarray) -> None:
-        if grad.shape != self.values[name].shape:
-            raise ValueError(f"gradient shape {grad.shape} != {self.values[name].shape}")
-        self.grads[name] += grad
+    def accumulate(self, name: str, grad: np.ndarray, columns=None) -> None:
+        """Add grad to the gradient of name; with columns (a slice or index
+        array of its last axis), grad holds only those columns."""
+        index = ... if columns is None else (..., columns)
+        shape = self.values[name][index].shape
+        if grad.shape != shape:
+            raise ValueError(f"gradient shape {grad.shape} != {shape}")
+        self.grads[name][index] += grad
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -201,20 +232,33 @@ def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 def adam_step(params: ParamSet, lr: float) -> None:
-    """One bias-corrected Adam update over every parameter; clears gradients."""
+    """One bias-corrected Adam update over every parameter; clears gradients.
+
+    In place, in the operation order of m_hat = m / (1 - beta1^t),
+    v_hat = v / (1 - beta2^t), value -= lr * m_hat / (sqrt(v_hat) + eps);
+    the gradient, cleared afterwards, holds the step on its way.
+    """
     params.step += 1
     t = params.step
+    m_scale, v_scale = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     for name, value in params.values.items():
         g = params.grads[name]
         m = params.m[name]
         v = params.v[name]
+        scratch = np.multiply(1.0 - ADAM_BETA1, g)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += scratch
+        np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
+        scratch *= g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += scratch
+        denominator = np.divide(v, v_scale, out=scratch)
+        np.sqrt(denominator, out=denominator)
+        denominator += ADAM_EPS
+        np.divide(m, m_scale, out=g)
+        g *= lr
+        g /= denominator
+        value -= g
     params.zero_grads()
 
 

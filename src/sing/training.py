@@ -125,8 +125,10 @@ def piece_loss(
 
     BCE is summed over generated steps against the target samples. The
     structural term compares the template against the SSM of the continuous
-    probability columns V (target chroma for seed steps). S must be symmetric
-    (every SSM is): the term's gradient in V is then `V @ (4 (V.T V - S) / n^2)`.
+    probability columns V (target chroma for seed steps): mean((V.T V - S)^2)
+    is (|V V.T|^2 - 2 <V, V S> + |S|^2) / n^2 for a symmetric S (every SSM
+    is), and its gradient in V is 4 (V V.T V - V S) / n^2, so no n x n
+    matrix is formed beside S.
     """
     n, seed_len = trace.n, trace.seed_len
     if target.n_samples != n or S.n != n:
@@ -138,18 +140,19 @@ def piece_loss(
     # Structural term on chroma of [target seed | predicted probabilities].
     cols = np.concatenate([target_samples[:seed_len].T, P.T], axis=1)
     V, norms = unit_columns(fold_pitch_classes(cols))
-    diff = V.T @ V
-    diff -= S.values
-    structural = float(np.vdot(diff, diff)) / (n * n)  # no n x n square beside diff
+    VS = V @ S.values
+    VVt = V @ V.T
+    squares = float(np.vdot(VVt, VVt)) - 2.0 * float(np.vdot(V, VS))
+    squares += float(np.vdot(S.values, S.values))
+    structural = max(squares, 0.0) / (n * n)  # a sum of squares; rounding stays above 0
     total = bce_total + structural
 
     if with_grad:
-        diff *= 4.0
-        diff /= n * n
-        dV = V @ diff
         # normalization backward, generated columns only (seed is constant)
         vg = V[:, seed_len:]
-        dvg = dV[:, seed_len:]
+        dvg = VVt @ vg
+        dvg -= VS[:, seed_len:]
+        dvg *= 4.0 / (n * n)
         nz_gen = norms[seed_len:] > 0.0
         du = (dvg - vg * np.sum(vg * dvg, axis=0)) / np.where(nz_gen, norms[seed_len:], 1.0)
         du[:, ~nz_gen] = 0.0
@@ -161,25 +164,27 @@ def piece_loss(
 def _backward_through_time(model: Model, trace: PieceTrace, dD: np.ndarray) -> None:
     """Backprop the logit gradients dD through the head and the LSTM steps.
 
-    The recurrence runs step by step; each weight gradient is then one
-    matrix product over the stacked steps.
+    The gate-derivative factors of every step are formed at once; the
+    recurrence then runs step by step, and each weight gradient is one
+    matrix product over the stacked steps (for W_x, over the inputs'
+    active columns alone).
     """
     p = model.params
     n, seed_len = trace.n, trace.seed_len
     dZ = head_backward(model, trace.A, trace.H[seed_len:], dD)
-    W_x, W_h, C, G = p["lstm.W_x"], p["lstm.W_h"], trace.C, trace.G
-    TC = np.tanh(C)  # once per piece, not once per step
-    dpre = np.empty_like(G)  # row t-1: step t's gate pre-activations
+    W_x, W_h = p["lstm.W_x"], p["lstm.W_h"]
+    K = nn.lstm_backward_factors(trace.H, trace.C, trace.G)
+    dpre = np.empty_like(trace.G)  # row t-1: step t's gate pre-activations
     dh = np.zeros(model.cfg.hidden_size)
     dc = np.zeros(model.cfg.hidden_size)
     for t in range(n - 1, 0, -1):
         if t >= seed_len:
-            dh = dh + dZ[t - seed_len]
-        dh, dc, _ = nn.lstm_cell_backward(
-            (W_x, W_h, C[t - 1], G[t - 1], TC[t]), dh, dc, out=dpre[t - 1]
-        )
-    p.accumulate("lstm.W_x", dpre.T @ trace.X)
-    p.accumulate("lstm.W_h", dpre.T @ trace.H[:-1])
+            dh += dZ[t - seed_len]
+        dh, dc, _ = nn.lstm_cell_backward((W_x, W_h, K[:, t - 1]), dh, dc, out=dpre[t - 1])
+    # (inputs.T @ dpre).T ran faster than dpre.T @ inputs: 1.7 against 2.7 ms for W_h at n = 700
+    active = np.flatnonzero(trace.X.any(axis=0))
+    p.accumulate("lstm.W_x", (trace.X[:, active].T @ dpre).T, columns=active)
+    p.accumulate("lstm.W_h", (trace.H[:-1].T @ dpre).T)
     p.accumulate("lstm.b", dpre.sum(axis=0))
 
 

@@ -4,15 +4,17 @@ These deliberately avoid the library's own algorithms so that the tests
 check against a second derivation, not a mirror of the implementation.
 The step-by-step references at the end are the forms the vectorized and
 in-place kernels replaced (masked sigmoid, one sparsemax per attention row,
-lexsort sampler drawing with rng.choice, concatenated LSTM backward, the
-dense LSTM input product), as are the chroma SSM and structural loss that
-symmetrised their n x n products and averaged the squared difference, the
+lexsort sampler drawing with rng.choice, concatenated LSTM backward with
+its factors taken per step, the dense LSTM input product, Adam as plain
+expressions), as are the chroma SSM and structural loss that symmetrised
+their n x n products and averaged the squared difference, the
 standardized MSE that standardized both matrices first, and the MIDI
 reader, sampler and writer that made one Python object per event, note
 and pitch row. The tests require bit-for-bit equal results from both (for
 MIDI: the same notes, warnings, errors and bytes), except for values
-behind a sum whose order moved (the LSTM input projection, the structural
-loss sum, the standardized MSE), which `close` checks to RTOL.
+behind a sum or product whose order moved (the LSTM input projection, the
+LSTM backward step, the structural loss and its gradients, the standardized
+MSE), which `close` checks to RTOL.
 """
 
 from __future__ import annotations
@@ -288,7 +290,9 @@ def draw_margin(d: np.ndarray, cfg, rng: np.random.Generator) -> float:
 
 
 def lstm_cell_backward_concat(step, dh, dc):
-    """One LSTM step backward with dpre built by concatenating its four blocks."""
+    """One LSTM step backward with dpre built by concatenating its four blocks,
+    each factor taken in the step, for step = (W_x, W_h, c_prev, gates, tanh(c)).
+    Bit for bit the per-step kernel that lstm_backward_factors replaced."""
     _, W_h, c_prev, gates, tc = step
     i, f, g, o = np.split(gates, 4)
     do = dh * tc
@@ -296,6 +300,22 @@ def lstm_cell_backward_concat(step, dh, dc):
     dpre = np.concatenate([dct * g * i * (1.0 - i), dct * c_prev * f * (1.0 - f),
                            dct * i * (1.0 - g * g), do * o * (1.0 - o)])
     return W_h.T @ dpre, dct * f, dpre
+
+
+def adam_step_expressions(params, lr: float) -> None:
+    """One Adam update written as plain expressions, each forming new arrays."""
+    params.step += 1
+    t = params.step
+    for name, value in params.values.items():
+        g, m, v = params.grads[name], params.m[name], params.v[name]
+        m *= nn.ADAM_BETA1
+        m += (1.0 - nn.ADAM_BETA1) * g
+        v *= nn.ADAM_BETA2
+        v += (1.0 - nn.ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - nn.ADAM_BETA1**t)
+        v_hat = v / (1.0 - nn.ADAM_BETA2**t)
+        value -= lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
+    params.zero_grads()
 
 
 def lstm_cell_dense(W_x, W_h, b, x, h_prev, c_prev):
@@ -410,7 +430,8 @@ def ssm_two_pass(chroma_seq: np.ndarray) -> np.ndarray:
 
 
 def piece_loss_two_pass(model, trace, target, S, with_grad=True) -> PieceLoss:
-    """Combined loss whose structural gradient takes V @ (dG + dG.T)."""
+    """Combined loss with the structural term on the n x n matrix V.T V - S
+    itself, and its gradient V @ (dG + dG.T)."""
     n, seed_len = trace.n, trace.seed_len
     if target.n_samples != n or S.n != n:
         raise ValueError("trace, target, and SSM lengths disagree")

@@ -109,7 +109,9 @@ def test_gradient_integrity():
             h_prev, c_prev = h, c
             h, c, gates = nn.lstm_cell_forward(W_x, W_h, b_l, xs[t], h, c,
                                                out=(np.empty(H), np.empty(H), np.empty(4 * H)))
-            caches.append(((W_x, W_h, c_prev, gates, np.tanh(c)), xs[t], h_prev, h))
+            k = nn.lstm_backward_factors(np.stack([h_prev, h]), np.stack([c_prev, c]),
+                                         gates[None])[:, 0]
+            caches.append(((W_x, W_h, k), xs[t], h_prev, h))
             total += float(h @ h)
         return total, caches
 
@@ -310,6 +312,40 @@ def test_structure_replication(desk_models):
         "structure-replication",
         f"sing {means['sing']:.3f} < ablated {means['ablated']:.3f}, "
         f"random {random_run.mean:.3f}, {total:.0f}s",
+    )
+
+
+# ---------------------------------------------------------------------------
+# criterion: held-out loss (the paper's second claim, desk scale)
+
+
+def held_out_bce_per_step(model, held_out, p_feedback, rng) -> float:
+    """Summed BCE over every generated step of the held-out pieces, divided
+    by their number, under scheduled sampling at p_feedback."""
+    total, steps = 0.0, 0
+    for item in held_out:
+        template = ssm(chroma(item))
+        trace = forward_piece(model, item, template, p_feedback, rng)
+        total += piece_loss(model, trace, item, template, with_grad=False).bce
+        steps += trace.n - trace.seed_len
+    return total / steps
+
+
+def test_held_out_loss(desk_models):
+    """On pieces it never trained on, the attention model's BCE per step is
+    below the ablated model's, teacher-forced and at p_feedback 0.8."""
+    held_out = desk_models["held_out"]
+    found = {}
+    for p_feedback in (0.0, 0.8):
+        for name in ("sing", "ablated"):
+            _, model = desk_models["models"][name]
+            rng = np.random.default_rng(DESK_SEED + 6)
+            found[name, p_feedback] = held_out_bce_per_step(model, held_out, p_feedback, rng)
+        assert found["sing", p_feedback] < found["ablated", p_feedback], found
+    _report(
+        "held-out-loss",
+        ", ".join(f"p_feedback {p}: sing {found['sing', p]:.2f} < ablated {found['ablated', p]:.2f}"
+                  for p in (0.0, 0.8)) + " BCE per step",
     )
 
 

@@ -15,7 +15,9 @@ import numpy as np
 
 import sing.cli
 import sing.evaluation
+import sing.model
 import sing.training
+from sing.batching import Assignment, BatchPlan
 from sing.midi_io import PianoRoll
 from sing.model import Model, ModelConfig
 from sing.structure import chroma, ssm, standardized_mse
@@ -83,6 +85,46 @@ def test_traced_piece_evaluates_every_counter():
             assert any(key.startswith(f"{name}.") for key in tracer.counters), name
     assert tracer.counters["nn.lstm_bwd.flop"] > 0
     assert tracer.counters["model.sample_notes.fed_back"] > 0
+
+
+def traced_calls(run) -> tuple[dict[str, int], dict[str, float]]:
+    """(calls per span name, counters) of run() under the benchmark's tracer."""
+    tracer = load_spans().Tracer()
+    with tracer.active():
+        run()
+    calls, _ = tracer.self_times()
+    return dict(zip(tracer.names, calls.tolist())), tracer.counters
+
+
+def test_training_and_generation_call_every_name_the_tracer_wraps():
+    """The layer spans the benchmark reports stay on the paths they time: a
+    rewrite that stops calling a wrapped name (say, an attention step folded
+    into the combiner) reads zero calls there; only a traced benchmark run
+    would show it otherwise."""
+    n, seed_len, hidden = 30, 4, 6
+    data = (np.random.default_rng(1).random((128, n)) < 0.1).astype(np.uint8)
+    roll = PianoRoll(data=data, tempo=120.0, source_id="piece[0]")
+    template = ssm(chroma(roll))
+    plan = BatchPlan(assignments=[Assignment("piece", 0, n, n)], batches=[[0]])
+    tcfg = sing.training.TrainConfig(p_feedback=0.5, epochs=1)
+    for attention in (True, False):
+        cfg = ModelConfig(hidden_size=hidden, seed_len=seed_len, attention_enabled=attention)
+        model = Model(cfg, rng=np.random.default_rng(0))
+        calls, counters = traced_calls(lambda: sing.training.train_epoch(
+            model, plan, [roll], tcfg, np.random.default_rng(2)))
+        # one backward step per LSTM step, its step tuple led by W_x and W_h
+        assert calls["nn.lstm_bwd"] == n - 1
+        assert counters["nn.lstm_bwd.flop"] == (n - 1) * 4 * 4 * hidden * (128 + hidden)
+        assert calls["nn.dense_bwd"] == 1, attention  # the dense combiner or the plain head
+        assert calls["model.attention"] == (n - seed_len if attention else 0)
+        assert calls["nn.sigmoid"] > 0 and calls["nn.adam"] == 1
+        assert (calls["nn.sparsemax"] > 0) == attention
+
+        calls, _ = traced_calls(lambda: sing.model.generate(
+            model, data.T[:seed_len], template, np.random.default_rng(3)))
+        assert calls["model.attention"] == (n - seed_len if attention else 0)
+        assert calls["nn.sigmoid"] > 0 and calls["nn.lstm_bwd"] == 0
+        assert (calls["nn.sparsemax"] > 0) == attention
 
 
 def test_evaluate_csv_scores_equal_the_generate_workload_recomputation(monkeypatch):

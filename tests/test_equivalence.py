@@ -204,6 +204,8 @@ class TestLstmCellWritesRows:
 
     @pytest.mark.parametrize("hidden", [1, 16, 128])
     def test_backward_rows_match_concatenated_form(self, hidden):
+        """Factors formed once per piece associate the products differently
+        from the per-step form, so the rows agree within RTOL."""
         rng = np.random.default_rng(hidden + 1)
         W_x, W_h = rng.normal(size=(4 * hidden, 128)), rng.normal(size=(4 * hidden, hidden))
         G = np.full((5, 4 * hidden), 5.0)
@@ -211,16 +213,19 @@ class TestLstmCellWritesRows:
         G[:, 2 * hidden : 3 * hidden] = np.tanh(rng.normal(scale=3.0, size=(5, hidden)))
         G[:, 3 * hidden :] = rng.random((5, hidden))  # output gate
         C = rng.normal(scale=2.0, size=(6, hidden))
+        H = np.zeros((6, hidden))
+        H[1:] = G[:, 3 * hidden :] * np.tanh(C[1:])  # as the forward pass records h
+        K = nn.lstm_backward_factors(H, C, G)
         dpre = np.full((5, 4 * hidden), 9.0)
         dh, dc = rng.normal(size=hidden), rng.normal(size=hidden)
         ref_dh, ref_dc = dh, dc
         for t in range(5, 0, -1):
             before = dpre.copy()
-            step = (W_x, W_h, C[t - 1], G[t - 1], np.tanh(C[t]))
-            dh, dc, _ = nn.lstm_cell_backward(step, dh, dc, out=dpre[t - 1])
-            ref_dh, ref_dc, ref_dpre = lstm_cell_backward_concat(step, ref_dh, ref_dc)
-            assert same_bits(dh, ref_dh) and same_bits(dc, ref_dc)
-            assert same_bits(dpre[t - 1], ref_dpre)
+            dh, dc, _ = nn.lstm_cell_backward((W_x, W_h, K[:, t - 1]), dh, dc, out=dpre[t - 1])
+            ref_dh, ref_dc, ref_dpre = lstm_cell_backward_concat(
+                (W_x, W_h, C[t - 1], G[t - 1], np.tanh(C[t])), ref_dh, ref_dc)
+            assert close(dh, ref_dh) and close(dc, ref_dc)
+            assert close(dpre[t - 1], ref_dpre)
             others = np.arange(5) != t - 1
             assert same_bits(dpre[others], before[others])
 
@@ -412,6 +417,6 @@ class TestStructureMatchesTwoPass:
             assert same_bits(loss.bce, expected.bce)
             for field in ("total", "structural"):  # behind the structural sum
                 assert close(getattr(loss, field), getattr(expected, field)), field
-            for name, grad in expected_grads.items():
-                assert same_bits(grads[name], grad), name
+            for name, grad in expected_grads.items():  # the LSTM's and the head's
+                assert close(grads[name], grad), name
             assert not with_grad or any(grad.any() for grad in grads.values())

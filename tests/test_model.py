@@ -130,8 +130,7 @@ class TestCombine:
         a, z = rng.random(128), rng.random(128)
         upstream = rng.normal(size=128)
 
-        dA, dZ = combine_backward(params, mode, a[None], z[None], upstream[None])
-        da, dz = dA[0], dZ[0]
+        dz = combine_backward(params, mode, a[None], z[None], upstream[None])[0]
 
         for name in names:
             def loss_of(p, _name=name):
@@ -143,9 +142,7 @@ class TestCombine:
 
             fd = central_difference(loss_of, params.values[name].copy())
             assert relative_error(fd, params.grads[name]) < 1e-4, name
-        fd_a = central_difference(lambda aa: float(upstream @ combine_forward(params, mode, aa, z)), a.copy())
         fd_z = central_difference(lambda zz: float(upstream @ combine_forward(params, mode, a, zz)), z.copy())
-        assert relative_error(fd_a, da) < 1e-4
         assert relative_error(fd_z, dz) < 1e-4
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    adam_step_expressions,
     central_difference,
     project_simplex_bruteforce,
     project_simplex_bruteforce_fast,
@@ -21,6 +22,7 @@ from sing.nn import (
     checkpoint_to_bytes,
     dense_backward,
     init_uniform,
+    lstm_backward_factors,
     lstm_cell_backward,
     lstm_cell_forward,
     save_checkpoint,
@@ -103,7 +105,9 @@ class TestLstmCell:
             for t in range(T):
                 h_prev, c_prev = h, c
                 h, c, gates = lstm_cell_forward(W_x, W_h, b, xs[t], h, c, out=cell_out(H))
-                caches.append(((W_x, W_h, c_prev, gates, np.tanh(c)), xs[t], h_prev, h))
+                k = lstm_backward_factors(np.stack([h_prev, h]), np.stack([c_prev, c]),
+                                          gates[None])[:, 0]
+                caches.append(((W_x, W_h, k), xs[t], h_prev, h))
                 loss += float(h @ h)
             return loss, caches
 
@@ -139,7 +143,8 @@ class TestLstmCell:
         for got, want in zip(strided, (h, c, gates)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-        step = (W_x, W_h, c_prev, gates, np.tanh(c))
+        k = lstm_backward_factors(np.stack([h_prev, h]), np.stack([c_prev, c]), gates[None])
+        step = (W_x, W_h, k[:, 0])
         dh, dc = rng.normal(size=H), rng.normal(size=H)
         expected = lstm_cell_backward(step, dh, dc, out=np.empty(4 * H))
         got = lstm_cell_backward(step, dh, dc, out=rows[:, 0])
@@ -257,6 +262,24 @@ class TestAdam:
             adam_step(params, lr=0.001)
         assert params.step == 5
 
+    def test_in_place_update_matches_the_plain_expressions_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        fast, ref = ParamSet(), ParamSet()
+        for params in (fast, ref):
+            params.add("W", np.arange(12.0).reshape(3, 4) / 7)
+            params.add("b", np.zeros(3))
+        for _ in range(4):
+            for name, shape in (("W", (3, 4)), ("b", (3,))):
+                grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                fast.accumulate(name, grad)
+                ref.accumulate(name, grad.copy())
+            adam_step(fast, lr=0.003)
+            adam_step_expressions(ref, lr=0.003)
+            for table in ("values", "m", "v", "grads"):
+                for name in ("W", "b"):
+                    got, want = getattr(fast, table)[name], getattr(ref, table)[name]
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (table, name)
+
 
 class TestParamSet:
     def test_duplicate_name_rejected(self):
@@ -270,6 +293,15 @@ class TestParamSet:
         params.add("a", np.zeros((2, 3)))
         with pytest.raises(ValueError):
             params.accumulate("a", np.zeros((3, 2)))
+
+    def test_gradient_columns_add_to_those_columns_alone(self):
+        params = ParamSet()
+        params.add("a", np.zeros((2, 5)))
+        params.accumulate("a", np.ones((2, 2)), columns=np.array([1, 3]))
+        params.accumulate("a", np.full((2, 2), 2.0), columns=slice(3, None))
+        assert params.grads["a"].tolist() == [[0.0, 1.0, 0.0, 3.0, 2.0]] * 2
+        with pytest.raises(ValueError):
+            params.accumulate("a", np.ones((2, 3)), columns=np.array([0, 1]))
 
     def test_init_uniform_bounds(self):
         rng = np.random.default_rng(7)
