@@ -71,6 +71,9 @@ def build_grid(
         raise ValueError("k must be >= 1")
     if count < 2:
         raise ValueError("grid needs at least 2 points")
+    for name, value in (("count", count), ("max_len", max_len)):
+        if value > MAX_SAMPLES:  # no plan target exceeds it, so no more grid points differ
+            raise ValueError(f"grid {name} {value} exceeds MAX_SAMPLES ({MAX_SAMPLES})")
     if len(piece_lengths) < k:
         raise ValueError(f"need at least {k} pieces, got {len(piece_lengths)}")
     min_len = sorted(piece_lengths)[k - 1]

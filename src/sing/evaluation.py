@@ -18,7 +18,7 @@ import numpy as np
 
 from sing.midi_io import N_PITCHES, PianoRoll
 from sing.model import Model, ModelConfig, generate
-from sing.structure import centre, chroma, ssm, standardized_mse
+from sing.structure import chroma, ssm, standardized_mse
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +76,6 @@ def evaluate(
             continue
         seed = item.data.T[: cfg.seed_len]
         template = ssm(chroma(item))
-        centred = centre(template)
         scores = []
         try:
             for _ in range(generations):
@@ -84,8 +83,7 @@ def evaluate(
                     roll = random_baseline(n, cfg, rng)
                 else:
                     roll = generate(model, seed, template, rng, tempo=item.tempo)
-                generated = ssm(chroma(roll), role="generated")
-                scores.append(standardized_mse(centred, generated))
+                scores.append(standardized_mse(template, ssm(chroma(roll), role="generated")))
         except ValueError as exc:
             raise ValueError(f"piece {item.source_id}: {exc}") from exc
         run.piece_ids.append(item.source_id)

@@ -169,17 +169,16 @@ def sparsemax(q: np.ndarray) -> np.ndarray:
 # multi-label binary cross-entropy from logits
 
 
-def bce_with_logits(
-    x: np.ndarray, y: np.ndarray, probs: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def bce_with_logits(x: np.ndarray, y: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
     """Stable BCE summed over entries; returns (loss, dloss/dx).
 
-    probs is sigmoid(x), passed by a caller that already has it.
+    probs is sigmoid(x), which the caller already holds; the gradient is
+    probs - y.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     loss = float(np.sum(np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))))
-    return loss, (sigmoid(x) if probs is None else probs) - y
+    return loss, probs - y
 
 
 # ---------------------------------------------------------------------------

@@ -99,46 +99,27 @@ def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
     return SelfSimilarityMatrix(values=values, role=role)
 
 
-@dataclass(frozen=True)
-class Centred:
-    """An SSM less its mean, and the sum of squares of what is left: the half
-    of standardized_mse that depends on one matrix only."""
-
-    deviations: np.ndarray
-    sum_sq: np.float64
-
-    @property
-    def live(self) -> bool:
-        """Whether the population std reaches DEGENERATE_STD."""
-        return bool(np.sqrt(self.sum_sq / self.deviations.size) >= DEGENERATE_STD)
-
-
-def centre(matrix: SelfSimilarityMatrix) -> Centred:
-    deviations = matrix.values - matrix.values.mean()
-    return Centred(deviations, np.vdot(deviations, deviations))
-
-
-def standardized_mse(
-    template: SelfSimilarityMatrix | Centred, generated: SelfSimilarityMatrix
-) -> float:
+def standardized_mse(template: SelfSimilarityMatrix, generated: SelfSimilarityMatrix) -> float:
     """MSE between the two SSMs, each shifted to zero mean and scaled to unit
     population std over its n^2 entries.
 
     That is 2 - 2 corr(a, b), taken from one centred inner product, so
     statistically unrelated matrices score about 2 and affinely related ones
     0. An input whose std is below DEGENERATE_STD standardizes to all zeros:
-    it adds 0 instead of 1, and the cross term drops out. A template scored
-    against several generations can be passed centred once (see `centre`).
+    it adds 0 instead of 1, and the cross term drops out.
     """
-    a = template if isinstance(template, Centred) else centre(template)
-    if a.deviations.shape != generated.values.shape:
-        raise ValueError(f"shape mismatch: {a.deviations.shape} vs {generated.values.shape}")
+    if template.values.shape != generated.values.shape:
+        raise ValueError(f"shape mismatch: {template.values.shape} vs {generated.values.shape}")
     if generated.n < 2:
         raise ValueError("standardized MSE needs n >= 2")
-    b = centre(generated)
-    score = float(a.live) + float(b.live)
-    if a.live and b.live:
-        score -= 2.0 * float(np.vdot(a.deviations, b.deviations) / np.sqrt(a.sum_sq * b.sum_sq))
+    a = template.values - template.values.mean()
+    b = generated.values - generated.values.mean()
+    a_sq, b_sq = np.vdot(a, a), np.vdot(b, b)
+    a_live = bool(np.sqrt(a_sq / a.size) >= DEGENERATE_STD)
+    b_live = bool(np.sqrt(b_sq / b.size) >= DEGENERATE_STD)
+    score = float(a_live) + float(b_live)
+    if a_live and b_live:
+        score -= 2.0 * float(np.vdot(a, b) / np.sqrt(a_sq * b_sq))
     return score
 
 

@@ -161,8 +161,8 @@ def test_gradient_integrity():
     # BCE with logits
     x_l = rng.normal(scale=3.0, size=128)
     y_l = (rng.random(128) < 0.3).astype(float)
-    _, grad = nn.bce_with_logits(x_l, y_l)
-    fd = central_difference(lambda xx: nn.bce_with_logits(xx, y_l)[0], x_l, h=1e-6)
+    _, grad = nn.bce_with_logits(x_l, y_l, nn.sigmoid(x_l))
+    fd = central_difference(lambda xx: nn.bce_with_logits(xx, y_l, nn.sigmoid(xx))[0], x_l, h=1e-6)
     assert relative_error(fd, grad) < 1e-4
 
     # full piece loss, n=8, hidden 4, teacher forcing, every entry

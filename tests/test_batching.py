@@ -105,6 +105,16 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="at least 10"):
             build_grid([100, 200], k=10)
 
+    @pytest.mark.parametrize("option", ["count", "max_len"])
+    def test_past_the_sample_cap_rejected(self, option):
+        """A plan cannot name a target above MAX_SAMPLES, so no grid builds one."""
+        message = rf"grid {option} {MAX_SAMPLES + 1} exceeds MAX_SAMPLES \({MAX_SAMPLES}\)"
+        with pytest.raises(ValueError, match=message):
+            build_grid([100] * 10, **{option: MAX_SAMPLES + 1})
+
+    def test_max_len_at_the_sample_cap_accepted(self):
+        assert build_grid([100] * 10, count=2, max_len=MAX_SAMPLES) == [100, MAX_SAMPLES]
+
 
 class TestAssign:
     def test_430_pads_to_437(self):

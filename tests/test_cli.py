@@ -393,6 +393,19 @@ class TestBadInputs:
         assert code == 1
         assert "non-finite" in single_error_line(capsys)
 
+    @pytest.mark.parametrize("flag", ["--grid-count", "--max-len"])
+    def test_grid_past_the_sample_cap_is_an_error_and_writes_no_plan(self, tmp_path, capsys, flag):
+        """train could not read back a target above MAX_SAMPLES, so batch-plan writes none."""
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=4, n=24)
+        plan = tmp_path / "plan.txt"
+        grid = {"--grid-count": "4", "--max-len": "24", flag: str(MAX_SAMPLES + 1)}
+        code = main(["batch-plan", "--in", str(tmp_path / "corpus"), "--out", str(plan),
+                     "--grid-k", "2", "--grid-count", grid["--grid-count"],
+                     "--max-len", grid["--max-len"]])
+        assert code == 1
+        assert f"exceeds MAX_SAMPLES ({MAX_SAMPLES})" in single_error_line(capsys)
+        assert not plan.exists()
+
     def test_over_long_validation_roll_fails_before_writing(self, tmp_path, capsys):
         corpus, plan, out = tmp_path / "corpus", tmp_path / "plan.txt", tmp_path / "ckpt"
         write_corpus_prolls(corpus, n_pieces=4, n=24)

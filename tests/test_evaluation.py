@@ -1,9 +1,11 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sing import evaluation
 from sing.evaluation import EvalRun, eval_run_to_csv, evaluate, random_baseline
 from sing.midi_io import PianoRoll
 from sing.model import Model, ModelConfig
@@ -144,6 +146,32 @@ class TestEvaluate:
         run_a = evaluate(items, cfg, np.random.default_rng(11), model=model)
         run_b = evaluate(items, cfg, np.random.default_rng(11), model=model)
         assert run_a.mses == run_b.mses
+
+    @pytest.mark.parametrize("generator", ["random", "sing"])
+    def test_only_the_template_is_held_while_a_piece_generates(self, monkeypatch, generator):
+        """Each generation starts with one n x n matrix held, the template: no
+        centred copy of it and no earlier generation's SSM."""
+        n = 1500
+        items = [block_piece(n, np.random.default_rng(16), "p0")]
+        cfg = ModelConfig(hidden_size=8)
+        model = None if generator == "random" else Model(cfg, rng=np.random.default_rng(17))
+        name = "random_baseline" if model is None else "generate"
+        inner = getattr(evaluation, name)
+        held = []
+
+        def traced(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, traced)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evaluate(items, cfg, np.random.default_rng(18), model=model, generations=3)
+        finally:
+            tracemalloc.stop()
+        matrices = [round(bytes_ / (n * n * 8), 2) for bytes_ in held]
+        assert len(matrices) == 3 and max(matrices) < 1.25, matrices
 
     def test_mean_is_arithmetic_mean_of_stored_values(self):
         run = EvalRun(generator="random")

@@ -204,20 +204,22 @@ class TestBce:
     def test_zero_logits_closed_form(self):
         y = np.zeros(128)
         y[::3] = 1.0
-        loss, grad = bce_with_logits(np.zeros(128), y)
+        x = np.zeros(128)
+        loss, grad = bce_with_logits(x, y, sigmoid(x))
         assert loss == pytest.approx(128 * math.log(2), abs=1e-9)
         assert np.allclose(grad, 0.5 - y)
 
     def test_confident_correct_loss_vanishes(self):
-        loss, _ = bce_with_logits(np.full(128, 40.0), np.ones(128))
+        x = np.full(128, 40.0)
+        loss, _ = bce_with_logits(x, np.ones(128), sigmoid(x))
         assert loss < 1e-12
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(6)
         x = rng.normal(scale=3.0, size=32)
         y = (rng.random(32) < 0.4).astype(float)
-        _, grad = bce_with_logits(x, y)
-        fd = central_difference(lambda xx: bce_with_logits(xx, y)[0], x, h=1e-6)
+        _, grad = bce_with_logits(x, y, sigmoid(x))
+        fd = central_difference(lambda xx: bce_with_logits(xx, y, sigmoid(xx))[0], x, h=1e-6)
         assert relative_error(fd, grad) < 1e-6
 
 

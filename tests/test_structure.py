@@ -12,7 +12,6 @@ from sing.structure import (
     load_ssm,
     parse_synth_spec,
     render_pgm,
-    centre,
     save_ssm,
     ssm,
     ssm_from_bytes,
@@ -129,19 +128,8 @@ class TestStandardizedMse:
         assert standardized_mse(a, SelfSimilarityMatrix(0.5 + np.eye(2))) == pytest.approx(0.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            standardized_mse(SelfSimilarityMatrix(np.eye(2)), SelfSimilarityMatrix(np.eye(3)))
         with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
-            standardized_mse(centre(SelfSimilarityMatrix(np.eye(2))), SelfSimilarityMatrix(np.eye(3)))
-
-    def test_template_centred_once_scores_the_same_bits(self):
-        rng = np.random.default_rng(10)
-        for template in (rng.random((30, 30)), np.full((30, 30), 0.3)):
-            centred = centre(SelfSimilarityMatrix(template))
-            for _ in range(3):
-                generated = SelfSimilarityMatrix(rng.random((30, 30)))
-                assert standardized_mse(centred, generated) == standardized_mse(
-                    SelfSimilarityMatrix(template), generated)
+            standardized_mse(SelfSimilarityMatrix(np.eye(2)), SelfSimilarityMatrix(np.eye(3)))
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError, match="n >= 2"):
