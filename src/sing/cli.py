@@ -182,7 +182,7 @@ def _require(path: str | Path, loader: Callable[[Path], T]) -> T:
 def _load_rolls(directory: str | Path) -> list[midi_io.PianoRoll]:
     paths = _require(directory, lambda d: sorted(d.glob("*.proll")))
     if not paths:
-        raise FileNotFoundError(f"no .proll files in {directory}")
+        raise ValueError(f"{directory}: no .proll files")
     return [_require(path, midi_io.load_proll) for path in paths]
 
 
@@ -195,9 +195,12 @@ def _model_config_for(checkpoint: str | None, explicit: str | None) -> ModelConf
 
 
 def _require_out_dir(path: str) -> None:
-    """Fail before any work when the directory of an output file is missing."""
+    """Fail before any work when an output file's directory is missing or
+    the output names a directory."""
     if not Path(path).parent.exists():
         raise FileNotFoundError(path)
+    if Path(path).is_dir():
+        raise ValueError(f"{path}: is a directory")
 
 
 def _prepare(args, rolls, rng, **options):
@@ -214,7 +217,7 @@ def _cmd_preprocess(args) -> int:
         lambda d: sorted(p for p in d.iterdir() if p.suffix.lower() in (".mid", ".midi")),
     )
     if not midi_paths:
-        raise FileNotFoundError(f"no MIDI files in {args.input_path}")
+        raise ValueError(f"{args.input_path}: no MIDI files")
     first_of_stem: dict[str, Path] = {}
     for path in midi_paths:
         if first_of_stem.setdefault(path.stem, path) != path:
@@ -308,12 +311,13 @@ def _cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     seed = seed_roll.data.T[: cfg.seed_len]
     roll = generate(model, seed, template, rng, tempo=seed_roll.tempo)
+    midi = _require(args.input_path, lambda _: midi_io.to_midi(roll))  # its tempo is the seed's
     # appended, not with_suffix: prefixes take.1 and take.2 write apart
     proll_path = Path(f"{args.output_path}.proll")
     midi_path = Path(f"{args.output_path}.mid")
     proll_path.parent.mkdir(parents=True, exist_ok=True)
     midi_io.save_proll(roll, proll_path)
-    midi_path.write_bytes(midi_io.to_midi(roll))
+    midi_path.write_bytes(midi)
     print(f"generate: wrote {proll_path} and {midi_path}")
     return 0
 
@@ -374,15 +378,16 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    level = os.environ.get("SING_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
+    level = getattr(logging, os.environ.get("SING_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
+                        format="%(message)s")
     try:
         defaults = _load_defaults(argv)
         parser = _build_parser(defaults)
         args = parser.parse_args(argv)
         return _HANDLERS[args.verb](args)
     except FileNotFoundError as exc:
-        # the OS names the file in .filename; _require and _load_rolls in args[0]
+        # the OS names the file in .filename; _require and _require_out_dir in args[0]
         print(f"error: file not found: {exc.filename or exc.args[0]}", file=sys.stderr)
         return 1
     except (ValueError, OSError, training.TrainingError) as exc:

@@ -9,11 +9,11 @@ the gradients of the inputs.
 
 Numerics contract, checked against the references in tests/oracles.py:
 bit for bit for the sampler's draws, `sigmoid`, the attention weights,
-the order of the LSTM row writes and Adam; within 1e-12 relative for the
-LSTM input projection (a gather of the columns of W_x at the active
-inputs; bit for bit on up to two binary ones), the LSTM backward step
-(its factors formed once per piece) and the structural loss and its
-gradients.
+the order of the LSTM row writes and Adam (its reference's expressions);
+within 1e-12 relative for the LSTM input projection (a gather of the
+columns of W_x at the active inputs; bit for bit on up to two binary
+ones), the LSTM backward step (its factors formed once per piece) and the
+structural loss and its gradients.
 """
 
 from __future__ import annotations
@@ -103,19 +103,13 @@ def lstm_backward_factors(H: np.ndarray, C: np.ndarray, G: np.ndarray) -> np.nda
     """
     hidden = C.shape[1]
     i, f, g, o = (G[:, k * hidden : (k + 1) * hidden] for k in range(4))
-    one_minus = np.subtract(1.0, G)
+    h = H[1:]
     K = np.empty((6, G.shape[0], hidden))
-    tc = np.tanh(C[1:])
-    np.multiply(H[1:], tc, out=K[0])
-    np.subtract(o, K[0], out=K[0])  # o - (o tanh(c)) tanh(c)
-    np.multiply(one_minus[:, :hidden], i, out=K[1])
-    K[1] *= g
-    np.multiply(one_minus[:, hidden : 2 * hidden], f, out=K[2])
-    K[2] *= C[:-1]
-    np.multiply(g, g, out=K[3])
-    np.subtract(1.0, K[3], out=K[3])
-    K[3] *= i
-    np.multiply(H[1:], one_minus[:, 3 * hidden :], out=K[4])  # (o tanh(c))(1 - o)
+    K[0] = o - h * np.tanh(C[1:])  # o - (o tanh(c)) tanh(c)
+    K[1] = (1.0 - i) * i * g
+    K[2] = (1.0 - f) * f * C[:-1]
+    K[3] = (1.0 - g * g) * i
+    K[4] = h * (1.0 - o)  # (o tanh(c))(1 - o)
     K[5] = f
     return K
 
@@ -231,33 +225,18 @@ def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 def adam_step(params: ParamSet, lr: float) -> None:
-    """One bias-corrected Adam update over every parameter; clears gradients.
-
-    In place, in the operation order of m_hat = m / (1 - beta1^t),
-    v_hat = v / (1 - beta2^t), value -= lr * m_hat / (sqrt(v_hat) + eps);
-    the gradient, cleared afterwards, holds the step on its way.
-    """
+    """One bias-corrected Adam update over every parameter; clears gradients."""
     params.step += 1
     t = params.step
-    m_scale, v_scale = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     for name, value in params.values.items():
-        g = params.grads[name]
-        m = params.m[name]
-        v = params.v[name]
-        scratch = np.multiply(1.0 - ADAM_BETA1, g)
+        g, m, v = params.grads[name], params.m[name], params.v[name]
         m *= ADAM_BETA1
-        m += scratch
-        np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
-        scratch *= g
+        m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
-        v += scratch
-        denominator = np.divide(v, v_scale, out=scratch)
-        np.sqrt(denominator, out=denominator)
-        denominator += ADAM_EPS
-        np.divide(m, m_scale, out=g)
-        g *= lr
-        g /= denominator
-        value -= g
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     params.zero_grads()
 
 

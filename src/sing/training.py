@@ -142,17 +142,15 @@ def piece_loss(
     V, norms = unit_columns(fold_pitch_classes(cols))
     VS = V @ S.values
     VVt = V @ V.T
-    squares = float(np.vdot(VVt, VVt)) - 2.0 * float(np.vdot(V, VS))
-    squares += float(np.vdot(S.values, S.values))
+    squares = (float(np.vdot(VVt, VVt)) - 2.0 * float(np.vdot(V, VS))
+               + float(np.vdot(S.values, S.values)))
     structural = max(squares, 0.0) / (n * n)  # a sum of squares; rounding stays above 0
     total = bce_total + structural
 
     if with_grad:
         # normalization backward, generated columns only (seed is constant)
         vg = V[:, seed_len:]
-        dvg = VVt @ vg
-        dvg -= VS[:, seed_len:]
-        dvg *= 4.0 / (n * n)
+        dvg = (VVt @ vg - VS[:, seed_len:]) * (4.0 / (n * n))
         nz_gen = norms[seed_len:] > 0.0
         du = (dvg - vg * np.sum(vg * dvg, axis=0)) / np.where(nz_gen, norms[seed_len:], 1.0)
         du[:, ~nz_gen] = 0.0

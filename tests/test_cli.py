@@ -1,7 +1,14 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import smf
+import sing
 from sing import evaluation
 from sing.batching import load_plan
 from sing.cli import _CONFIG_KEYS, main
@@ -327,13 +334,24 @@ class TestArgumentHandling:
         assert "nonsense.key" in capsys.readouterr().err
 
     def test_sing_log_env_controls_verbosity(self, tmp_path, monkeypatch, caplog):
-        import logging
-
         monkeypatch.setenv("SING_LOG", "info")
         write_corpus_midi(tmp_path / "midi", n_pieces=1)
         with caplog.at_level(logging.INFO):
             assert main(["preprocess", "--in", str(tmp_path / "midi"),
                          "--out", str(tmp_path / "rolls")]) == 0
+
+    @pytest.mark.parametrize("value", ["basic_format", "_styles"])
+    def test_sing_log_naming_no_level_falls_back_to_warning(self, tmp_path, value):
+        """In a fresh interpreter: under pytest the root logger already has a
+        handler, so basicConfig would ignore the level it is given."""
+        script = ("import logging; from sing.cli import main; "
+                  "code = main(['render-ssm', '--in', 'missing.ssm', '--out', 'x.pgm']); "
+                  "print(code, logging.getLogger().level)")
+        env = {**os.environ, "SING_LOG": value, "PYTHONPATH": str(Path(sing.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.stderr == "error: file not found: missing.ssm\n"
+        assert result.stdout.split() == ["1", str(logging.WARNING)]
 
 
 class TestAblatedFlag:
@@ -383,6 +401,34 @@ class TestAblatedFlag:
 
 
 class TestBadInputs:
+    def test_seed_tempo_midi_cannot_hold_fails_before_writing(self, tmp_path, capsys):
+        """A .proll may hold any positive tempo; MIDI needs about 3.58 per minute."""
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+        seed = tmp_path / "slow.proll"
+        data = np.zeros((128, 24), np.uint8)
+        data[60] = 1
+        save_proll(PianoRoll(data=data, tempo=1.0), seed)
+        save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
+        code = main(["generate", "--checkpoint", str(ckpt), "--in", str(seed),
+                     "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "out" / "gen")])
+        assert code == 1
+        assert single_error_line(capsys) == f"error: {seed}: tempo 1.0 not representable in MIDI"
+        assert not (tmp_path / "out").exists()
+
+    def test_input_directory_with_nothing_to_read_is_named_first(self, tmp_path, capsys):
+        empty, corpus, plan = tmp_path / "empty", tmp_path / "corpus", tmp_path / "plan.txt"
+        empty.mkdir()
+        assert main(["preprocess", "--in", str(empty), "--out", str(tmp_path / "rolls")]) == 1
+        assert single_error_line(capsys) == f"error: {empty}: no MIDI files"
+        assert main(["batch-plan", "--in", str(empty), "--out", str(plan)]) == 1
+        assert single_error_line(capsys) == f"error: {empty}: no .proll files"
+        write_corpus_prolls(corpus, n_pieces=2, n=24)
+        plan.write_text("piece0,0,24,24\nbatch: 0\n")
+        assert main(["train", "--in", str(corpus), "--plan", str(plan), "--val", str(empty),
+                     "--out", str(tmp_path / "ckpt"), "--epochs", "1", "--hidden", "6"]) == 1
+        assert single_error_line(capsys) == f"error: {empty}: no .proll files"
+        assert not (tmp_path / "ckpt").exists()
+
     def test_nan_template_is_an_error_not_a_traceback(self, tmp_path, capsys):
         ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
         write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
@@ -680,7 +726,8 @@ class TestBadInputs:
 
 
 class TestMissingOutputDirectory:
-    """A verb that writes into a directory that does not exist names the path."""
+    """A verb that writes into a directory that does not exist names the path;
+    batch-plan and evaluate also name an output that is a directory."""
 
     def _argv(self, verb, tmp_path):
         write_corpus_prolls(tmp_path / "corpus", n_pieces=4, n=24)
@@ -716,6 +763,21 @@ class TestMissingOutputDirectory:
         monkeypatch.setattr("sing.training.prepare_corpus", refuse)
         assert main(argv) == 1
         assert single_error_line(capsys) == f"error: file not found: {out}"
+
+    @pytest.mark.parametrize("verb", ["batch-plan", "evaluate"])
+    def test_output_naming_a_directory_is_rejected_before_any_roll_is_read(
+            self, verb, tmp_path, capsys, monkeypatch):
+        argv, _ = self._argv(verb, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv[-1] = str(out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{verb} worked before checking {out}")
+
+        monkeypatch.setattr("sing.midi_io.load_proll", refuse)
+        assert main(argv) == 1
+        assert single_error_line(capsys) == f"error: {out}: is a directory"
 
 
 class TestPieceIds:

@@ -1,5 +1,6 @@
 import errno
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,21 @@ class TestLstmCell:
         assert np.shares_memory(got[2], rows[:, 0])
         for a, e in zip(got, expected):
             assert np.array_equal(a.view(np.uint64), e.view(np.uint64))
+
+    def test_factors_hold_no_array_of_all_four_gates_beside_the_result(self):
+        """Each factor is formed from its own gate blocks: the peak stays below
+        the (6, T, H) result plus three T x H temporaries, where a T x 4H
+        array (such as 1 - G) alone would take four."""
+        T, H = 700, 128
+        rng = np.random.default_rng(5)
+        states, cells, gates = rng.random((T + 1, H)), rng.random((T + 1, H)), rng.random((T, 4 * H))
+        tracemalloc.start()
+        try:
+            lstm_backward_factors(states, cells, gates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (6 + 3) * T * H * 8
 
 
 class TestSparsemax:
