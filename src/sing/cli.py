@@ -10,10 +10,11 @@ defaults, and explicit flags override the config.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -21,29 +22,40 @@ import numpy as np
 
 from sing import batching, evaluation, midi_io, structure, training
 from sing import config as cfgio
-from sing.model import Model, ModelConfig, generate, load_model
+from sing.model import COMBINER_MODES, Model, ModelConfig, generate, load_model
 from sing.structure import chroma, ssm
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
 
-_MODEL_FIELDS = [f for f in fields(ModelConfig) if f.name != "attention_enabled"]
-
-# --config key -> (flag dest, built-in default); the value type follows the default
+# --config key -> (flag, dest, built-in default, help); the flag's type is the default's
 _CONFIG_KEYS = {
-    "grid.k": ("grid_k", batching.GRID_K),
-    "grid.count": ("grid_count", batching.GRID_COUNT),
-    "grid.max_len": ("max_len", batching.GRID_MAX_LEN),
-    "batch.cap": ("batch_cap", batching.BATCH_CAP),
-    "edit.max_fraction": ("max_edit", batching.MAX_EDIT_FRACTION),
-    **{f"model.{f.name}": (f.name, f.default) for f in _MODEL_FIELDS},
-    **{f"train.{f.name}": (f.name, f.default) for f in fields(training.TrainConfig)},
+    "grid.k": ("--grid-k", "grid_k", batching.GRID_K, "rank of the shortest standard length"),
+    "grid.count": ("--grid-count", "grid_count", batching.GRID_COUNT, "number of standard lengths"),
+    "grid.max_len": ("--max-len", "max_len", batching.GRID_MAX_LEN, "slice pieces longer than this"),
+    "edit.max_fraction": ("--max-edit", "max_edit", batching.MAX_EDIT_FRACTION,
+                          "exclude pieces needing a larger pad/truncate fraction"),
+    "batch.cap": ("--batch-cap", "batch_cap", batching.BATCH_CAP, "max pieces per batch"),
+    "model.hidden_size": ("--hidden", "hidden_size", ModelConfig.hidden_size, "LSTM hidden size"),
+    "model.combiner_mode": ("--combiner", "combiner_mode", ModelConfig.combiner_mode,
+                            "how attention and LSTM outputs merge"),
+    "model.seed_len": ("--seed-len", "seed_len", ModelConfig.seed_len,
+                       "samples fed before generation"),
+    "model.top_k": ("--top-k", "top_k", ModelConfig.top_k, "sample from the k most probable pitches"),
+    "model.max_notes": ("--max-notes", "max_notes", ModelConfig.max_notes,
+                        "categorical draws per sample"),
+    "model.pitch_lo": ("--pitch-lo", "pitch_lo", ModelConfig.pitch_lo, "lowest sampleable pitch"),
+    "model.pitch_hi": ("--pitch-hi", "pitch_hi", ModelConfig.pitch_hi, "highest sampleable pitch"),
+    "train.p_feedback": ("--p-feedback", "p_feedback", training.TrainConfig.p_feedback,
+                         "probability of feeding back the model's own sample"),
+    "train.lr": ("--lr", "lr", training.TrainConfig.lr, "Adam learning rate"),
+    "train.epochs": ("--epochs", "epochs", training.TrainConfig.epochs, "training epochs"),
 }
 
 
 def _load_defaults(argv: list[str]) -> dict[str, object]:
     """Flag defaults: the built-in ones, overridden by a --config file."""
-    defaults = dict(_CONFIG_KEYS.values())
+    defaults = {dest: default for _, dest, default, _ in _CONFIG_KEYS.values()}
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -58,7 +70,7 @@ def _read_config(path: Path) -> dict[str, object]:
     for key, value in cfgio.parse_kv(path.read_text()).items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        dest, builtin = _CONFIG_KEYS[key]
+        _, dest, builtin, _ = _CONFIG_KEYS[key]
         try:
             overrides[dest] = cfgio.cast_like(builtin, value)
         except ValueError as exc:
@@ -66,83 +78,70 @@ def _read_config(path: Path) -> dict[str, object]:
     return overrides
 
 
+def _settings(args: argparse.Namespace, group: str) -> dict[str, object]:
+    """Flag dest -> parsed value for each setting of a key group ("model", "train")."""
+    return {dest: getattr(args, dest) for key, (_, dest, _, _) in _CONFIG_KEYS.items()
+            if key.split(".")[0] == group}
+
+
+def _seed(text: str) -> int:
+    """--seed's type: numpy seeds its generators from non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
+    fmt = argparse.ArgumentDefaultsHelpFormatter
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file overriding defaults")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for all randomness")
-
-    def batching_flags(p: argparse.ArgumentParser):
-        p.add_argument("--grid-k", type=int, default=defaults["grid_k"], help="rank of the shortest standard length")
-        p.add_argument("--grid-count", type=int, default=defaults["grid_count"], help="number of standard lengths")
-        p.add_argument("--max-len", type=int, default=defaults["max_len"], help="slice pieces longer than this")
-        p.add_argument(
-            "--max-edit",
-            type=float,
-            default=defaults["max_edit"],
-            help="exclude pieces needing a larger pad/truncate fraction",
-        )
-
+    common.add_argument("--seed", type=_seed, default=0, help="RNG seed for all randomness")
     parser = argparse.ArgumentParser(
         prog="sing",
         description="Self-similarity-guided music generation pipeline.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=fmt,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    def verb(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], formatter_class=fmt, help=help)
 
-    p = sub.add_parser("preprocess", parents=[common], formatter_class=fmt,
-                       help="MIDI directory -> piano rolls and SSMs")
+    def add_settings(p: argparse.ArgumentParser, *groups: str) -> None:
+        """The settings whose key group (the part before the dot) is one of groups."""
+        for key, (flag, dest, default, text) in _CONFIG_KEYS.items():
+            if key.split(".")[0] in groups:
+                # a value is shown by its flag's name (--hidden HIDDEN), a mode by its choices
+                shown = ({"choices": COMBINER_MODES} if dest == "combiner_mode"
+                         else {"metavar": flag[2:].upper().replace("-", "_")})
+                p.add_argument(flag, dest=dest, type=type(default), default=defaults[dest],
+                               help=text, **shown)
+
+    p = verb("preprocess", "MIDI directory -> piano rolls and SSMs")
     p.add_argument("--in", dest="input_path", required=True, help="directory of .mid/.midi files")
     p.add_argument("--out", dest="output_path", required=True, help="output directory")
 
-    p = sub.add_parser("batch-plan", parents=[common], formatter_class=fmt,
-                       help="piano rolls -> variable-length batch plan")
+    p = verb("batch-plan", "piano rolls -> variable-length batch plan")
     p.add_argument("--in", dest="input_path", required=True, help="directory of .proll files")
     p.add_argument("--out", dest="output_path", required=True, help="plan file to write")
-    batching_flags(p)
-    p.add_argument("--batch-cap", type=int, default=defaults["batch_cap"], help="max pieces per batch")
+    add_settings(p, "grid", "edit", "batch")
 
-    p = sub.add_parser("train", parents=[common], formatter_class=fmt,
-                       help="plan + corpus -> checkpoints and report CSV")
+    p = verb("train", "plan + corpus -> checkpoints and report CSV")
     p.add_argument("--in", dest="input_path", required=True, help="directory of .proll files")
     p.add_argument("--plan", required=True, help="batch plan from batch-plan")
     p.add_argument("--out", dest="output_path", required=True, help="checkpoint directory")
-    p.add_argument("--val", help="validation .proll directory (default: training corpus)")
-    p.add_argument("--epochs", type=int, default=defaults["epochs"], help="training epochs")
-    p.add_argument("--lr", type=float, default=defaults["lr"], help="Adam learning rate")
-    p.add_argument(
-        "--p-feedback",
-        type=float,
-        default=defaults["p_feedback"],
-        help="probability of feeding back the model's own sample",
-    )
-    p.add_argument("--hidden", dest="hidden_size", metavar="HIDDEN", type=int,
-                   default=defaults["hidden_size"], help="LSTM hidden size")
-    p.add_argument(
-        "--combiner",
-        dest="combiner_mode",
-        choices=["dense", "per_pitch"],
-        default=defaults["combiner_mode"],
-        help="how attention and LSTM outputs merge",
-    )
+    p.add_argument("--val", default=argparse.SUPPRESS,
+                   help="validation .proll directory (default: training corpus)")
     p.add_argument("--ablated", action="store_true", help="attention-free baseline model")
-    p.add_argument("--seed-len", type=int, default=defaults["seed_len"], help="samples fed before generation")
-    p.add_argument("--top-k", type=int, default=defaults["top_k"], help="sample from the k most probable pitches")
-    p.add_argument("--max-notes", type=int, default=defaults["max_notes"], help="categorical draws per sample")
-    p.add_argument("--pitch-lo", type=int, default=defaults["pitch_lo"], help="lowest sampleable pitch")
-    p.add_argument("--pitch-hi", type=int, default=defaults["pitch_hi"], help="highest sampleable pitch")
+    add_settings(p, "model", "train")
 
-    p = sub.add_parser("generate", parents=[common], formatter_class=fmt,
-                       help="checkpoint + seed + template SSM -> piano roll and MIDI")
+    p = verb("generate", "checkpoint + seed + template SSM -> piano roll and MIDI")
     p.add_argument("--checkpoint", required=True, help="model checkpoint file")
     p.add_argument("--in", dest="input_path", required=True, help="seed .proll (first seed-len samples used)")
     p.add_argument("--template", required=True, help="template .ssm steering the structure")
     p.add_argument("--out", dest="output_path", required=True, help="output prefix (writes .proll and .mid)")
     p.add_argument("--model-config", help="model config file (default: next to checkpoint)")
 
-    p = sub.add_parser("evaluate", parents=[common], formatter_class=fmt,
-                       help="checkpoint(s) + test corpus -> standardized-MSE CSV")
+    p = verb("evaluate", "checkpoint(s) + test corpus -> standardized-MSE CSV")
     p.add_argument("--in", dest="input_path", required=True, help="directory of test .proll files")
     p.add_argument("--out", dest="output_path", required=True, help="CSV file to write")
     p.add_argument("--generator", choices=evaluation.GENERATORS, default="sing",
@@ -152,15 +151,13 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
                    help="model config file (default: next to checkpoint, else built-in defaults)")
     p.add_argument("--generations", type=int, default=evaluation.GENERATIONS_PER_PIECE,
                    help="generations per test piece")
-    batching_flags(p)
+    add_settings(p, "grid", "edit")
 
-    p = sub.add_parser("render-ssm", parents=[common], formatter_class=fmt,
-                       help="SSM container -> PGM image")
+    p = verb("render-ssm", "SSM container -> PGM image")
     p.add_argument("--in", dest="input_path", required=True, help=".ssm file")
     p.add_argument("--out", dest="output_path", required=True, help=".pgm file to write")
 
-    p = sub.add_parser("synth-ssm", parents=[common], formatter_class=fmt,
-                       help="block spec text -> synthetic SSM container")
+    p = verb("synth-ssm", "block spec text -> synthetic SSM container")
     p.add_argument("--in", dest="input_path", required=True, help="length=/background=/block= text file")
     p.add_argument("--out", dest="output_path", required=True, help=".ssm file to write")
 
@@ -168,39 +165,45 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
 
 
 def _require(path: str | Path, loader: Callable[[Path], T]) -> T:
-    """loader(path) for an input the user named; a missing file, or a
-    ValueError from the loader, becomes an error naming the path."""
+    """loader(path) for an input the user named; a ValueError from the loader
+    becomes an error naming the path, as the OS names it in an OSError."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     try:
         return loader(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_rolls(directory: str | Path) -> list[midi_io.PianoRoll]:
-    paths = _require(directory, lambda d: sorted(d.glob("*.proll")))
+def _files(directory: str | Path, wanted: Callable[[str], bool], what: str) -> list[Path]:
+    """The sorted entries of directory whose suffix is wanted; none is an error."""
+    paths = sorted(p for p in Path(directory).iterdir() if wanted(p.suffix))
     if not paths:
-        raise ValueError(f"{directory}: no .proll files")
-    return [_require(path, midi_io.load_proll) for path in paths]
+        raise ValueError(f"{directory}: no {what}")
+    return paths
+
+
+def _load_rolls(directory: str | Path) -> list[midi_io.PianoRoll]:
+    return [_require(path, midi_io.load_proll)
+            for path in _files(directory, lambda s: s == ".proll", ".proll files")]
 
 
 def _model_config_for(checkpoint: str | None, explicit: str | None) -> ModelConfig:
     """--model-config, else the model_config.txt next to the checkpoint, else defaults."""
     if not (explicit or checkpoint):
         return ModelConfig()
-    cfg_path = explicit or _require(checkpoint, lambda p: p.parent / "model_config.txt")
+    if not explicit:
+        os.stat(checkpoint)  # a missing checkpoint is named before the config beside it
+    cfg_path = explicit or Path(checkpoint).parent / "model_config.txt"
     return _require(cfg_path, lambda p: ModelConfig.from_text(p.read_text()))
 
 
 def _require_out_dir(path: str) -> None:
-    """Fail before any work when an output file's directory is missing or
-    the output names a directory."""
+    """Fail before any work, as writing would, when an output file's
+    directory is missing or the output names a directory."""
     if not Path(path).parent.exists():
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if Path(path).is_dir():
-        raise ValueError(f"{path}: is a directory")
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _prepare(args, rolls, rng, **options):
@@ -212,12 +215,7 @@ def _prepare(args, rolls, rng, **options):
 
 
 def _cmd_preprocess(args) -> int:
-    midi_paths = _require(
-        args.input_path,
-        lambda d: sorted(p for p in d.iterdir() if p.suffix.lower() in (".mid", ".midi")),
-    )
-    if not midi_paths:
-        raise ValueError(f"{args.input_path}: no MIDI files")
+    midi_paths = _files(args.input_path, lambda s: s.lower() in (".mid", ".midi"), "MIDI files")
     first_of_stem: dict[str, Path] = {}
     for path in midi_paths:
         if first_of_stem.setdefault(path.stem, path) != path:
@@ -264,18 +262,13 @@ def _cmd_train(args) -> int:
     plan = _require(args.plan, batching.load_plan)
     items = training.items_from_plan(plan, {roll.source_id: roll for roll in rolls})
 
-    flags = {f.name: getattr(args, f.name) for f in _MODEL_FIELDS}
-    cfg = ModelConfig(**flags, attention_enabled=not args.ablated)
-    tcfg = training.TrainConfig(
-        **{f.name: getattr(args, f.name) for f in fields(training.TrainConfig)}
-    )
+    cfg = ModelConfig(**_settings(args, "model"), attention_enabled=not args.ablated)
+    tcfg = training.TrainConfig(**_settings(args, "train"))
     rng = np.random.default_rng(args.seed)
     model = Model(cfg, rng=rng)
 
-    if args.val:
-        val_items = _plain_items(_load_rolls(args.val), cfg.seed_len)
-    else:
-        val_items = items
+    val = vars(args).get("val")  # set only when given, so that its help states one default
+    val_items = _plain_items(_load_rolls(val), cfg.seed_len) if val else items
     reports, best_path = training.train(
         model, plan, items, val_items, tcfg, args.output_path, rng
     )
@@ -386,12 +379,10 @@ def main(argv: list[str] | None = None) -> int:
         parser = _build_parser(defaults)
         args = parser.parse_args(argv)
         return _HANDLERS[args.verb](args)
-    except FileNotFoundError as exc:
-        # the OS names the file in .filename; _require and _require_out_dir in args[0]
-        print(f"error: file not found: {exc.filename or exc.args[0]}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, training.TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an OSError that carries a path reads like a ValueError from _require
+        named = getattr(exc, "filename", None) is not None
+        print(f"error: {exc.filename}: {exc.strerror}" if named else f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -22,11 +22,13 @@ from sing import nn
 from sing.midi_io import N_PITCHES, PianoRoll
 from sing.structure import SelfSimilarityMatrix
 
+COMBINER_MODES = ("dense", "per_pitch")
+
 
 @dataclass
 class ModelConfig:
     hidden_size: int = 128
-    combiner_mode: str = "dense"  # "dense" or "per_pitch"
+    combiner_mode: str = "dense"  # one of COMBINER_MODES
     seed_len: int = 10
     top_k: int = 50
     max_notes: int = 3
@@ -39,7 +41,7 @@ class ModelConfig:
             raise ValueError(f"pitch range [{self.pitch_lo}, {self.pitch_hi}] invalid")
         if not 1 <= self.max_notes <= self.top_k:
             raise ValueError("need 1 <= max_notes <= top_k")
-        if self.combiner_mode not in ("dense", "per_pitch"):
+        if self.combiner_mode not in COMBINER_MODES:
             raise ValueError(f"unknown combiner mode {self.combiner_mode!r}")
         if self.combiner_mode == "per_pitch" and self.hidden_size != N_PITCHES:
             raise ValueError("per_pitch combiner requires hidden_size == 128")

@@ -9,7 +9,7 @@ import pytest
 
 import smf
 import sing
-from sing import evaluation
+from sing import cli, evaluation
 from sing.batching import load_plan
 from sing.cli import _CONFIG_KEYS, main
 from sing.midi_io import MAX_SAMPLES, PianoRoll, load_proll, save_proll, to_midi
@@ -314,6 +314,25 @@ class TestArgumentHandling:
             for token in expectations:
                 assert f"default: {token}" in text, (verb, token)
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_seed_that_is_no_non_negative_integer_is_rejected_while_parsing(
+            self, seed, tmp_path, capsys):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        with pytest.raises(SystemExit) as exc:
+            main(["batch-plan", "--in", str(tmp_path / "corpus"),
+                  "--out", str(tmp_path / "plan.txt"), "--seed", seed])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"sing batch-plan: error: argument --seed: expected a non-negative integer, "
+            f"got '{seed}'")
+        assert not (tmp_path / "plan.txt").exists()
+
+    def test_val_help_states_one_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        assert flag_help(capsys.readouterr().out, "--val").strip() == (
+            "--val VAL validation .proll directory (default: training corpus)")
+
     def test_config_file_overrides_defaults_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "conf.txt"
         cfg.write_text("batch.cap = 7\ngrid.count = 5\n")
@@ -350,7 +369,7 @@ class TestArgumentHandling:
         env = {**os.environ, "SING_LOG": value, "PYTHONPATH": str(Path(sing.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                                 capture_output=True, text=True, timeout=120)
-        assert result.stderr == "error: file not found: missing.ssm\n"
+        assert result.stderr == "error: missing.ssm: No such file or directory\n"
         assert result.stdout.split() == ["1", str(logging.WARNING)]
 
 
@@ -748,7 +767,7 @@ class TestMissingOutputDirectory:
     def test_error_names_the_output_path(self, verb, tmp_path, capsys):
         argv, out = self._argv(verb, tmp_path)
         assert main(argv) == 1
-        assert single_error_line(capsys) == f"error: file not found: {out}"
+        assert single_error_line(capsys) == f"error: {out}: No such file or directory"
         assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("verb", ["batch-plan", "evaluate"])
@@ -762,7 +781,7 @@ class TestMissingOutputDirectory:
         monkeypatch.setattr("sing.midi_io.load_proll", refuse)
         monkeypatch.setattr("sing.training.prepare_corpus", refuse)
         assert main(argv) == 1
-        assert single_error_line(capsys) == f"error: file not found: {out}"
+        assert single_error_line(capsys) == f"error: {out}: No such file or directory"
 
     @pytest.mark.parametrize("verb", ["batch-plan", "evaluate"])
     def test_output_naming_a_directory_is_rejected_before_any_roll_is_read(
@@ -777,7 +796,35 @@ class TestMissingOutputDirectory:
 
         monkeypatch.setattr("sing.midi_io.load_proll", refuse)
         assert main(argv) == 1
-        assert single_error_line(capsys) == f"error: {out}: is a directory"
+        assert single_error_line(capsys) == f"error: {out}: Is a directory"
+
+
+class TestPathMessages:
+    """An input or output path of the wrong kind, or missing, is named first,
+    by one rule: error: <path>: <what the OS said>."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["preprocess", "--in", "afile", "--out", "rolls"], "afile: Not a directory"),
+        (["batch-plan", "--in", "afile", "--out", "plan.txt"], "afile: Not a directory"),
+        (["synth-ssm", "--in", "spec.txt", "--out", "adir"], "adir: Is a directory"),
+        (["render-ssm", "--in", "adir", "--out", "x.pgm"], "adir: Is a directory"),
+        (["train", "--in", "corpus", "--plan", "plan.txt", "--out", "afile", "--epochs", "1",
+          "--hidden", "6", "--seed-len", "4"], "afile: File exists"),
+        (["render-ssm", "--config", "adir", "--in", "t.ssm", "--out", "x.pgm"],
+         "adir: Is a directory"),
+        (["render-ssm", "--in", "missing.ssm", "--out", "x.pgm"],
+         "missing.ssm: No such file or directory"),
+    ])
+    def test_named_with_the_reason(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("x\n")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "spec.txt").write_text("length=8\n")
+        save_ssm(synth_ssm(SynthSpec(length=8)), tmp_path / "t.ssm")
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)
+        (tmp_path / "plan.txt").write_text("piece0,0,24,24\nbatch: 0\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestPieceIds:
@@ -901,3 +948,47 @@ def test_config_key_sets_its_flag_default(key, tmp_path, capsys):
         main([verb, "--config", str(cfg), "--help"])
     assert exc.value.code == 0
     assert f"(default: {value})" in flag_help(capsys.readouterr().out, flag)
+
+
+# the flags of the verbs that take settings; a table edit that adds or drops one shows here
+VERB_FLAGS = {
+    "batch-plan": {"-h", "--help", "--config", "--seed", "--in", "--out", "--grid-k",
+                   "--grid-count", "--max-len", "--max-edit", "--batch-cap"},
+    "train": {"-h", "--help", "--config", "--seed", "--in", "--plan", "--out", "--val",
+              "--ablated", "--hidden", "--combiner", "--seed-len", "--top-k", "--max-notes",
+              "--pitch-lo", "--pitch-hi", "--p-feedback", "--lr", "--epochs"},
+    "evaluate": {"-h", "--help", "--config", "--seed", "--in", "--out", "--generator",
+                 "--checkpoint", "--model-config", "--generations", "--grid-k", "--grid-count",
+                 "--max-len", "--max-edit"},
+}
+REQUIRED = {"batch-plan": ["--in", "x", "--out", "y"],
+            "train": ["--in", "x", "--plan", "p", "--out", "y"]}
+
+
+def _verb_parsers():
+    parser = cli._build_parser(cli._load_defaults([]))
+    return next(a for a in parser._actions if a.dest == "verb").choices
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+def test_verb_takes_exactly_its_flags(verb):
+    assert {flag for action in _verb_parsers()[verb]._actions
+            for flag in action.option_strings} == VERB_FLAGS[verb]
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_CASES))
+def test_config_key_flag_parses_to_the_type_of_its_default(key):
+    verb, flag, value = CONFIG_CASES[key]
+    _, dest, default, _ = _CONFIG_KEYS[key]
+    parsed = getattr(_verb_parsers()[verb].parse_args([*REQUIRED[verb], flag, value]), dest)
+    assert type(parsed) is type(default) and parsed == type(default)(value)
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_CASES))
+def test_config_key_flag_rejects_a_value_of_another_type(key, capsys):
+    verb, flag, _ = CONFIG_CASES[key]
+    wrong = "2.5" if isinstance(_CONFIG_KEYS[key][2], int) else "x"
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *REQUIRED[verb], flag, wrong])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err

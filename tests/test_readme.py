@@ -56,6 +56,6 @@ def test_config_table_lists_every_key_with_its_default_and_flag():
         for flag in action.option_strings
     }
     for key, (default, flag) in table.items():
-        dest, builtin = cli._CONFIG_KEYS[key]
+        table_flag, dest, builtin, _ = cli._CONFIG_KEYS[key]
         assert default == str(builtin), key
-        assert dest_of[flag] == dest, key
+        assert flag == table_flag and dest_of[flag] == dest, key
