@@ -22,7 +22,7 @@ import numpy as np
 
 from sing import batching, evaluation, midi_io, structure, training
 from sing import config as cfgio
-from sing.model import COMBINER_MODES, Model, ModelConfig, generate, load_model
+from sing.model import COMBINER_MODES, Model, ModelConfig, Template, generate, load_model
 from sing.structure import chroma, ssm
 
 log = logging.getLogger(__name__)
@@ -91,20 +91,26 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends "(default: ...)" only to a flag that has a default: not None."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentDefaultsHelpFormatter
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file overriding defaults")
     common.add_argument("--seed", type=_seed, default=0, help="RNG seed for all randomness")
     parser = argparse.ArgumentParser(
         prog="sing",
         description="Self-similarity-guided music generation pipeline.",
-        formatter_class=fmt,
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def verb(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], formatter_class=fmt, help=help)
+        return sub.add_parser(name, parents=[common], formatter_class=_HelpFormatter, help=help)
 
     def add_settings(p: argparse.ArgumentParser, *groups: str) -> None:
         """The settings whose key group (the part before the dot) is one of groups."""
@@ -129,8 +135,7 @@ def _build_parser(defaults: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input_path", required=True, help="directory of .proll files")
     p.add_argument("--plan", required=True, help="batch plan from batch-plan")
     p.add_argument("--out", dest="output_path", required=True, help="checkpoint directory")
-    p.add_argument("--val", default=argparse.SUPPRESS,
-                   help="validation .proll directory (default: training corpus)")
+    p.add_argument("--val", help="validation .proll directory (default: training corpus)")
     p.add_argument("--ablated", action="store_true", help="attention-free baseline model")
     add_settings(p, "model", "train")
 
@@ -267,8 +272,7 @@ def _cmd_train(args) -> int:
     rng = np.random.default_rng(args.seed)
     model = Model(cfg, rng=rng)
 
-    val = vars(args).get("val")  # set only when given, so that its help states one default
-    val_items = _plain_items(_load_rolls(val), cfg.seed_len) if val else items
+    val_items = _plain_items(_load_rolls(args.val), cfg.seed_len) if args.val else items
     reports, best_path = training.train(
         model, plan, items, val_items, tcfg, args.output_path, rng
     )
@@ -303,7 +307,7 @@ def _cmd_generate(args) -> int:
                          f"no more than seed length {cfg.seed_len}")
     rng = np.random.default_rng(args.seed)
     seed = seed_roll.data.T[: cfg.seed_len]
-    roll = generate(model, seed, template, rng, tempo=seed_roll.tempo)
+    roll = generate(model, seed, Template(template), rng, tempo=seed_roll.tempo)
     midi = _require(args.input_path, lambda _: midi_io.to_midi(roll))  # its tempo is the seed's
     # appended, not with_suffix: prefixes take.1 and take.2 write apart
     proll_path = Path(f"{args.output_path}.proll")

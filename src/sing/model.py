@@ -1,17 +1,17 @@
 """The generation model: LSTM backbone plus SSM-driven attention.
 
 At step t the attention weights are the sparsemax projection of the first
-t entries of row t of a user-supplied self-similarity matrix; they depend on
-the template alone, so the step loop (`unroll`) projects them one block of
-rows at a time, ahead of the steps that read them. The attention vector is
-the weighted sum of the previous input samples. A linear combiner merges
-it with the LSTM output into 128 logits. The ablated baseline is the same
-LSTM with the attention path removed and a plain dense head.
+t entries of row t of a user-supplied self-similarity matrix; a `Template`
+keeps their thresholds and `unroll` clips a block of rows at a time. The
+attention vector is the weighted sum of the previous input samples. A linear
+combiner merges it with the LSTM output into 128 logits. The ablated baseline
+is the same LSTM with the attention path removed and a plain dense head.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -94,26 +94,37 @@ class Model:
 ATTENTION_BLOCK_ROWS = 64  # rows per sparsemax call: temporaries stay at 64 x n
 
 
-def attention_weights(S: SelfSimilarityMatrix, start: int, stop: int) -> np.ndarray:
-    """The attention weights of steps start..stop-1 of template S.
+class Template:
+    """A template SSM S compiled for attention: step t's weights are max(S[t, :t] - tau[t], 0),
+    each sparsemax threshold tau[t] sorted out once, when an attention pass first reads tau."""
 
-    Returns (stop - start, stop - 1): row i holds sparsemax(S[t, :t]) for
-    t = start + i in its first t entries, then zeros. The rows are one
-    sparsemax call, with the entries at and right of the diagonal masked
-    to -inf. unroll passes 1 <= start < stop <= S.n.
-    """
-    width = stop - 1  # the longest prefix
-    prefix = np.arange(width) < np.arange(start, stop)[:, None]
-    return nn.sparsemax(np.where(prefix, S.values[start:stop, :width], -np.inf))
+    def __init__(self, S: SelfSimilarityMatrix):
+        self.S, self.n = S, S.n
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """(n, 1), tau[0] nan; one threshold call per 64 rows masked to their prefixes."""
+        n, values = self.n, self.S.values
+        tau = np.full((n, 1), np.nan)
+        for start in range(1, n, ATTENTION_BLOCK_ROWS):
+            stop = min(start + ATTENTION_BLOCK_ROWS, n)
+            prefix = np.arange(stop - 1) < np.arange(start, stop)[:, None]
+            tau[start:stop] = nn.sparsemax_threshold(
+                np.where(prefix, values[start:stop, : stop - 1], -np.inf))
+        return tau
+
+    def weights(self, start: int, stop: int) -> np.ndarray:
+        """(stop - start, stop - 1): row i holds sparsemax(S[t, :t]), t = start + i, then zeros.
+        The entries at and right of the diagonal, all in the last columns, are set to -inf."""
+        q = self.S.values[start:stop, : stop - 1].copy()
+        q[:, start:][np.arange(stop - 1 - start) >= np.arange(stop - start)[:, None]] = -np.inf
+        return nn.sparsemax(q, self.tau[start:stop])
 
 
-def attention_step(w: np.ndarray, history: np.ndarray) -> np.ndarray:
-    """The 128-dim attention vector of step t: weights w times the history.
-
-    w is (t,): the first t entries of the step's row of attention_weights.
-    history is (t, 128): the input samples at steps 0..t-1 in order.
-    """
-    return w @ history
+def attention_step(w: np.ndarray, history: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """Step t's attention vector: before, its block's sum over samples 0..t0-1,
+    plus weights w times history, samples t0..t-1."""
+    return before + w @ history
 
 
 def combine_forward(params: nn.ParamSet, mode: str, a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -147,18 +158,18 @@ def combine_backward(
 
 
 def forward_step(
-    model: Model, w: np.ndarray | None, history: np.ndarray, h: np.ndarray
+    model: Model, w: np.ndarray | None, history: np.ndarray | None, before: np.ndarray | None,
+    h: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The logits of sample t from the LSTM output h of step t.
 
-    history holds samples 0..t-1 and w the step's attention weights over
-    them (see attention_step); the ablated model reads neither.
+    w, history and before are attention_step's; the ablated model reads none.
     Returns (d, a). With attention enabled the logits combine the attention
     vector a with h; otherwise the dense head maps h alone and a is None.
     """
     p = model.params
     if model.cfg.attention_enabled:
-        a = attention_step(w, history)
+        a = attention_step(w, history, before)
         return combine_forward(p, model.cfg.combiner_mode, a, h), a
     return p["head.W"] @ h + p["head.b"], None
 
@@ -230,19 +241,19 @@ class PieceTrace:
 def unroll(
     model: Model,
     seed: np.ndarray,
-    S: SelfSimilarityMatrix,
+    template: Template,
     next_input: Callable[[int, np.ndarray], np.ndarray],
 ) -> PieceTrace:
     """Run LSTM steps 1..n-1 of an n-sample piece from its (seed_len, 128) seed.
 
     n is the template's length. Step t feeds X[t - 1] to the LSTM; from
     t = seed_len on, forward_step turns its output into logits d and, for
-    t <= n - 2, X[t] = next_input(t, d). Attention weights are projected
-    one ATTENTION_BLOCK_ROWS block at a time, as the loop reaches it.
+    t <= n - 2, X[t] = next_input(t, d). At the first step t0 of each block
+    of ATTENTION_BLOCK_ROWS steps, the block's weights times X[:t0] is one product.
     """
     cfg = model.cfg
     p = model.params
-    n, seed_len, hidden = S.n, cfg.seed_len, cfg.hidden_size
+    n, seed_len, hidden = template.n, cfg.seed_len, cfg.hidden_size
     if n <= seed_len:
         raise ValueError(f"piece length {n} must exceed seed length {seed_len}")
     if np.shape(seed) != (seed_len, N_PITCHES):
@@ -258,7 +269,7 @@ def unroll(
     if not np.isfinite(W_x).all():  # a skipped column would hide it
         raise ValueError("parameter 'lstm.W_x' holds non-finite values")
     W_h, b = p["lstm.W_h"], p["lstm.b"]
-    w = None
+    w = history = before = None
     for t in range(1, n):
         nn.lstm_cell_forward(W_x, W_h, b, X[t - 1], H[t - 1], C[t - 1], out=(H[t], C[t], G[t - 1]))
         if t < seed_len:  # warm-up: no prediction yet
@@ -267,9 +278,10 @@ def unroll(
         if A is not None:
             offset = row % ATTENTION_BLOCK_ROWS
             if offset == 0:
-                block = attention_weights(S, t, min(t + ATTENTION_BLOCK_ROWS, n))
-            w = block[offset, :t]
-        d, a = forward_step(model, w, X[:t], H[t])
+                t0, block = t, template.weights(t, min(t + ATTENTION_BLOCK_ROWS, n))
+                past = block[:, :t0] @ X[:t0]
+            w, history, before = block[offset, t0:t], X[t0:t], past[offset]
+        d, a = forward_step(model, w, history, before, H[t])
         D[row] = d
         if A is not None:
             A[row] = a
@@ -281,17 +293,17 @@ def unroll(
 def generate(
     model: Model,
     seed: np.ndarray,
-    S: SelfSimilarityMatrix,
+    template: Template,
     rng: np.random.Generator,
     tempo: float = 120.0,
 ) -> PianoRoll:
-    """Continue a seed out to the template SSM's length.
+    """Continue a seed out to the template's length.
 
     seed is (seed_len, 128) binary, sample-major. The output roll copies the
     seed and appends one sampled step at a time until it spans n samples.
     """
     cfg = model.cfg
-    trace = unroll(model, seed, S, lambda t, d: sample_notes(d, cfg, rng))
+    trace = unroll(model, seed, template, lambda t, d: sample_notes(d, cfg, rng))
     X, last = trace.X, trace.D[-1]
     del trace  # free the states and gates before the output copies
     out = np.vstack([X, sample_notes(last, cfg, rng)])

@@ -138,12 +138,10 @@ def lstm_cell_backward(
 # sparsemax: Euclidean projection onto the probability simplex
 
 
-def sparsemax(q: np.ndarray) -> np.ndarray:
-    """Project q onto {p : p >= 0, sum p = 1} by sort-and-threshold.
-
-    A 2-D q is projected row by row. -inf entries get zero weight, so a
-    row can be masked to a prefix; every row needs one finite entry.
-    """
+def sparsemax_threshold(q: np.ndarray) -> np.ndarray:
+    """The tau of sparsemax(q) = max(q - tau, 0), (..., 1): one per row of a 2-D q.
+    -inf entries get zero weight, so a row can be masked to a prefix; every
+    row needs one finite entry."""
     q = np.asarray(q, dtype=np.float64)
     size = q.shape[-1]
     if size == 0:
@@ -155,7 +153,15 @@ def sparsemax(q: np.ndarray) -> np.ndarray:
     if not feasible.any(axis=-1).all():  # only non-finite input leaves no feasible support
         raise ValueError("sparsemax input must be finite")
     k = size - np.argmax(feasible[..., ::-1], axis=-1, keepdims=True)  # last feasible size
-    tau = (np.take_along_axis(cumulative, k - 1, axis=-1) - 1.0) / k
+    return (np.take_along_axis(cumulative, k - 1, axis=-1) - 1.0) / k
+
+
+def sparsemax(q: np.ndarray, tau: np.ndarray | None = None) -> np.ndarray:
+    """Project q (row by row if 2-D) onto {p : p >= 0, sum p = 1}: max(q - tau, 0),
+    tau = sparsemax_threshold(q) unless the caller holds it (model.Template)."""
+    q = np.asarray(q, dtype=np.float64)
+    if tau is None:
+        tau = sparsemax_threshold(q)
     return np.maximum(q - tau, 0.0)
 
 

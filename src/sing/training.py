@@ -37,6 +37,7 @@ from sing.model import (
     Model,
     ModelConfig,
     PieceTrace,
+    Template,
     forward_step,  # unused here; perfbench/spans.py wraps sing.training.forward_step
     head_backward,
     sample_notes,
@@ -109,7 +110,7 @@ def forward_piece(
         raise ValueError(f"SSM size {S.n} != piece length {target.n_samples}")
     target_samples = target.data.T.astype(np.float64)  # (n, 128)
     return unroll(
-        model, target_samples[: cfg.seed_len], S,
+        model, target_samples[: cfg.seed_len], Template(S),  # thresholds once per pass
         lambda t, d: scheduled_step(d, target_samples[t], cfg, rng, p_feedback),
     )
 

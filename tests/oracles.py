@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms so that the tests
 check against a second derivation, not a mirror of the implementation.
 The step-by-step references at the end are the forms the vectorized and
-in-place kernels replaced (masked sigmoid, one sparsemax per attention row,
+in-place kernels replaced (masked sigmoid, one sparsemax per attention row
+and one masked sparsemax per block of them, whole-history attention products,
 lexsort sampler drawing with rng.choice, concatenated LSTM backward with
 its factors taken per step, the dense LSTM input product, Adam as plain
 expressions), as are the chroma SSM and structural loss that symmetrised
@@ -12,9 +13,9 @@ standardized MSE that standardized both matrices first, and the MIDI
 reader, sampler and writer that made one Python object per event, note
 and pitch row. The tests require bit-for-bit equal results from both (for
 MIDI: the same notes, warnings, errors and bytes), except for values
-behind a sum or product whose order moved (the LSTM input projection, the
-LSTM backward step, the structural loss and its gradients, the standardized
-MSE), which `close` checks to RTOL.
+behind a sum or product whose order moved (the attention vectors, the LSTM
+input projection, the LSTM backward step, the structural loss and its
+gradients, the standardized MSE), which `close` checks to RTOL.
 """
 
 from __future__ import annotations
@@ -252,6 +253,16 @@ def attention_weights_per_row(S: np.ndarray, first_row: int) -> np.ndarray:
     for t in range(first_row, n):
         W[t - first_row, :t] = sparsemax_1d(S[t, :t])
     return W
+
+
+def attention_weights(S: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The attention weights of steps start..stop-1 of template values S, as
+    one sparsemax over rows masked to -inf at and right of the diagonal:
+    row i holds sparsemax(S[t, :t]) for t = start + i, then zeros. The
+    sorted form that model.Template's thresholds replaced."""
+    width = stop - 1
+    prefix = np.arange(width) < np.arange(start, stop)[:, None]
+    return nn.sparsemax(np.where(prefix, S[start:stop, :width], -np.inf))
 
 
 def _top_k_weights(d: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:

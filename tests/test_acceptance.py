@@ -32,7 +32,15 @@ from sing.midi_io import (
     to_midi,
     to_piano_roll,
 )
-from sing.model import Model, ModelConfig, combine_backward, combine_forward, generate, sample_notes
+from sing.model import (
+    Model,
+    ModelConfig,
+    Template,
+    combine_backward,
+    combine_forward,
+    generate,
+    sample_notes,
+)
 from sing.structure import (
     SelfSimilarityMatrix,
     SynthSpec,
@@ -499,7 +507,8 @@ def test_synthetic_ssm_steering(desk_models):
         scores = [
             standardized_mse(
                 template,
-                ssm(chroma(generate(model, seed_samples, template, gen_rng)), role="generated"),
+                ssm(chroma(generate(model, seed_samples, Template(template), gen_rng)),
+                    role="generated"),
             )
             for _ in range(10)
         ]

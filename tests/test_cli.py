@@ -1,3 +1,4 @@
+import csv
 import logging
 import os
 import subprocess
@@ -332,6 +333,19 @@ class TestArgumentHandling:
             main(["train", "--help"])
         assert flag_help(capsys.readouterr().out, "--val").strip() == (
             "--val VAL validation .proll directory (default: training corpus)")
+
+    def test_empty_val_means_the_training_corpus(self, tmp_path):
+        write_corpus_prolls(tmp_path / "corpus", n_pieces=2, n=24)
+        plan = tmp_path / "plan.txt"
+        plan.write_text("piece0,0,24,24\nbatch: 0\n")
+        val_losses = []
+        for k, val in enumerate([[], ["--val", ""]]):
+            out = tmp_path / f"ckpt{k}"
+            assert main(["train", "--in", str(tmp_path / "corpus"), "--plan", str(plan),
+                         "--out", str(out), "--epochs", "1", "--hidden", "6", *val]) == 0
+            with open(out / "report.csv", newline="") as handle:
+                val_losses.append([row["val_loss"] for row in csv.DictReader(handle)])
+        assert val_losses[0] == val_losses[1]
 
     def test_config_file_overrides_defaults_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "conf.txt"
@@ -992,3 +1006,16 @@ def test_config_key_flag_rejects_a_value_of_another_type(key, capsys):
         main([verb, *REQUIRED[verb], flag, wrong])
     assert exc.value.code == 2
     assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+HELP_ENTRIES = [(verb, action.option_strings[-1]) for verb, sub in _verb_parsers().items()
+                for action in sub._actions if action.option_strings]
+
+
+@pytest.mark.parametrize("verb, flag", HELP_ENTRIES)
+def test_help_states_a_default_once_and_never_none(verb, flag, capsys):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    entry = flag_help(capsys.readouterr().out, flag)
+    assert entry.split()[0] == flag
+    assert "(default: None)" not in entry and entry.count("(default:") <= 1, entry

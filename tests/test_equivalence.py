@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     _lstm_step,
+    attention_weights,
     attention_weights_per_row,
     close,
     draw_margin,
@@ -26,7 +27,7 @@ from sing.model import (
     ATTENTION_BLOCK_ROWS,
     Model,
     ModelConfig,
-    attention_weights,
+    Template,
     generate,
     sample_notes,
 )
@@ -84,18 +85,21 @@ class TestAttentionWeightsMatchPerRow:
         block = synth_ssm(SynthSpec(length=n, blocks=[(0, n // 2, 0.8), (n // 3, n, 0.3)],
                                     background=0.1)).values
         for S in (rng.random((n, n)), tied_template(n, rng), block, np.zeros((n, n))):
+            template = Template(SelfSimilarityMatrix(values=S))
             for first in sorted({1, min(10, n - 1), n - 1}):
                 expected = attention_weights_per_row(S, first)
                 for start in range(first, n, ATTENTION_BLOCK_ROWS):
                     stop = min(start + ATTENTION_BLOCK_ROWS, n)
                     rows = expected[start - first : stop - first]
-                    W = attention_weights(SelfSimilarityMatrix(values=S), start, stop)
-                    assert same_bits(W, rows[:, : stop - 1])
+                    assert same_bits(template.weights(start, stop), rows[:, : stop - 1])
+                    assert same_bits(attention_weights(S, start, stop), rows[:, : stop - 1])
 
     def test_accepts_ssm_container(self):
         values = np.random.default_rng(1).random((20, 20))
-        S = SelfSimilarityMatrix(values=values, role="template")
-        assert same_bits(attention_weights(S, 3, 20), attention_weights_per_row(values, 3))
+        template = Template(SelfSimilarityMatrix(values=values, role="template"))
+        assert template.n == 20 and template.tau.shape == (20, 1)
+        assert np.isnan(template.tau[0, 0]) and np.isfinite(template.tau[1:]).all()
+        assert same_bits(template.weights(3, 20), attention_weights_per_row(values, 3))
 
     def test_sparsemax_vector_and_masked_rows(self):
         rng = np.random.default_rng(2)
@@ -109,8 +113,45 @@ class TestAttentionWeightsMatchPerRow:
     def test_row_without_finite_entry_rejected(self):
         q = np.zeros((3, 4))
         q[1] = -np.inf
-        with pytest.raises(ValueError):
-            nn.sparsemax(q)
+        for kernel in (nn.sparsemax, nn.sparsemax_threshold):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(q)
+
+
+class TestThresholdThenClip:
+    """sparsemax(q, tau=sparsemax_threshold(q)) is sparsemax(q), bit for bit."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(6)
+        tiny = np.finfo(np.float64).tiny
+        yield from ([1.0, 0.0], [0.9, 0.1], [0.3, 0.3, 0.3], [2.0, 0.0], [7.5],
+                    [1e15, -1e15, 0.0], [5e-324, -5e-324, tiny, -0.0, 0.0],
+                    [-1e15, -1e15], [0.5] * 9)  # special values, ties, one entry
+        for size in (2, 13, 200):
+            q = rng.normal(scale=3.0, size=size)
+            yield q
+            yield np.round(q)  # ties
+            for shift in (-1e6, -0.5, 3.0, 1e6):
+                yield q + shift
+        masked = np.where(np.arange(9) < np.arange(1, 10)[:, None], rng.random((9, 9)), -np.inf)
+        yield masked  # -inf-masked rows, the first with one finite entry
+        yield np.where(np.eye(5, dtype=bool), 2.0, -np.inf)  # one finite entry per row
+
+    def test_same_bits(self):
+        for q in map(np.asarray, self.inputs()):
+            tau = nn.sparsemax_threshold(q)
+            assert tau.shape == q.shape[:-1] + (1,)
+            assert same_bits(nn.sparsemax(q, tau=tau), nn.sparsemax(q)), q
+
+    @pytest.mark.parametrize("q", [[], [np.nan], [1.0, np.nan], [np.inf, 0.0], [-np.inf]])
+    def test_same_errors(self, q):
+        errors = []
+        for kernel in (nn.sparsemax, nn.sparsemax_threshold):
+            with pytest.raises(ValueError) as exc:
+                kernel(np.array(q))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 class TestSampleNotesMatchesLexsort:
@@ -295,6 +336,8 @@ def model_and_piece(cfg, n):
 
 # generated-row counts on both sides of the 64-row attention blocks' boundaries
 LENGTHS = [SEED_LEN + rows for rows in (63, 64, 65, 129, 145)]
+# one generated step, then lengths whose last block is partial or full
+TEMPLATE_LENGTHS = [SEED_LEN + 1, 64, 65, 129, 200]
 
 
 def first_differing_step(fast: np.ndarray, ref: np.ndarray, margins: dict[int, float]) -> str:
@@ -316,23 +359,26 @@ class TestForwardMatchesStepReference:
     def test_forward_piece(self, cfg):
         for n in LENGTHS:
             model, roll, S = model_and_piece(cfg, n)
-            trace = forward_piece(model, roll, S, 0.5, np.random.default_rng(33))
+            fast, ref = np.random.default_rng(33), np.random.default_rng(33)
+            trace = forward_piece(model, roll, S, 0.5, fast)
             margins = {}
             X, D, A = forward_piece_per_step(model.params.values, cfg,
                                              roll.data.T.astype(np.float64), S.values, 0.5,
-                                             np.random.default_rng(33), margins)
+                                             ref, margins)
             # the draws
             assert same_bits(trace.X, X), f"n={n}: {first_differing_step(trace.X, X, margins)}"
+            assert fast.bit_generator.state == ref.bit_generator.state, n
             assert close(trace.D, D), n
             assert (trace.A is None) == (A is None)
-            assert A is None or same_bits(trace.A, A), n  # weights times the draws alone
+            # the block's product before t0 plus the step's own sum: the order moved
+            assert A is None or close(trace.A, A), n
 
     def test_generate(self, cfg):
         for n in LENGTHS:
             model, roll, S = model_and_piece(cfg, n)
             seed = roll.data.T[: cfg.seed_len]
             fast, ref = np.random.default_rng(34), np.random.default_rng(34)
-            out = generate(model, seed, S, fast)
+            out = generate(model, seed, Template(S), fast)
             margins = {}
             expected = generate_per_step(model.params.values, cfg, seed, S.values, ref, margins)
             assert np.array_equal(out.data, expected), (
@@ -420,3 +466,50 @@ class TestStructureMatchesTwoPass:
             for name, grad in expected_grads.items():  # the LSTM's and the head's
                 assert close(grads[name], grad), name
             assert not with_grad or any(grad.any() for grad in grads.values())
+
+
+def templates(n: int):
+    """(name, SSM) of a block, a chord and a random template of n samples."""
+    yield "block", synth_ssm(SynthSpec(length=n, blocks=[(0, n // 2, 0.8), (n // 3, n, 0.3)],
+                                       background=0.1))
+    yield "chord", ssm(chroma(chord_roll(n, n)))
+    yield "random", SelfSimilarityMatrix(values=np.random.default_rng(n).random((n, n)))
+
+
+@pytest.mark.parametrize("n", TEMPLATE_LENGTHS)
+class TestCompiledTemplate:
+    """A Template's thresholds and unroll's blocked history against the
+    per-row projection and the whole-history product."""
+
+    def test_block_weights_match_per_row(self, n):
+        for name, S in templates(n):
+            template = Template(S)
+            expected = attention_weights_per_row(S.values, SEED_LEN)
+            for start in range(SEED_LEN, n, ATTENTION_BLOCK_ROWS):
+                stop = min(start + ATTENTION_BLOCK_ROWS, n)
+                rows = expected[start - SEED_LEN : stop - SEED_LEN]
+                assert same_bits(template.weights(start, stop), rows[:, : stop - 1]), (name, start)
+
+    def test_attention_vectors_within_rtol_at_every_step(self, n):
+        model = Model(MODELS[0], rng=np.random.default_rng(51))
+        for name, S in templates(n):
+            trace = forward_piece(model, chord_roll(n, n + 1), S, 0.5, np.random.default_rng(52))
+            whole = [sparsemax_1d(S.values[t, :t]) @ trace.X[:t] for t in range(SEED_LEN, n)]
+            assert close(trace.A, np.array(whole)), name
+
+    def test_draws_match_step_references(self, n):
+        cfg = MODELS[0]
+        model = Model(cfg, rng=np.random.default_rng(53))
+        roll = chord_roll(n, n + 2)
+        for name, S in templates(n):
+            fast, ref = np.random.default_rng(54), np.random.default_rng(54)
+            trace = forward_piece(model, roll, S, 0.5, fast)
+            X, _, _ = forward_piece_per_step(model.params.values, cfg,
+                                             roll.data.T.astype(np.float64), S.values, 0.5, ref)
+            assert same_bits(trace.X, X), name
+            assert fast.bit_generator.state == ref.bit_generator.state, name
+            seed = roll.data.T[:SEED_LEN]
+            out = generate(model, seed, Template(S), fast)
+            assert np.array_equal(out.data, generate_per_step(model.params.values, cfg, seed,
+                                                              S.values, ref)), name
+            assert fast.bit_generator.state == ref.bit_generator.state, name

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sing import evaluation
+from sing import evaluation, nn
 from sing.evaluation import EvalRun, eval_run_to_csv, evaluate, random_baseline
 from sing.midi_io import PianoRoll
-from sing.model import Model, ModelConfig
+from sing.model import ATTENTION_BLOCK_ROWS, Model, ModelConfig
 from sing.structure import chroma, ssm
 
 
@@ -23,6 +23,34 @@ def block_piece(n: int, rng: np.random.Generator, source_id: str = "piece") -> P
         for pitch in chord:
             data[pitch + 12 * int(rng.integers(0, 2)), s] = 1
     return PianoRoll(data=data, tempo=120.0, source_id=f"{source_id}[0]")
+
+
+class TestThresholdsPerPiece:
+    """The attention thresholds are paid once per piece by the attention
+    model, shared by its generations, and never by the ablated model or the
+    random baseline."""
+
+    @pytest.mark.parametrize("generator", evaluation.GENERATORS)
+    def test_threshold_passes(self, monkeypatch, generator):
+        lengths = (12, 70, 140)  # one, two and three 64-row blocks
+        rng = np.random.default_rng(7)
+        items = [block_piece(n, rng, f"p{n}") for n in lengths]
+        cfg = ModelConfig(hidden_size=4, seed_len=4, attention_enabled=generator == "sing")
+        model = None if generator == "random" else Model(cfg, rng=np.random.default_rng(8))
+        rows, threshold = [], nn.sparsemax_threshold
+
+        def counted(q):
+            rows.append(len(q))
+            return threshold(q)
+
+        monkeypatch.setattr(nn, "sparsemax_threshold", counted)
+        run = evaluate(items, cfg, np.random.default_rng(9), model=model)
+        assert run.generator == generator and len(run.mses) == len(lengths)
+        if generator != "sing":
+            assert rows == []
+        else:  # one call per block of a piece, each of rows 1..n-1 once
+            assert len(rows) == sum(-(-(n - 1) // ATTENTION_BLOCK_ROWS) for n in lengths)
+            assert sum(rows) == sum(n - 1 for n in lengths)
 
 
 class TestRandomBaseline:
@@ -76,7 +104,7 @@ class TestEvaluate:
         def replay(model_, seed, template, rng_, tempo=120.0, source_id=""):
             for item in items:
                 own = ssm(chroma(item))
-                if own.n == template.n and np.array_equal(own.values, template.values):
+                if own.n == template.n and np.array_equal(own.values, template.S.values):
                     return item
             raise AssertionError("unknown template")
 

@@ -7,8 +7,8 @@ from oracles import central_difference, relative_error
 from sing.model import (
     Model,
     ModelConfig,
+    Template,
     attention_step,
-    attention_weights,
     combine_backward,
     combine_forward,
     forward_step,
@@ -32,9 +32,17 @@ def random_history(rng, t):
     return (rng.random((t, 128)) < 0.05).astype(np.float64)
 
 
+def weights_block(S, start, stop):
+    """Template(S).weights(start, stop): row i holds step start + i's weights, then zeros."""
+    return Template(SelfSimilarityMatrix(values=S)).weights(start, stop)
+
+
 def weights_row(S, t):
     """Step t's attention weights over its t past steps."""
-    return attention_weights(SelfSimilarityMatrix(values=S), t, t + 1)[0]
+    return weights_block(S, t, t + 1)[0]
+
+
+NOTHING_BEFORE = np.zeros(128)  # attention_step's before for a block that starts at step 0
 
 
 def zero_state(model):
@@ -57,9 +65,9 @@ class TestAttentionStep:
         S[1, 0] = 0.7
         history = np.zeros((1, 128))
         history[0, 60] = 1.0
-        W = attention_weights(SelfSimilarityMatrix(values=S), 1, 4)
+        W = weights_block(S, 1, 4)
         assert W[0].tolist() == [1.0, 0.0, 0.0]
-        assert np.array_equal(attention_step(W[0, :1], history), history[0])
+        assert np.array_equal(attention_step(W[0, :1], history, NOTHING_BEFORE), history[0])
 
     def test_simplex_row_passes_through(self):
         S = np.zeros((4, 4))
@@ -68,7 +76,7 @@ class TestAttentionStep:
         history[0, 10] = 1.0
         history[1, 20] = 1.0
         w = weights_row(S, 2)
-        a = attention_step(w, history)
+        a = attention_step(w, history, NOTHING_BEFORE)
         assert np.allclose(w, [0.9, 0.1])
         assert a[10] == pytest.approx(0.9)
         assert a[20] == pytest.approx(0.1)
@@ -76,7 +84,7 @@ class TestAttentionStep:
     def test_zero_history_zero_vector(self):
         S = np.full((5, 5), 0.5)
         w = weights_row(S, 3)
-        a = attention_step(w, np.zeros((3, 128)))
+        a = attention_step(w, np.zeros((3, 128)), NOTHING_BEFORE)
         assert a.sum() == 0.0
         assert w.sum() == pytest.approx(1.0)
 
@@ -85,12 +93,20 @@ class TestAttentionStep:
         for _ in range(20):
             n = int(rng.integers(2, 30))
             first = int(rng.integers(1, n))
-            W = attention_weights(SelfSimilarityMatrix(values=rng.random((n, n))), first, n)
+            W = weights_block(rng.random((n, n)), first, n)
             assert W.shape == (n - first, n - 1)
             assert W.min() >= 0.0
             assert np.allclose(W.sum(axis=1), 1.0, atol=1e-9)
             steps = np.arange(first, n)[:, None]
             assert not W[np.arange(n - 1) >= steps].any()  # nothing on or past the diagonal
+
+    def test_block_split_of_the_history_sums_to_the_whole(self):
+        rng = np.random.default_rng(1)
+        t = 40
+        w, history = weights_row(rng.random((t + 1, t + 1)), t), random_history(rng, t)
+        for t0 in (0, 1, 17, t):
+            a = attention_step(w[t0:], history[t0:], w[:t0] @ history[:t0])
+            assert np.allclose(a, w @ history, rtol=1e-12, atol=0.0), t0
 
 
 class TestCombine:
@@ -152,7 +168,7 @@ class TestForwardStep:
         model = Model(cfg, rng=np.random.default_rng(4))
         seed = (np.random.default_rng(5).random((cfg.seed_len, 128)) < 0.1).astype(np.uint8)
         rolls = [
-            generate(model, seed, synth_ssm(SynthSpec(length=8, blocks=[(0, 4, level)])),
+            generate(model, seed, Template(synth_ssm(SynthSpec(length=8, blocks=[(0, 4, level)]))),
                      np.random.default_rng(7))
             for level in (0.2, 0.9)
         ]
@@ -165,7 +181,8 @@ class TestForwardStep:
             model.params.values[name][...] = 0.0
         rng = np.random.default_rng(9)
         h, _ = lstm_step(model, rng.random(128), zero_state(model))
-        d, _ = forward_step(model, weights_row(np.full((4, 4), 0.5), 2), random_history(rng, 2), h)
+        d, _ = forward_step(model, weights_row(np.full((4, 4), 0.5), 2), random_history(rng, 2),
+                            NOTHING_BEFORE, h)
         assert np.array_equal(d, np.zeros(128))
         assert np.allclose(sigmoid(d), 0.5)
 
@@ -177,15 +194,15 @@ class TestForwardStep:
         history = random_history(rng, 2)
         w = weights_row(np.random.default_rng(12).random((5, 5)), 2)
         h, _ = lstm_step(model, prev, zero_state(model))
-        d1, _ = forward_step(model, w, history, h)
-        d2, _ = forward_step(model, w, history, h)
+        d1, _ = forward_step(model, w, history, NOTHING_BEFORE, h)
+        d2, _ = forward_step(model, w, history, NOTHING_BEFORE, h)
         assert np.array_equal(d1, d2)
 
 
 class TestUnroll:
     def test_seed_of_wrong_shape_rejected(self):
         model = Model(small_config(seed_len=3), rng=np.random.default_rng(30))
-        S = synth_ssm(SynthSpec(length=8))
+        S = Template(synth_ssm(SynthSpec(length=8)))
         for shape in ((2, 128), (3, 127), (384,)):
             with pytest.raises(ValueError, match=r"seed must be \(3, 128\)"):
                 unroll(model, np.zeros(shape), S, lambda t, d: np.zeros(128))
@@ -196,7 +213,8 @@ class TestUnroll:
         # the length is checked first, so a short piece is named as such
         for seed in (np.zeros((3, 128)), np.zeros((n, 128))):
             with pytest.raises(ValueError, match=f"length {n} must exceed seed length 3"):
-                unroll(model, seed, synth_ssm(SynthSpec(length=n)), lambda t, d: np.zeros(128))
+                unroll(model, seed, Template(synth_ssm(SynthSpec(length=n))),
+                       lambda t, d: np.zeros(128))
 
     @pytest.mark.parametrize("attention", [True, False])
     def test_input_buffer_is_the_seed_then_the_next_inputs(self, attention):
@@ -209,7 +227,7 @@ class TestUnroll:
             asked.append(t)
             return np.full(128, float(t))
 
-        trace = unroll(model, seed, synth_ssm(SynthSpec(length=9)), next_input)
+        trace = unroll(model, seed, Template(synth_ssm(SynthSpec(length=9))), next_input)
         assert trace.X.shape == (8, 128)
         assert np.array_equal(trace.X[:3], seed)
         assert asked == [3, 4, 5, 6, 7]
@@ -237,14 +255,14 @@ class TestPerPitchMatchesAblatedBaseline:
         S = np.random.default_rng(17).random((6, 6))
         state_a = zero_state(sing_model)
         state_b = zero_state(ablated)
-        W = attention_weights(SelfSimilarityMatrix(values=S), 1, 6)
+        W = weights_block(S, 1, 6)
         history = random_history(rng, 5)
         for t in (1, 2, 3):
             prev = history[t - 1]
             state_a = lstm_step(sing_model, prev, state_a)
             state_b = lstm_step(ablated, prev, state_b)
-            d_a, _ = forward_step(sing_model, W[t - 1, :t], history[:t], state_a[0])
-            d_b, _ = forward_step(ablated, None, history[:t], state_b[0])
+            d_a, _ = forward_step(sing_model, W[t - 1, :t], history[:t], NOTHING_BEFORE, state_a[0])
+            d_b, _ = forward_step(ablated, None, None, None, state_b[0])
             assert np.allclose(d_a, d_b, atol=1e-12)
 
 
@@ -297,7 +315,8 @@ class TestGenerate:
     def _model_and_template(self, n=16):
         cfg = small_config(seed_len=3)
         model = Model(cfg, rng=np.random.default_rng(22))
-        template = synth_ssm(SynthSpec(length=n, blocks=[(0, n // 2, 0.8)], background=0.1))
+        template = Template(synth_ssm(SynthSpec(length=n, blocks=[(0, n // 2, 0.8)],
+                                          background=0.1)))
         seed = np.zeros((3, 128), dtype=np.uint8)
         seed[:, 60] = 1
         return model, template, seed
@@ -305,7 +324,7 @@ class TestGenerate:
     def test_single_step_boundary(self):
         cfg = small_config(seed_len=3)
         model = Model(cfg, rng=np.random.default_rng(23))
-        template = synth_ssm(SynthSpec(length=4))
+        template = Template(synth_ssm(SynthSpec(length=4)))
         seed = np.zeros((3, 128), dtype=np.uint8)
         seed[:, 60] = 1
         roll = generate(model, seed, template, np.random.default_rng(0))
@@ -314,7 +333,7 @@ class TestGenerate:
 
     def test_template_too_short_rejected(self):
         model, _, seed = self._model_and_template()
-        short = synth_ssm(SynthSpec(length=3))
+        short = Template(synth_ssm(SynthSpec(length=3)))
         with pytest.raises(ValueError):
             generate(model, seed, short, np.random.default_rng(0))
 
@@ -380,8 +399,10 @@ class TestCheckpointIo:
         prev = rng.random(128)
         history = random_history(rng, 2)
         w = weights_row(np.random.default_rng(27).random((5, 5)), 2)
-        d1, _ = forward_step(model, w, history, lstm_step(model, prev, zero_state(model))[0])
-        d2, _ = forward_step(again, w, history, lstm_step(again, prev, zero_state(again))[0])
+        d1, _ = forward_step(model, w, history, NOTHING_BEFORE,
+                             lstm_step(model, prev, zero_state(model))[0])
+        d2, _ = forward_step(again, w, history, NOTHING_BEFORE,
+                             lstm_step(again, prev, zero_state(again))[0])
         assert np.array_equal(d1, d2)
 
     def test_load_fills_every_tensor_moment_and_the_step(self, tmp_path):

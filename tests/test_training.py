@@ -18,7 +18,7 @@ from sing.batching import (
 )
 from sing.evaluation import GENERATIONS_PER_PIECE, evaluate
 from sing.midi_io import PianoRoll
-from sing.model import Model, ModelConfig, PieceTrace, generate
+from sing.model import ATTENTION_BLOCK_ROWS, Model, ModelConfig, PieceTrace, Template, generate
 from sing.structure import SelfSimilarityMatrix, chroma, ssm
 from sing.training import (
     EpochReport,
@@ -266,11 +266,26 @@ def test_forward_pass_memory_stays_below_half_the_weights_matrix(run):
         if run == "forward_piece":
             forward_piece(model, target, template, 0.8, rng)
         else:
-            generate(model, data.T[: cfg.seed_len], template, rng)
+            generate(model, data.T[: cfg.seed_len], Template(template), rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < full_weights / 2
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_template_thresholds_memory_stays_at_a_few_blocks(n):
+    """The thresholds are computed one 64-row block at a time: the peak is a
+    few 64 x n temporaries (about 4.3 of them), not an n x n matrix."""
+    template = Template(SelfSimilarityMatrix(values=np.random.default_rng(46).random((n, n))))
+    tracemalloc.start()
+    try:
+        tau = template.tau
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau.shape == (n, 1)
+    assert peak < 6 * ATTENTION_BLOCK_ROWS * n * 8
 
 
 @pytest.mark.parametrize("with_grad", [True, False])
@@ -450,11 +465,11 @@ class TestTemplatePerPiece:
         self.record(monkeypatch, sing.evaluation, "generate", generations)
         evaluate(items, cfg, np.random.default_rng(114), model=model)
         assert len(generations) == GENERATIONS_PER_PIECE * len(items)
-        for k, (_, seed, S, _) in enumerate(generations):
+        for k, (_, seed, template, _) in enumerate(generations):
             item = items[k // GENERATIONS_PER_PIECE]
             assert np.array_equal(seed, item.data.T[: cfg.seed_len])
-            assert S is generations[k - k % GENERATIONS_PER_PIECE][2]  # once per piece
-            assert np.array_equal(S.values, ssm(chroma(item)).values)
+            assert template is generations[k - k % GENERATIONS_PER_PIECE][2]  # once per piece
+            assert np.array_equal(template.S.values, ssm(chroma(item)).values)
 
 
 class TestValidate:
