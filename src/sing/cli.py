@@ -378,11 +378,16 @@ def main(argv: list[str] | None = None) -> int:
     level = getattr(logging, os.environ.get("SING_LOG", "warning").upper(), None)
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(message)s")
+    verb = "arguments"
     try:
         defaults = _load_defaults(argv)
         parser = _build_parser(defaults)
         args = parser.parse_args(argv)
-        return _HANDLERS[args.verb](args)
+        verb = args.verb
+        return _HANDLERS[verb](args)
+    except MemoryError:
+        print(f"error: out of memory ({verb})", file=sys.stderr)
+        return 1
     except (ValueError, OSError, training.TrainingError) as exc:
         # an OSError that carries a path reads like a ValueError from _require
         named = getattr(exc, "filename", None) is not None

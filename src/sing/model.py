@@ -225,15 +225,16 @@ class PieceTrace:
     Step t (1 <= t < n) reads input X[t - 1] and state (H[t - 1], C[t - 1])
     and yields H[t], C[t] and its gate activations G[t - 1]; the generated
     steps t = seed_len .. n-1 also yield the logits D[t - seed_len] and,
-    with attention, the attention vector A[t - seed_len].
+    with attention, the attention vector A[t - seed_len]. A pass that no
+    backward pass follows keeps X and D alone: H, C, G and A are None.
     """
 
     n: int
     seed_len: int
     X: np.ndarray  # (n - 1, 128) LSTM inputs
-    H: np.ndarray  # (n, hidden) hidden states; H[0] is the initial state
-    C: np.ndarray  # (n, hidden) cell states; C[0] is the initial state
-    G: np.ndarray  # (n - 1, 4 * hidden) gate activations, as nn.lstm_cell_forward writes them
+    H: np.ndarray | None  # (n, hidden) hidden states; H[0] is the initial state
+    C: np.ndarray | None  # (n, hidden) cell states; C[0] is the initial state
+    G: np.ndarray | None  # (n - 1, 4 * hidden) gate activations, as nn.lstm_cell_forward writes them
     A: np.ndarray | None  # (n - seed_len, 128) attention vectors; None when ablated
     D: np.ndarray  # (n - seed_len, 128) logits
 
@@ -243,6 +244,7 @@ def unroll(
     seed: np.ndarray,
     template: Template,
     next_input: Callable[[int, np.ndarray], np.ndarray],
+    with_grad: bool = True,
 ) -> PieceTrace:
     """Run LSTM steps 1..n-1 of an n-sample piece from its (seed_len, 128) seed.
 
@@ -250,6 +252,11 @@ def unroll(
     t = seed_len on, forward_step turns its output into logits d and, for
     t <= n - 2, X[t] = next_input(t, d). At the first step t0 of each block
     of ATTENTION_BLOCK_ROWS steps, the block's weights times X[:t0] is one product.
+
+    with_grad says a backward pass will read the trace: the states, gates
+    and attention vectors of every step are kept. Otherwise the state lives
+    in a two-row ring (a step's output must not overlap its inputs), the
+    gates in one row, and the trace holds X and D alone.
     """
     cfg = model.cfg
     p = model.params
@@ -258,35 +265,41 @@ def unroll(
         raise ValueError(f"piece length {n} must exceed seed length {seed_len}")
     if np.shape(seed) != (seed_len, N_PITCHES):
         raise ValueError(f"seed must be ({seed_len}, 128), got {np.shape(seed)}")
-    X = np.zeros((n - 1, N_PITCHES))
+    X = nn.aligned_zeros((n - 1, N_PITCHES))
     X[:seed_len] = seed
-    H = np.zeros((n, hidden))
-    C = np.zeros((n, hidden))
-    G = np.zeros((n - 1, 4 * hidden))
+    rows = n if with_grad else 2  # step t writes state row t % rows, gate row (t - 1) % (rows - 1)
+    H = np.zeros((rows, hidden))
+    C = np.zeros((rows, hidden))
+    G = np.zeros((rows - 1, 4 * hidden))
     D = np.zeros((n - seed_len, N_PITCHES))
-    A = np.zeros_like(D) if cfg.attention_enabled else None
+    attend = cfg.attention_enabled
+    A = np.zeros_like(D) if attend and with_grad else None
     W_x = np.asfortranarray(p["lstm.W_x"])  # column-major: a step gathers its active columns
     if not np.isfinite(W_x).all():  # a skipped column would hide it
         raise ValueError("parameter 'lstm.W_x' holds non-finite values")
     W_h, b = p["lstm.W_h"], p["lstm.b"]
     w = history = before = None
     for t in range(1, n):
-        nn.lstm_cell_forward(W_x, W_h, b, X[t - 1], H[t - 1], C[t - 1], out=(H[t], C[t], G[t - 1]))
+        now, prev = t % rows, (t - 1) % rows
+        nn.lstm_cell_forward(W_x, W_h, b, X[t - 1], H[prev], C[prev],
+                             out=(H[now], C[now], G[(t - 1) % (rows - 1)]))
         if t < seed_len:  # warm-up: no prediction yet
             continue
         row = t - seed_len
-        if A is not None:
+        if attend:
             offset = row % ATTENTION_BLOCK_ROWS
             if offset == 0:
                 t0, block = t, template.weights(t, min(t + ATTENTION_BLOCK_ROWS, n))
                 past = block[:, :t0] @ X[:t0]
             w, history, before = block[offset, t0:t], X[t0:t], past[offset]
-        d, a = forward_step(model, w, history, before, H[t])
+        d, a = forward_step(model, w, history, before, H[now])
         D[row] = d
         if A is not None:
             A[row] = a
         if t <= n - 2:
             X[t] = next_input(t, d)
+    if not with_grad:
+        H = C = G = None
     return PieceTrace(n=n, seed_len=seed_len, X=X, H=H, C=C, G=G, A=A, D=D)
 
 
@@ -301,12 +314,11 @@ def generate(
 
     seed is (seed_len, 128) binary, sample-major. The output roll copies the
     seed and appends one sampled step at a time until it spans n samples.
+    No backward pass follows, so the trace keeps no state.
     """
     cfg = model.cfg
-    trace = unroll(model, seed, template, lambda t, d: sample_notes(d, cfg, rng))
-    X, last = trace.X, trace.D[-1]
-    del trace  # free the states and gates before the output copies
-    out = np.vstack([X, sample_notes(last, cfg, rng)])
+    trace = unroll(model, seed, template, lambda t, d: sample_notes(d, cfg, rng), with_grad=False)
+    out = np.vstack([trace.X, sample_notes(trace.D[-1], cfg, rng)])
     return PianoRoll(data=out.T.astype(np.uint8, order="C"), tempo=tempo)
 
 

@@ -5,7 +5,8 @@ kernels keep no cache: `sparsemax` returns its output alone, and
 `lstm_cell_forward` writes one step's state and gate activations into rows
 the caller owns, from which `lstm_backward_factors` forms the backward
 pass's factors. Backward functions take the upstream gradient and return
-the gradients of the inputs.
+the gradients of the inputs. `sigmoid` is max(e, x >= 0) / (1 + e) with
+e = exp(-|x|) <= 1: 1 / (1 + e) for x >= 0, e / (1 + e) below.
 
 Numerics contract, checked against the references in tests/oracles.py:
 bit for bit for the sampler's draws, `sigmoid`, the attention weights,
@@ -18,6 +19,7 @@ structural loss and its gradients.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -32,11 +34,26 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """float64 zeros in C order whose data starts on a 64-byte boundary.
+
+    numpy aligns its data to 16 bytes, and a BLAS matrix-vector product over a
+    matrix 16 or 48 bytes past a 64-byte boundary ran 40% slower (7.2 against
+    5.2 us for a 512 x 128 matrix, one thread) with the same bits. The
+    parameters and `model.unroll`'s input history live here, so a step's speed
+    does not depend on where the heap put them."""
+    size = math.prod(shape)
+    buffer = np.zeros(size + 7)
+    start = -buffer.ctypes.data % 64 // 8
+    return buffer[start : start + size].reshape(shape)
+
+
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) without overflow: exp is only taken of -|x| <= 0.
-    Per element 1 / (1 + e) for x >= 0, e / (1 + e) below; written to out if given."""
+    Per element 1 / (1 + e) for x >= 0, e / (1 + e) below, as one
+    max(e, x >= 0) since e <= 1; written to out if given."""
     e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0.0, 1.0, e), np.add(e, 1.0), out=out)
+    return np.divide(np.maximum(e, x >= 0.0), np.add(e, 1.0), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +167,10 @@ def sparsemax_threshold(q: np.ndarray) -> np.ndarray:
     cumulative = np.cumsum(sorted_desc, axis=-1)
     ks = np.arange(1, size + 1)
     feasible = 1.0 + ks * sorted_desc > cumulative
-    if not feasible.any(axis=-1).all():  # only non-finite input leaves no feasible support
-        raise ValueError("sparsemax input must be finite")
+    if not feasible.any(axis=-1).all():  # non-finite input, or sums that swamp the 1
+        if np.isnan(q).any() or np.isposinf(q).any() or not np.isfinite(q).any(axis=-1).all():
+            raise ValueError("sparsemax input must be finite")
+        raise ValueError("sparsemax input spans too wide a range for float64's feasibility test")
     k = size - np.argmax(feasible[..., ::-1], axis=-1, keepdims=True)  # last feasible size
     return (np.take_along_axis(cumulative, k - 1, axis=-1) - 1.0) / k
 
@@ -198,12 +217,13 @@ class ParamSet:
     def add(self, name: str, value: np.ndarray) -> np.ndarray:
         if name in self.values:
             raise ValueError(f"duplicate parameter {name!r}")
-        value = np.asarray(value, dtype=np.float64)
-        self.values[name] = value
-        self.grads[name] = np.zeros_like(value)
-        self.m[name] = np.zeros_like(value)
-        self.v[name] = np.zeros_like(value)
-        return value
+        stored = aligned_zeros(np.shape(value))
+        stored[...] = value
+        self.values[name] = stored
+        self.grads[name] = np.zeros_like(stored)
+        self.m[name] = np.zeros_like(stored)
+        self.v[name] = np.zeros_like(stored)
+        return stored
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.values[name]
@@ -254,7 +274,7 @@ _ADAM_V = "adam/v/"
 _ADAM_STEP = "adam/step"
 
 
-def _pack_tensor(name: str, array: np.ndarray) -> bytes:
+def _tensor_head(name: str, array: np.ndarray) -> bytes:
     encoded = name.encode("utf-8")
     if array.ndim == 1:
         rows, cols = array.shape[0], 0
@@ -262,8 +282,7 @@ def _pack_tensor(name: str, array: np.ndarray) -> bytes:
         rows, cols = array.shape
     else:
         raise ValueError(f"tensor {name!r} has rank {array.ndim}, expected 1 or 2")
-    head = struct.pack("<I", len(encoded)) + encoded + struct.pack("<II", rows, cols)
-    return head + array.astype("<f8").tobytes()
+    return struct.pack("<I", len(encoded)) + encoded + struct.pack("<II", rows, cols)
 
 
 def _entries(params: ParamSet) -> list[tuple[str, np.ndarray]]:
@@ -276,10 +295,18 @@ def _entries(params: ParamSet) -> list[tuple[str, np.ndarray]]:
     return entries + [(_ADAM_STEP, np.array([float(params.step)]))]
 
 
-def checkpoint_to_bytes(params: ParamSet) -> bytes:
+def _checkpoint_parts(params: ParamSet) -> list[bytes | np.ndarray]:
+    """The file in order: the header, then each tensor's head and its
+    little-endian float64 values, a view of the tensor wherever it is one."""
     entries = _entries(params)
-    body = b"".join(_pack_tensor(name, arr) for name, arr in entries)
-    return CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(entries)) + body
+    parts = [CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(entries))]
+    for name, array in entries:
+        parts += [_tensor_head(name, array), np.ascontiguousarray(array, dtype="<f8")]
+    return parts
+
+
+def checkpoint_to_bytes(params: ParamSet) -> bytes:
+    return b"".join(_checkpoint_parts(params))
 
 
 def checkpoint_from_bytes(data: bytes, into: ParamSet) -> None:
@@ -334,20 +361,23 @@ def checkpoint_from_bytes(data: bytes, into: ParamSet) -> None:
     into.step = int(step)
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write data to a temporary name beside path, then rename it over path:
-    a failed write leaves the earlier file whole and no temporary behind."""
+def write_atomic(path: str | Path, *parts: bytes | np.ndarray) -> None:
+    """Write the bytes-like parts, in order, to a temporary name beside path,
+    then rename it over path: a failed write leaves the earlier file whole and
+    no temporary behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as handle:
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(params: ParamSet, path: str | Path) -> None:
-    write_atomic(path, checkpoint_to_bytes(params))
+    write_atomic(path, *_checkpoint_parts(params))
 
 
 def load_checkpoint(path: str | Path, into: ParamSet) -> None:

@@ -103,8 +103,10 @@ def forward_piece(
     S: SelfSimilarityMatrix,
     p_feedback: float,
     rng: np.random.Generator,
+    with_grad: bool = True,
 ) -> PieceTrace:
-    """Run the scheduled-sampling forward pass over a whole piece."""
+    """Run the scheduled-sampling forward pass over a whole piece; with_grad
+    keeps the states a backward pass (piece_loss with_grad) reads."""
     cfg = model.cfg
     if S.n != target.n_samples:
         raise ValueError(f"SSM size {S.n} != piece length {target.n_samples}")
@@ -112,6 +114,7 @@ def forward_piece(
     return unroll(
         model, target_samples[: cfg.seed_len], Template(S),  # thresholds once per pass
         lambda t, d: scheduled_step(d, target_samples[t], cfg, rng, p_feedback),
+        with_grad=with_grad,
     )
 
 
@@ -134,6 +137,9 @@ def piece_loss(
     n, seed_len = trace.n, trace.seed_len
     if target.n_samples != n or S.n != n:
         raise ValueError("trace, target, and SSM lengths disagree")
+    if with_grad and trace.H is None:
+        raise ValueError("trace holds no states to backprop through; "
+                         "run the forward pass with with_grad=True")
     target_samples = target.data.T.astype(np.float64)
     P = nn.sigmoid(trace.D)
     bce_total, dD = nn.bce_with_logits(trace.D, target_samples[seed_len:], P)
@@ -199,7 +205,7 @@ def _finite_loss(
     raises TrainingError naming the piece and the epoch."""
     try:
         template = ssm(chroma(item))
-        trace = forward_piece(model, item, template, tcfg.p_feedback, rng)
+        trace = forward_piece(model, item, template, tcfg.p_feedback, rng, with_grad=with_grad)
         loss = piece_loss(model, trace, item, template, with_grad=with_grad)
     except ValueError as exc:
         raise TrainingError(

@@ -386,6 +386,23 @@ class TestArgumentHandling:
         assert result.stderr == "error: missing.ssm: No such file or directory\n"
         assert result.stdout.split() == ["1", str(logging.WARNING)]
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path):
+        """A valid spec whose 16384 x 16384 matrix (2 GiB) does not fit the
+        1.5 GiB address space that the child process gives itself."""
+        (tmp_path / "spec.txt").write_text("length=16384\n")
+        script = ("import resource, sys; limit = 3 << 29; "
+                  "resource.setrlimit(resource.RLIMIT_AS, "
+                  "(limit, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+                  "from sing.cli import main; "
+                  "sys.exit(main(['synth-ssm', '--in', 'spec.txt', '--out', 'big.ssm']))")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(sing.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert result.stderr == "error: out of memory (synth-ssm)\n"
+        assert not (tmp_path / "big.ssm").exists()
+
 
 class TestAblatedFlag:
     def test_evaluate_ablated_alias(self, tmp_path):

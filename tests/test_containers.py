@@ -13,7 +13,6 @@ from sing.nn import (
     CKPT_MAGIC,
     CKPT_VERSION,
     ParamSet,
-    _pack_tensor,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
 )
@@ -101,8 +100,14 @@ def test_non_finite_checkpoint_tensor_rejected_by_name(bad):
 
 def raw_checkpoint(*entries: tuple[str, np.ndarray]) -> bytes:
     """A SINGCKPT container of the given (name, tensor) entries, in order."""
-    body = b"".join(_pack_tensor(name, np.asarray(array, dtype=float)) for name, array in entries)
-    return CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(entries)) + body
+    blob = CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(entries))
+    for name, array in entries:
+        array = np.asarray(array, dtype="<f8")
+        rows, cols = (*array.shape, 0)[:2]
+        encoded = name.encode()
+        blob += struct.pack("<I", len(encoded)) + encoded + struct.pack("<II", rows, cols)
+        blob += array.tobytes()
+    return blob
 
 
 W = ("w", np.arange(6.0).reshape(2, 3))

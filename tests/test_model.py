@@ -228,7 +228,7 @@ class TestUnroll:
             return np.full(128, float(t))
 
         trace = unroll(model, seed, Template(synth_ssm(SynthSpec(length=9))), next_input)
-        assert trace.X.shape == (8, 128)
+        assert trace.X.shape == (8, 128) and trace.X.ctypes.data % 64 == 0  # BLAS-aligned rows
         assert np.array_equal(trace.X[:3], seed)
         assert asked == [3, 4, 5, 6, 7]
         assert all(np.all(trace.X[t] == t) for t in asked)

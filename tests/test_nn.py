@@ -215,6 +215,12 @@ class TestSparsemax:
         with pytest.raises(ValueError, match="finite"):
             sparsemax(np.array(q))
 
+    @pytest.mark.parametrize("q", [[1e20, 0.0], [1e300, -1e300, 0.0], [-1e300, -1e300]])
+    def test_finite_input_too_wide_for_float64_named_as_such(self, q):
+        with pytest.raises(ValueError, match="too wide a range for float64") as caught:
+            sparsemax(np.array(q))
+        assert "must be finite" not in str(caught.value)
+
 
 class TestBce:
     def test_zero_logits_closed_form(self):
@@ -321,6 +327,20 @@ class TestParamSet:
         with pytest.raises(ValueError):
             params.accumulate("a", np.ones((2, 3)), columns=np.array([0, 1]))
 
+    def test_values_start_on_a_64_byte_boundary(self):
+        """Each value is a copy placed for the BLAS kernels, whatever the
+        alignment of the array it was given."""
+        params = ParamSet()
+        given = np.zeros(512 * 128 + 3)[1 : 512 * 128 + 1].reshape(512, 128)
+        given[...] = np.random.default_rng(9).normal(size=(512, 128))
+        shapes = {"W": (512, 128), "b": (7,), "s": (1,), "C": (3, 5)}
+        for name, shape in shapes.items():
+            value = given if name == "W" else np.arange(math.prod(shape), dtype=float).reshape(shape)
+            stored = params.add(name, value)
+            assert stored is params[name] and stored.ctypes.data % 64 == 0, name
+            assert stored.flags.c_contiguous and np.array_equal(stored, value), name
+        assert not np.shares_memory(params["W"], given)
+
     def test_init_uniform_bounds(self):
         rng = np.random.default_rng(7)
         w = init_uniform(rng, (50, 50), fan_in=25)
@@ -374,13 +394,28 @@ class TestCheckpoint:
         path = tmp_path / "epoch_0.ckpt"
         save_checkpoint(self._fresh(), path)
         earlier = path.read_bytes()
-        write_bytes = Path.write_bytes
+        open_path = Path.open
 
-        def half_then_full_disk(self_path, data):
-            write_bytes(self_path, data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class FullAfterTheHeader:
+            """A file whose disk fills up once the checkpoint header is written."""
 
-        monkeypatch.setattr(Path, "write_bytes", half_then_full_disk)
+            def __init__(self, handle):
+                self.handle, self.written = handle, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                if self.written:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.written = self.handle.write(data)
+                return self.written
+
+        monkeypatch.setattr(Path, "open", lambda self_path, *args, **kwargs:
+                            FullAfterTheHeader(open_path(self_path, *args, **kwargs)))
         with pytest.raises(OSError):
             save_checkpoint(self._params(), path)
         monkeypatch.undo()
@@ -389,6 +424,17 @@ class TestCheckpoint:
         save_checkpoint(self._params(), path)
         assert path.read_bytes() == checkpoint_to_bytes(self._params())
         assert [p.name for p in tmp_path.iterdir()] == ["epoch_0.ckpt"]
+
+    def test_saved_file_is_checkpoint_to_bytes_for_any_memory_order(self, tmp_path):
+        """The file is written part by part from views of the tensors: a
+        column-major or strided tensor is saved as its values, row by row."""
+        params = self._params()
+        params.values["layer.W"] = np.asfortranarray(params["layer.W"])
+        params.m["layer.b"] = np.repeat(params.m["layer.b"], 2)[::2]
+        blob = checkpoint_to_bytes(params)
+        assert blob == checkpoint_to_bytes(self._params())
+        save_checkpoint(params, tmp_path / "m.ckpt")
+        assert (tmp_path / "m.ckpt").read_bytes() == blob
 
 
 def test_sigmoid_stable_at_extremes():

@@ -250,6 +250,64 @@ class TestPieceGradientMatchesPerStepReference:
             assert relative_error(model.params.grads[name], grad) <= 1e-12, name
 
 
+class TestUnrecordedPass:
+    """A pass that no backward pass follows keeps no states: the same inputs,
+    logits, loss and generator state as a recording pass, bit for bit."""
+
+    @pytest.mark.parametrize("generated", [63, 64, 65, 129])  # around the 64-row blocks
+    @pytest.mark.parametrize("head, hidden", [("dense", 8), ("per_pitch", 128), ("ablated", 8)])
+    def test_validation_loss_equals_the_recording_pass(self, head, hidden, generated):
+        cfg = ModelConfig(hidden_size=hidden, seed_len=4,
+                          combiner_mode="per_pitch" if head == "per_pitch" else "dense",
+                          attention_enabled=head != "ablated")
+        model = Model(cfg, rng=np.random.default_rng(23))
+        n = cfg.seed_len + generated
+        data = (np.random.default_rng(24).random((128, n)) < 0.05).astype(np.uint8)
+        data[60, ::3] = 1
+        target = PianoRoll(data=data, tempo=120.0)
+        template = ssm(chroma(target))
+        runs = []
+        for with_grad in (True, False):
+            rng = np.random.default_rng(25)
+            trace = forward_piece(model, target, template, 0.5, rng, with_grad=with_grad)
+            loss = piece_loss(model, trace, target, template, with_grad=False)
+            runs.append((trace, loss, rng.bit_generator.state))
+        (recorded, loss, state), (unrecorded, unrecorded_loss, unrecorded_state) = runs
+        assert recorded.H.shape == (n, hidden) and (recorded.A is None) == (head == "ablated")
+        assert unrecorded.H is unrecorded.C is unrecorded.G is unrecorded.A is None
+        assert np.array_equal(unrecorded.X, recorded.X)
+        assert np.array_equal(unrecorded.D, recorded.D)
+        assert unrecorded_loss == loss
+        assert unrecorded_state == state
+
+    def test_backward_pass_over_an_unrecorded_trace_raises(self):
+        model = Model(ModelConfig(hidden_size=4, seed_len=2), rng=np.random.default_rng(26))
+        target = chord_roll(12, [60, 64, 67])
+        template = ssm(chroma(target))
+        trace = forward_piece(model, target, template, 0.8, np.random.default_rng(27),
+                              with_grad=False)
+        with pytest.raises(ValueError, match="no states"):
+            piece_loss(model, trace, target, template, with_grad=True)
+        assert all(not grad.any() for grad in model.params.grads.values())
+
+
+def test_generation_memory_stays_below_the_state_record():
+    """generate keeps no per-step states, gates or attention vectors: its peak
+    stays below the (6 hidden + 2 * 128) doubles a step would record."""
+    n, hidden = 3000, 128
+    cfg = ModelConfig(hidden_size=hidden)
+    model = Model(cfg, rng=np.random.default_rng(47))
+    seed = (np.random.default_rng(48).random((cfg.seed_len, 128)) < 0.03).astype(np.uint8)
+    template = Template(SelfSimilarityMatrix(values=np.full((n, n), 0.5)))
+    tracemalloc.start()
+    try:
+        generate(model, seed, template, np.random.default_rng(49))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (6 * hidden + 2 * 128) * n * 8
+
+
 @pytest.mark.parametrize("run", ["forward_piece", "generate"])
 def test_forward_pass_memory_stays_below_half_the_weights_matrix(run):
     """Attention weights are projected a block at a time, never as one matrix."""
