@@ -22,7 +22,7 @@ import numpy as np
 
 from sing import batching, evaluation, midi_io, structure, training
 from sing import config as cfgio
-from sing.model import COMBINER_MODES, Model, ModelConfig, Template, generate, load_model
+from sing.model import COMBINER_MODES, Model, ModelConfig, generate, load_model
 from sing.structure import chroma, ssm
 
 log = logging.getLogger(__name__)
@@ -307,7 +307,7 @@ def _cmd_generate(args) -> int:
                          f"no more than seed length {cfg.seed_len}")
     rng = np.random.default_rng(args.seed)
     seed = seed_roll.data.T[: cfg.seed_len]
-    roll = generate(model, seed, Template(template), rng, tempo=seed_roll.tempo)
+    roll = generate(model, seed, template, rng, tempo=seed_roll.tempo)
     midi = _require(args.input_path, lambda _: midi_io.to_midi(roll))  # its tempo is the seed's
     # appended, not with_suffix: prefixes take.1 and take.2 write apart
     proll_path = Path(f"{args.output_path}.proll")

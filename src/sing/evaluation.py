@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sing.midi_io import N_PITCHES, PianoRoll
-from sing.model import Model, ModelConfig, Template, generate
+from sing.model import Model, ModelConfig, generate
 from sing.structure import chroma, ssm, standardized_mse
 
 log = logging.getLogger(__name__)
@@ -75,7 +75,7 @@ def evaluate(
             log.warning("skipping %s: only %d samples", item.source_id, n)
             continue
         seed = item.data.T[: cfg.seed_len]
-        template = Template(ssm(chroma(item)))  # its generations share the thresholds
+        template = ssm(chroma(item))  # its generations share the thresholds
         scores = []
         try:
             for _ in range(generations):
@@ -83,7 +83,7 @@ def evaluate(
                     roll = random_baseline(n, cfg, rng)
                 else:
                     roll = generate(model, seed, template, rng, tempo=item.tempo)
-                scores.append(standardized_mse(template.S, ssm(chroma(roll), role="generated")))
+                scores.append(standardized_mse(template, ssm(chroma(roll), role="generated")))
         except ValueError as exc:
             raise ValueError(f"piece {item.source_id}: {exc}") from exc
         run.piece_ids.append(item.source_id)

@@ -1,17 +1,17 @@
 """The generation model: LSTM backbone plus SSM-driven attention.
 
 At step t the attention weights are the sparsemax projection of the first
-t entries of row t of a user-supplied self-similarity matrix; a `Template`
-keeps their thresholds and `unroll` clips a block of rows at a time. The
-attention vector is the weighted sum of the previous input samples. A linear
-combiner merges it with the LSTM output into 128 logits. The ablated baseline
-is the same LSTM with the attention path removed and a plain dense head.
+t entries of row t of a user-supplied self-similarity matrix; `unroll` reads
+them from the matrix a block of rows at a time, and the matrix keeps each
+block's thresholds. The attention vector is the weighted sum of the previous
+input samples. A linear combiner merges it with the LSTM output into 128
+logits. The ablated baseline is the same LSTM with the attention path removed
+and a plain dense head.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -20,9 +20,13 @@ import numpy as np
 from sing import config as cfgio
 from sing import nn
 from sing.midi_io import N_PITCHES, PianoRoll
-from sing.structure import SelfSimilarityMatrix
+from sing.structure import ATTENTION_BLOCK_ROWS, SelfSimilarityMatrix
 
 COMBINER_MODES = ("dense", "per_pitch")
+# Model(cfg) holds each tensor four times (values, gradients, two Adam moments) before a
+# checkpoint is read; at 2,048, lstm.W_h (8,192 x 2,048 float64) takes 4 x 134 MB, and the
+# whole model about 0.6 GB
+MAX_HIDDEN_SIZE = 2048
 
 
 @dataclass
@@ -47,8 +51,8 @@ class ModelConfig:
             raise ValueError("per_pitch combiner requires hidden_size == 128")
         if self.seed_len < 1:
             raise ValueError("seed_len must be >= 1")
-        if self.hidden_size < 1:
-            raise ValueError("hidden_size must be >= 1")
+        if not 1 <= self.hidden_size <= MAX_HIDDEN_SIZE:
+            raise ValueError(f"hidden_size {self.hidden_size} outside 1..{MAX_HIDDEN_SIZE}")
 
     def to_text(self) -> str:
         return cfgio.format_kv(asdict(self))
@@ -89,36 +93,6 @@ class Model:
             p.add("head.W", nn.init_uniform(rng, (N_PITCHES, hidden), hidden))
             p.add("head.b", np.zeros(N_PITCHES))
         self.params = p
-
-
-ATTENTION_BLOCK_ROWS = 64  # rows per sparsemax call: temporaries stay at 64 x n
-
-
-class Template:
-    """A template SSM S compiled for attention: step t's weights are max(S[t, :t] - tau[t], 0),
-    each sparsemax threshold tau[t] sorted out once, when an attention pass first reads tau."""
-
-    def __init__(self, S: SelfSimilarityMatrix):
-        self.S, self.n = S, S.n
-
-    @cached_property
-    def tau(self) -> np.ndarray:
-        """(n, 1), tau[0] nan; one threshold call per 64 rows masked to their prefixes."""
-        n, values = self.n, self.S.values
-        tau = np.full((n, 1), np.nan)
-        for start in range(1, n, ATTENTION_BLOCK_ROWS):
-            stop = min(start + ATTENTION_BLOCK_ROWS, n)
-            prefix = np.arange(stop - 1) < np.arange(start, stop)[:, None]
-            tau[start:stop] = nn.sparsemax_threshold(
-                np.where(prefix, values[start:stop, : stop - 1], -np.inf))
-        return tau
-
-    def weights(self, start: int, stop: int) -> np.ndarray:
-        """(stop - start, stop - 1): row i holds sparsemax(S[t, :t]), t = start + i, then zeros.
-        The entries at and right of the diagonal, all in the last columns, are set to -inf."""
-        q = self.S.values[start:stop, : stop - 1].copy()
-        q[:, start:][np.arange(stop - 1 - start) >= np.arange(stop - start)[:, None]] = -np.inf
-        return nn.sparsemax(q, self.tau[start:stop])
 
 
 def attention_step(w: np.ndarray, history: np.ndarray, before: np.ndarray) -> np.ndarray:
@@ -242,16 +216,17 @@ class PieceTrace:
 def unroll(
     model: Model,
     seed: np.ndarray,
-    template: Template,
+    template: SelfSimilarityMatrix,
     next_input: Callable[[int, np.ndarray], np.ndarray],
     with_grad: bool = True,
 ) -> PieceTrace:
     """Run LSTM steps 1..n-1 of an n-sample piece from its (seed_len, 128) seed.
 
-    n is the template's length. Step t feeds X[t - 1] to the LSTM; from
-    t = seed_len on, forward_step turns its output into logits d and, for
-    t <= n - 2, X[t] = next_input(t, d). At the first step t0 of each block
-    of ATTENTION_BLOCK_ROWS steps, the block's weights times X[:t0] is one product.
+    n is the length of the template, the SSM whose rows steer attention.
+    Step t feeds X[t - 1] to the LSTM; from t = seed_len on, forward_step
+    turns its output into logits d and, for t <= n - 2, X[t] = next_input(t, d).
+    At the first step t0 of each block of ATTENTION_BLOCK_ROWS steps, the
+    block's weights, template.weights, times X[:t0] is one product.
 
     with_grad says a backward pass will read the trace: the states, gates
     and attention vectors of every step are kept. Otherwise the state lives
@@ -306,11 +281,11 @@ def unroll(
 def generate(
     model: Model,
     seed: np.ndarray,
-    template: Template,
+    template: SelfSimilarityMatrix,
     rng: np.random.Generator,
     tempo: float = 120.0,
 ) -> PianoRoll:
-    """Continue a seed out to the template's length.
+    """Continue a seed out to the length of template, the SSM that steers attention.
 
     seed is (seed_len, 128) binary, sample-major. The output roll copies the
     seed and appends one sampled step at a time until it spans n samples.

@@ -177,7 +177,7 @@ def sparsemax_threshold(q: np.ndarray) -> np.ndarray:
 
 def sparsemax(q: np.ndarray, tau: np.ndarray | None = None) -> np.ndarray:
     """Project q (row by row if 2-D) onto {p : p >= 0, sum p = 1}: max(q - tau, 0),
-    tau = sparsemax_threshold(q) unless the caller holds it (model.Template)."""
+    tau = sparsemax_threshold(q) unless the caller holds it (SelfSimilarityMatrix.weights)."""
     q = np.asarray(q, dtype=np.float64)
     if tau is None:
         tau = sparsemax_threshold(q)

@@ -14,18 +14,23 @@ from pathlib import Path
 
 import numpy as np
 
+from sing import nn
 from sing.config import kv_lines
 from sing.midi_io import MAX_SAMPLES, PianoRoll
 
 N_CHROMA = 12
 SSM_MAGIC = b"SINGSSM\x00"
 DEGENERATE_STD = 1e-12
+ATTENTION_BLOCK_ROWS = 64  # rows per sparsemax call: temporaries stay at 64 x n
 
 
-@dataclass
+@dataclass(eq=False)
 class SelfSimilarityMatrix:
     values: np.ndarray  # (n, n) float64, symmetric, entries in [0, 1]
     role: str = "template"  # "template" or "generated"
+    # sparsemax thresholds of each weights block read so far, keyed (start, stop)
+    _tau: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -37,6 +42,22 @@ class SelfSimilarityMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SelfSimilarityMatrix):
+            return NotImplemented
+        return self.role == other.role and np.array_equal(self.values, other.values)
+
+    def weights(self, start: int, stop: int) -> np.ndarray:
+        """(stop - start, stop - 1): row i holds sparsemax(S[t, :t]), t = start + i, then zeros.
+        The entries at and right of the diagonal, all in the last columns, are set to -inf.
+        The block's thresholds are sorted the first time it is read, then kept."""
+        q = self.values[start:stop, : stop - 1].copy()
+        q[:, start:][np.arange(stop - 1 - start) >= np.arange(stop - start)[:, None]] = -np.inf
+        tau = self._tau.get((start, stop))
+        if tau is None:
+            tau = self._tau[start, stop] = nn.sparsemax_threshold(q)
+        return nn.sparsemax(q, tau)
 
 
 @dataclass

@@ -37,7 +37,6 @@ from sing.model import (
     Model,
     ModelConfig,
     PieceTrace,
-    Template,
     forward_step,  # unused here; perfbench/spans.py wraps sing.training.forward_step
     head_backward,
     sample_notes,
@@ -111,11 +110,9 @@ def forward_piece(
     if S.n != target.n_samples:
         raise ValueError(f"SSM size {S.n} != piece length {target.n_samples}")
     target_samples = target.data.T.astype(np.float64)  # (n, 128)
-    return unroll(
-        model, target_samples[: cfg.seed_len], Template(S),  # thresholds once per pass
-        lambda t, d: scheduled_step(d, target_samples[t], cfg, rng, p_feedback),
-        with_grad=with_grad,
-    )
+    return unroll(model, target_samples[: cfg.seed_len], S,
+                  lambda t, d: scheduled_step(d, target_samples[t], cfg, rng, p_feedback),
+                  with_grad=with_grad)
 
 
 def piece_loss(

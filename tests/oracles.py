@@ -258,8 +258,9 @@ def attention_weights_per_row(S: np.ndarray, first_row: int) -> np.ndarray:
 def attention_weights(S: np.ndarray, start: int, stop: int) -> np.ndarray:
     """The attention weights of steps start..stop-1 of template values S, as
     one sparsemax over rows masked to -inf at and right of the diagonal:
-    row i holds sparsemax(S[t, :t]) for t = start + i, then zeros. The
-    sorted form that model.Template's thresholds replaced."""
+    row i holds sparsemax(S[t, :t]) for t = start + i, then zeros. It sorts
+    on every call; SelfSimilarityMatrix.weights sorts a block once and keeps
+    its thresholds."""
     width = stop - 1
     prefix = np.arange(width) < np.arange(start, stop)[:, None]
     return nn.sparsemax(np.where(prefix, S[start:stop, :width], -np.inf))

@@ -35,7 +35,6 @@ from sing.midi_io import (
 from sing.model import (
     Model,
     ModelConfig,
-    Template,
     combine_backward,
     combine_forward,
     generate,
@@ -507,7 +506,7 @@ def test_synthetic_ssm_steering(desk_models):
         scores = [
             standardized_mse(
                 template,
-                ssm(chroma(generate(model, seed_samples, Template(template), gen_rng)),
+                ssm(chroma(generate(model, seed_samples, template, gen_rng)),
                     role="generated"),
             )
             for _ in range(10)

@@ -19,7 +19,7 @@ import sing.model
 import sing.training
 from sing.batching import Assignment, BatchPlan
 from sing.midi_io import PianoRoll
-from sing.model import Model, ModelConfig, Template
+from sing.model import Model, ModelConfig
 from sing.structure import chroma, ssm, standardized_mse
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -77,7 +77,7 @@ def test_traced_piece_evaluates_every_counter():
     with tracer.active():
         trace = sing.training.forward_piece(model, roll, template, 1.0, np.random.default_rng(2))
         sing.training.piece_loss(model, trace, roll, template)
-        sing.evaluation.generate(model, data.T[: cfg.seed_len], Template(template),
+        sing.evaluation.generate(model, data.T[: cfg.seed_len], template,
                                  np.random.default_rng(3))
     calls, _ = tracer.self_times()
     called = {name for name, count in zip(tracer.names, calls) if count > 0}
@@ -122,7 +122,7 @@ def test_training_and_generation_call_every_name_the_tracer_wraps():
         assert (calls["nn.sparsemax"] > 0) == attention
 
         calls, _ = traced_calls(lambda: sing.model.generate(
-            model, data.T[:seed_len], Template(template), np.random.default_rng(3)))
+            model, data.T[:seed_len], template, np.random.default_rng(3)))
         assert calls["model.attention"] == (n - seed_len if attention else 0)
         assert calls["nn.sigmoid"] > 0 and calls["nn.lstm_bwd"] == 0
         assert (calls["nn.sparsemax"] > 0) == attention

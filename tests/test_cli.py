@@ -761,6 +761,38 @@ class TestBadInputs:
         assert main(["batch-plan", "--config", str(cfg), "--in", "x", "--out", "y"]) == 1
         assert single_error_line(capsys).startswith(f"error: {cfg}: grid.k: invalid literal")
 
+    @pytest.mark.parametrize("hidden", ["2049", "8000"])
+    def test_hidden_size_past_the_ceiling_is_named_before_a_model_is_built(
+            self, tmp_path, capsys, monkeypatch, hidden):
+        ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
+        model_config = tmp_path / "ckpt" / "model_config.txt"
+        model_config.write_text(f"hidden_size = {hidden}\nseed_len = 4\n")
+        corpus, plan = tmp_path / "corpus", tmp_path / "plan.txt"
+        write_corpus_prolls(corpus, n_pieces=4, n=24)
+        assert main(["batch-plan", "--in", str(corpus), "--out", str(plan),
+                     "--grid-k", "2", "--grid-count", "4", "--max-len", "24"]) == 0
+        save_ssm(synth_ssm(SynthSpec(length=20)), tmp_path / "t.ssm")
+        capsys.readouterr()
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(Model, "__init__", unbuilt)
+        message = f"hidden_size {hidden} outside 1..2048"
+        for argv in (
+            ["evaluate", "--in", str(corpus), "--out", str(tmp_path / "eval.csv"),
+             "--checkpoint", str(ckpt), "--grid-k", "2", "--grid-count", "4", "--max-len", "24"],
+            ["generate", "--checkpoint", str(ckpt), "--in", str(corpus / "piece0.proll"),
+             "--template", str(tmp_path / "t.ssm"), "--out", str(tmp_path / "gen")],
+        ):
+            assert main(argv) == 1, argv[0]
+            assert single_error_line(capsys) == f"error: {model_config}: {message}"
+        out = tmp_path / "trained"
+        assert main(["train", "--in", str(corpus), "--plan", str(plan), "--out", str(out),
+                     "--epochs", "1", "--hidden", hidden, "--seed-len", "4"]) == 1
+        assert single_error_line(capsys) == f"error: {message}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "corpus", "plan.txt", "t.ssm"]
+
     def test_checkpoint_config_mismatch_names_tensors(self, tmp_path, capsys):
         ckpt = write_untrained_model(tmp_path / "ckpt", hidden_size=6, seed_len=4)
         ablated = tmp_path / "ablated.txt"

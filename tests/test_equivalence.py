@@ -23,15 +23,16 @@ from oracles import (
 )
 from sing import nn
 from sing.midi_io import PianoRoll
-from sing.model import (
+from sing.model import Model, ModelConfig, generate, sample_notes
+from sing.structure import (
     ATTENTION_BLOCK_ROWS,
-    Model,
-    ModelConfig,
-    Template,
-    generate,
-    sample_notes,
+    SelfSimilarityMatrix,
+    SynthSpec,
+    chroma,
+    ssm,
+    synth_ssm,
+    unit_columns,
 )
-from sing.structure import SelfSimilarityMatrix, SynthSpec, chroma, ssm, synth_ssm, unit_columns
 from sing.training import forward_piece, piece_loss
 
 
@@ -85,7 +86,7 @@ class TestAttentionWeightsMatchPerRow:
         block = synth_ssm(SynthSpec(length=n, blocks=[(0, n // 2, 0.8), (n // 3, n, 0.3)],
                                     background=0.1)).values
         for S in (rng.random((n, n)), tied_template(n, rng), block, np.zeros((n, n))):
-            template = Template(SelfSimilarityMatrix(values=S))
+            template = SelfSimilarityMatrix(values=S)
             for first in sorted({1, min(10, n - 1), n - 1}):
                 expected = attention_weights_per_row(S, first)
                 for start in range(first, n, ATTENTION_BLOCK_ROWS):
@@ -96,9 +97,8 @@ class TestAttentionWeightsMatchPerRow:
 
     def test_accepts_ssm_container(self):
         values = np.random.default_rng(1).random((20, 20))
-        template = Template(SelfSimilarityMatrix(values=values, role="template"))
-        assert template.n == 20 and template.tau.shape == (20, 1)
-        assert np.isnan(template.tau[0, 0]) and np.isfinite(template.tau[1:]).all()
+        template = SelfSimilarityMatrix(values=values, role="template")
+        assert template.n == 20
         assert same_bits(template.weights(3, 20), attention_weights_per_row(values, 3))
 
     def test_sparsemax_vector_and_masked_rows(self):
@@ -378,7 +378,7 @@ class TestForwardMatchesStepReference:
             model, roll, S = model_and_piece(cfg, n)
             seed = roll.data.T[: cfg.seed_len]
             fast, ref = np.random.default_rng(34), np.random.default_rng(34)
-            out = generate(model, seed, Template(S), fast)
+            out = generate(model, seed, S, fast)
             margins = {}
             expected = generate_per_step(model.params.values, cfg, seed, S.values, ref, margins)
             assert np.array_equal(out.data, expected), (
@@ -478,17 +478,16 @@ def templates(n: int):
 
 @pytest.mark.parametrize("n", TEMPLATE_LENGTHS)
 class TestCompiledTemplate:
-    """A Template's thresholds and unroll's blocked history against the
+    """An SSM's weights blocks and unroll's blocked history against the
     per-row projection and the whole-history product."""
 
     def test_block_weights_match_per_row(self, n):
         for name, S in templates(n):
-            template = Template(S)
             expected = attention_weights_per_row(S.values, SEED_LEN)
             for start in range(SEED_LEN, n, ATTENTION_BLOCK_ROWS):
                 stop = min(start + ATTENTION_BLOCK_ROWS, n)
                 rows = expected[start - SEED_LEN : stop - SEED_LEN]
-                assert same_bits(template.weights(start, stop), rows[:, : stop - 1]), (name, start)
+                assert same_bits(S.weights(start, stop), rows[:, : stop - 1]), (name, start)
 
     def test_attention_vectors_within_rtol_at_every_step(self, n):
         model = Model(MODELS[0], rng=np.random.default_rng(51))
@@ -509,7 +508,7 @@ class TestCompiledTemplate:
             assert same_bits(trace.X, X), name
             assert fast.bit_generator.state == ref.bit_generator.state, name
             seed = roll.data.T[:SEED_LEN]
-            out = generate(model, seed, Template(S), fast)
+            out = generate(model, seed, S, fast)
             assert np.array_equal(out.data, generate_per_step(model.params.values, cfg, seed,
                                                               S.values, ref)), name
             assert fast.bit_generator.state == ref.bit_generator.state, name

@@ -8,8 +8,8 @@ import pytest
 from sing import evaluation, nn
 from sing.evaluation import EvalRun, eval_run_to_csv, evaluate, random_baseline
 from sing.midi_io import PianoRoll
-from sing.model import ATTENTION_BLOCK_ROWS, Model, ModelConfig
-from sing.structure import chroma, ssm
+from sing.model import Model, ModelConfig
+from sing.structure import ATTENTION_BLOCK_ROWS, chroma, ssm
 
 
 def block_piece(n: int, rng: np.random.Generator, source_id: str = "piece") -> PianoRoll:
@@ -48,9 +48,10 @@ class TestThresholdsPerPiece:
         assert run.generator == generator and len(run.mses) == len(lengths)
         if generator != "sing":
             assert rows == []
-        else:  # one call per block of a piece, each of rows 1..n-1 once
-            assert len(rows) == sum(-(-(n - 1) // ATTENTION_BLOCK_ROWS) for n in lengths)
-            assert sum(rows) == sum(n - 1 for n in lengths)
+        else:  # one call per weights block of a piece, each generated row once for all generations
+            seed_len = cfg.seed_len
+            assert len(rows) == sum(-(-(n - seed_len) // ATTENTION_BLOCK_ROWS) for n in lengths)
+            assert sum(rows) == sum(n - seed_len for n in lengths)
 
 
 class TestRandomBaseline:
@@ -103,8 +104,7 @@ class TestEvaluate:
 
         def replay(model_, seed, template, rng_, tempo=120.0, source_id=""):
             for item in items:
-                own = ssm(chroma(item))
-                if own.n == template.n and np.array_equal(own.values, template.S.values):
+                if ssm(chroma(item)) == template:
                     return item
             raise AssertionError("unknown template")
 

@@ -7,7 +7,6 @@ from oracles import central_difference, relative_error
 from sing.model import (
     Model,
     ModelConfig,
-    Template,
     attention_step,
     combine_backward,
     combine_forward,
@@ -33,8 +32,8 @@ def random_history(rng, t):
 
 
 def weights_block(S, start, stop):
-    """Template(S).weights(start, stop): row i holds step start + i's weights, then zeros."""
-    return Template(SelfSimilarityMatrix(values=S)).weights(start, stop)
+    """S.weights(start, stop): row i holds step start + i's weights, then zeros."""
+    return SelfSimilarityMatrix(values=S).weights(start, stop)
 
 
 def weights_row(S, t):
@@ -168,7 +167,7 @@ class TestForwardStep:
         model = Model(cfg, rng=np.random.default_rng(4))
         seed = (np.random.default_rng(5).random((cfg.seed_len, 128)) < 0.1).astype(np.uint8)
         rolls = [
-            generate(model, seed, Template(synth_ssm(SynthSpec(length=8, blocks=[(0, 4, level)]))),
+            generate(model, seed, synth_ssm(SynthSpec(length=8, blocks=[(0, 4, level)])),
                      np.random.default_rng(7))
             for level in (0.2, 0.9)
         ]
@@ -202,7 +201,7 @@ class TestForwardStep:
 class TestUnroll:
     def test_seed_of_wrong_shape_rejected(self):
         model = Model(small_config(seed_len=3), rng=np.random.default_rng(30))
-        S = Template(synth_ssm(SynthSpec(length=8)))
+        S = synth_ssm(SynthSpec(length=8))
         for shape in ((2, 128), (3, 127), (384,)):
             with pytest.raises(ValueError, match=r"seed must be \(3, 128\)"):
                 unroll(model, np.zeros(shape), S, lambda t, d: np.zeros(128))
@@ -213,7 +212,7 @@ class TestUnroll:
         # the length is checked first, so a short piece is named as such
         for seed in (np.zeros((3, 128)), np.zeros((n, 128))):
             with pytest.raises(ValueError, match=f"length {n} must exceed seed length 3"):
-                unroll(model, seed, Template(synth_ssm(SynthSpec(length=n))),
+                unroll(model, seed, synth_ssm(SynthSpec(length=n)),
                        lambda t, d: np.zeros(128))
 
     @pytest.mark.parametrize("attention", [True, False])
@@ -227,7 +226,7 @@ class TestUnroll:
             asked.append(t)
             return np.full(128, float(t))
 
-        trace = unroll(model, seed, Template(synth_ssm(SynthSpec(length=9))), next_input)
+        trace = unroll(model, seed, synth_ssm(SynthSpec(length=9)), next_input)
         assert trace.X.shape == (8, 128) and trace.X.ctypes.data % 64 == 0  # BLAS-aligned rows
         assert np.array_equal(trace.X[:3], seed)
         assert asked == [3, 4, 5, 6, 7]
@@ -315,8 +314,7 @@ class TestGenerate:
     def _model_and_template(self, n=16):
         cfg = small_config(seed_len=3)
         model = Model(cfg, rng=np.random.default_rng(22))
-        template = Template(synth_ssm(SynthSpec(length=n, blocks=[(0, n // 2, 0.8)],
-                                          background=0.1)))
+        template = synth_ssm(SynthSpec(length=n, blocks=[(0, n // 2, 0.8)], background=0.1))
         seed = np.zeros((3, 128), dtype=np.uint8)
         seed[:, 60] = 1
         return model, template, seed
@@ -324,7 +322,7 @@ class TestGenerate:
     def test_single_step_boundary(self):
         cfg = small_config(seed_len=3)
         model = Model(cfg, rng=np.random.default_rng(23))
-        template = Template(synth_ssm(SynthSpec(length=4)))
+        template = synth_ssm(SynthSpec(length=4))
         seed = np.zeros((3, 128), dtype=np.uint8)
         seed[:, 60] = 1
         roll = generate(model, seed, template, np.random.default_rng(0))
@@ -333,7 +331,7 @@ class TestGenerate:
 
     def test_template_too_short_rejected(self):
         model, _, seed = self._model_and_template()
-        short = Template(synth_ssm(SynthSpec(length=3)))
+        short = synth_ssm(SynthSpec(length=3))
         with pytest.raises(ValueError):
             generate(model, seed, short, np.random.default_rng(0))
 

@@ -1,15 +1,18 @@
-"""The README's commands and --config table agree with the CLI.
+"""The README's commands, --config table and cited names agree with the code.
 
 Nothing here runs a command: each one is only parsed by the real parser.
 """
 
 import argparse
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import sing
 from sing import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -59,3 +62,21 @@ def test_config_table_lists_every_key_with_its_default_and_flag():
         table_flag, dest, builtin, _ = cli._CONFIG_KEYS[key]
         assert default == str(builtin), key
         assert flag == table_flag and dest_of[flag] == dest, key
+
+
+def _cited_names() -> list[str]:
+    """Every backticked `<module>.<name>` (or `sing.<module>.<name>`) the
+    README cites for a `sing` module or for `oracles`."""
+    modules = "|".join([m.name for m in pkgutil.iter_modules(sing.__path__)] + ["oracles"])
+    name = r"[A-Za-z_]\w*"
+    cited = re.findall(rf"`((?:sing\.)?(?:{modules})\.{name}(?:\.{name})*)`", README.read_text())
+    return sorted(set(cited) - set(cli._CONFIG_KEYS))
+
+
+@pytest.mark.parametrize("cited", _cited_names())
+def test_readme_names_resolve(cited):
+    """A renamed or deleted function, class or constant leaves no stale citation."""
+    module, *attributes = cited.removeprefix("sing.").split(".")
+    target = importlib.import_module("oracles" if module == "oracles" else f"sing.{module}")
+    for attribute in attributes:
+        target = getattr(target, attribute)

@@ -95,6 +95,16 @@ class TestSsm:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
 
+    def test_equality_compares_values_and_role_not_the_kept_thresholds(self):
+        a, b = SelfSimilarityMatrix(np.eye(3)), SelfSimilarityMatrix(np.eye(3))
+        assert a == b
+        a.weights(1, 3)  # keeps a block's thresholds on a alone
+        assert a == b and not a != b
+        assert a != SelfSimilarityMatrix(np.eye(3), role="generated")
+        assert a != SelfSimilarityMatrix(np.ones((3, 3)))
+        assert a != SelfSimilarityMatrix(np.eye(2))
+        assert a.__eq__(np.eye(3)) is NotImplemented and "_tau" not in repr(a)
+
 
 class TestStandardizedMse:
     def test_matches_the_two_step_reference(self):

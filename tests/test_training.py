@@ -7,6 +7,7 @@ import pytest
 import sing.evaluation
 import sing.training
 from oracles import piece_gradients_per_step, relative_error
+from sing import nn
 from sing.batching import (
     Assignment,
     BatchPlan,
@@ -18,8 +19,8 @@ from sing.batching import (
 )
 from sing.evaluation import GENERATIONS_PER_PIECE, evaluate
 from sing.midi_io import PianoRoll
-from sing.model import ATTENTION_BLOCK_ROWS, Model, ModelConfig, PieceTrace, Template, generate
-from sing.structure import SelfSimilarityMatrix, chroma, ssm
+from sing.model import Model, ModelConfig, PieceTrace, generate
+from sing.structure import ATTENTION_BLOCK_ROWS, SelfSimilarityMatrix, chroma, ssm
 from sing.training import (
     EpochReport,
     TrainConfig,
@@ -298,7 +299,7 @@ def test_generation_memory_stays_below_the_state_record():
     cfg = ModelConfig(hidden_size=hidden)
     model = Model(cfg, rng=np.random.default_rng(47))
     seed = (np.random.default_rng(48).random((cfg.seed_len, 128)) < 0.03).astype(np.uint8)
-    template = Template(SelfSimilarityMatrix(values=np.full((n, n), 0.5)))
+    template = SelfSimilarityMatrix(values=np.full((n, n), 0.5))
     tracemalloc.start()
     try:
         generate(model, seed, template, np.random.default_rng(49))
@@ -324,7 +325,7 @@ def test_forward_pass_memory_stays_below_half_the_weights_matrix(run):
         if run == "forward_piece":
             forward_piece(model, target, template, 0.8, rng)
         else:
-            generate(model, data.T[: cfg.seed_len], Template(template), rng)
+            generate(model, data.T[: cfg.seed_len], template, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,17 +334,38 @@ def test_forward_pass_memory_stays_below_half_the_weights_matrix(run):
 
 @pytest.mark.parametrize("n", [1000, 3000])
 def test_template_thresholds_memory_stays_at_a_few_blocks(n):
-    """The thresholds are computed one 64-row block at a time: the peak is a
-    few 64 x n temporaries (about 4.3 of them), not an n x n matrix."""
-    template = Template(SelfSimilarityMatrix(values=np.random.default_rng(46).random((n, n))))
+    """Reading every weights block sorts each block's thresholds one 64-row
+    block at a time: the peak is a few 64 x n temporaries, not an n x n matrix."""
+    template = SelfSimilarityMatrix(values=np.random.default_rng(46).random((n, n)))
     tracemalloc.start()
     try:
-        tau = template.tau
+        for start in range(1, n, ATTENTION_BLOCK_ROWS):
+            template.weights(start, min(start + ATTENTION_BLOCK_ROWS, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tau.shape == (n, 1)
     assert peak < 6 * ATTENTION_BLOCK_ROWS * n * 8
+
+
+def test_a_pass_sorts_once_per_weights_block(monkeypatch):
+    """Each training or validation pass builds its piece's SSM anew, and
+    reads every weights block once: each generated row is sorted once."""
+    cfg = ModelConfig(hidden_size=4, seed_len=4)
+    model = Model(cfg, rng=np.random.default_rng(105))
+    items = [chord_roll(n, [50, 53, 57], source_id=f"p{n}[0]") for n in (12, 70, 140)]
+    rows, threshold = [], nn.sparsemax_threshold
+
+    def counted(q):
+        rows.append(len(q))
+        return threshold(q)
+
+    monkeypatch.setattr(nn, "sparsemax_threshold", counted)
+    train_epoch(model, single_batch_plan(items), items, TrainConfig(), np.random.default_rng(106))
+    generated = [item.n_samples - cfg.seed_len for item in items]
+    assert len(rows) == sum(-(-g // ATTENTION_BLOCK_ROWS) for g in generated)  # 1 + 2 + 3
+    assert sum(rows) == sum(generated)
+    validate(model, items, TrainConfig(), np.random.default_rng(107))
+    assert sum(rows) == 2 * sum(generated)
 
 
 @pytest.mark.parametrize("with_grad", [True, False])
@@ -527,7 +549,7 @@ class TestTemplatePerPiece:
             item = items[k // GENERATIONS_PER_PIECE]
             assert np.array_equal(seed, item.data.T[: cfg.seed_len])
             assert template is generations[k - k % GENERATIONS_PER_PIECE][2]  # once per piece
-            assert np.array_equal(template.S.values, ssm(chroma(item)).values)
+            assert template == ssm(chroma(item))
 
 
 class TestValidate:
