@@ -66,33 +66,40 @@ class ModelConfig:
         )
 
 
-class Model:
-    """Parameter container; the functions below do the actual math."""
+def param_table(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Each tensor of Model(cfg): its shape and the fan-in of its uniform
+    initial draw (0: it starts at zero), in the order the draws are made."""
+    hidden = cfg.hidden_size
+    table = {
+        "lstm.W_x": ((4 * hidden, N_PITCHES), N_PITCHES),
+        "lstm.W_h": ((4 * hidden, hidden), hidden),
+        "lstm.b": ((4 * hidden,), 0),
+    }
+    if not cfg.attention_enabled:
+        table |= {"head.W": ((N_PITCHES, hidden), hidden), "head.b": ((N_PITCHES,), 0)}
+    elif cfg.combiner_mode == "dense":
+        table |= {"combine.W": ((N_PITCHES, N_PITCHES + hidden), N_PITCHES + hidden),
+                  "combine.b": ((N_PITCHES,), 0)}
+    else:
+        table |= {"combine.w_a": ((1,), 2), "combine.w_z": ((1,), 2), "combine.b": ((1,), 0)}
+    return table
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+
+class Model:
+    """Parameter container; the functions below do the actual math.
+
+    Its tensors are drawn from rng, or given as params (load_model reads
+    them from a checkpoint)."""
+
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None,
+                 params: nn.ParamSet | None = None):
         self.cfg = cfg
-        hidden = cfg.hidden_size
-        p = nn.ParamSet()
-        p.add("lstm.W_x", nn.init_uniform(rng, (4 * hidden, N_PITCHES), N_PITCHES))
-        p.add("lstm.W_h", nn.init_uniform(rng, (4 * hidden, hidden), hidden))
-        bias = np.zeros(4 * hidden)
-        bias[hidden : 2 * hidden] = 1.0  # forget gate starts open
-        p.add("lstm.b", bias)
-        if cfg.attention_enabled:
-            if cfg.combiner_mode == "dense":
-                p.add(
-                    "combine.W",
-                    nn.init_uniform(rng, (N_PITCHES, N_PITCHES + hidden), N_PITCHES + hidden),
-                )
-                p.add("combine.b", np.zeros(N_PITCHES))
-            else:
-                p.add("combine.w_a", nn.init_uniform(rng, (1,), 2))
-                p.add("combine.w_z", nn.init_uniform(rng, (1,), 2))
-                p.add("combine.b", np.zeros(1))
-        else:
-            p.add("head.W", nn.init_uniform(rng, (N_PITCHES, hidden), hidden))
-            p.add("head.b", np.zeros(N_PITCHES))
-        self.params = p
+        if params is None:
+            params = nn.ParamSet()
+            for name, (shape, fan_in) in param_table(cfg).items():
+                params.add(name, nn.init_uniform(rng, shape, fan_in) if fan_in else np.zeros(shape))
+            params["lstm.b"][cfg.hidden_size : 2 * cfg.hidden_size] = 1.0  # forget gate starts open
+        self.params = params
 
 
 def attention_step(w: np.ndarray, history: np.ndarray, before: np.ndarray) -> np.ndarray:
@@ -303,7 +310,7 @@ def save_model(model: Model, checkpoint_path: str | Path) -> None:
 
 def load_model(checkpoint_path: str | Path, cfg: ModelConfig) -> Model:
     """Model(cfg) with every tensor, Adam moment and the step read from a
-    checkpoint, which must hold exactly the tensors that model has."""
-    model = Model(cfg, rng=np.random.default_rng(0))
-    nn.load_checkpoint(checkpoint_path, model.params)
-    return model
+    checkpoint, which must hold exactly the tensors of param_table(cfg): their
+    names and shapes are checked before any tensor is built."""
+    shapes = {name: shape for name, (shape, _) in param_table(cfg).items()}
+    return Model(cfg, params=nn.load_checkpoint(checkpoint_path, shapes))

@@ -285,14 +285,21 @@ def _tensor_head(name: str, array: np.ndarray) -> bytes:
     return struct.pack("<I", len(encoded)) + encoded + struct.pack("<II", rows, cols)
 
 
+def _layout(shapes: dict[str, tuple[int, ...]]) -> list[tuple[str, tuple[int, ...]]]:
+    """The SINGCKPT layout, (tensor name, shape) in file order: each parameter
+    in name order, followed by its two Adam moments, then adam/step."""
+    layout = [(prefix + name, shapes[name]) for name in sorted(shapes)
+              for prefix in ("", _ADAM_M, _ADAM_V)]
+    return layout + [(_ADAM_STEP, (1,))]
+
+
 def _entries(params: ParamSet) -> list[tuple[str, np.ndarray]]:
-    """The SINGCKPT layout: each parameter in name order, followed by its two
-    Adam moments, then adam/step."""
-    entries = []
-    for name in sorted(params.values):
-        entries += [(name, params.values[name]), (_ADAM_M + name, params.m[name]),
-                    (_ADAM_V + name, params.v[name])]
-    return entries + [(_ADAM_STEP, np.array([float(params.step)]))]
+    """Each tensor of _layout, paired with its array."""
+    arrays = [store[name] for name in sorted(params.values)
+              for store in (params.values, params.m, params.v)]
+    arrays.append(np.array([float(params.step)]))
+    layout = _layout({name: value.shape for name, value in params.values.items()})
+    return [(name, array) for (name, _), array in zip(layout, arrays)]
 
 
 def _checkpoint_parts(params: ParamSet) -> list[bytes | np.ndarray]:
@@ -309,24 +316,27 @@ def checkpoint_to_bytes(params: ParamSet) -> bytes:
     return b"".join(_checkpoint_parts(params))
 
 
-def checkpoint_from_bytes(data: bytes, into: ParamSet) -> None:
-    """Read a checkpoint of into's layout into its values, moments and step.
+def _read_tensors(
+    data: bytes, shapes: dict[str, tuple[int, ...]]
+) -> tuple[dict[str, np.ndarray], int]:
+    """The tensors of a checkpoint of parameters `shapes`, as read-only views
+    of data keyed by tensor name, and the step.
 
-    The file's tensors must be _entries(into), name for name and shape for
+    The file's tensors must be _layout(shapes), name for name and shape for
     shape; the first that differs is named. adam/step must be a whole
-    number >= 0. into is written only once the whole file has passed.
+    number >= 0. Nothing is allocated beyond the views.
     """
     if data[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError("not a checkpoint (bad magic)")
-    expected = _entries(into)
+    expected = _layout(shapes)
     pos = len(CKPT_MAGIC)
+    tensors: dict[str, np.ndarray] = {}
     try:
         version, count = struct.unpack_from("<II", data, pos)
         pos += 8
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        tensors: list[np.ndarray] = []
-        for want, target in expected[:count]:
+        for want, want_shape in expected[:count]:
             (name_len,) = struct.unpack_from("<I", data, pos)
             pos += 4
             name = data[pos : pos + name_len].decode("utf-8")
@@ -334,31 +344,39 @@ def checkpoint_from_bytes(data: bytes, into: ParamSet) -> None:
             rows, cols = struct.unpack_from("<II", data, pos)
             pos += 8
             shape = (rows,) if cols == 0 else (rows, cols)
-            if (name, shape) != (want, target.shape):
+            if (name, shape) != (want, want_shape):
                 raise ValueError(f"checkpoint tensor {name!r} {shape} "
-                                 f"where {want!r} {target.shape} belongs")
-            if pos + target.size * 8 > len(data):
+                                 f"where {want!r} {want_shape} belongs")
+            size = math.prod(shape)
+            if pos + size * 8 > len(data):
                 raise ValueError(f"checkpoint truncated at byte {len(data)}, "
                                  f"inside tensor {name!r}")
-            values = np.frombuffer(data, dtype="<f8", count=target.size, offset=pos)
-            pos += target.size * 8
+            values = np.frombuffer(data, dtype="<f8", count=size, offset=pos)
+            pos += size * 8
             if not np.isfinite(values).all():
                 raise ValueError(f"checkpoint tensor {name!r} holds non-finite values")
-            tensors.append(values.reshape(shape))
+            tensors[name] = values.reshape(shape)
     except struct.error:
         raise ValueError(f"checkpoint truncated at byte {pos}") from None
     if count < len(expected):
-        want, target = expected[count]
-        raise ValueError(f"checkpoint ends where {want!r} {target.shape} belongs")
+        want, want_shape = expected[count]
+        raise ValueError(f"checkpoint ends where {want!r} {want_shape} belongs")
     if pos != len(data) or count > len(expected):
         raise ValueError("trailing bytes after last tensor")
-    step = tensors[-1][0]
+    step = tensors[_ADAM_STEP][0]
     if not (step >= 0 and step == int(step)):
-        raise ValueError(f"checkpoint tensor {_ADAM_STEP!r} is {tensors[-1].tolist()}, "
+        raise ValueError(f"checkpoint tensor {_ADAM_STEP!r} is {tensors[_ADAM_STEP].tolist()}, "
                          "not one whole number >= 0")
-    for (_, target), values in zip(expected, tensors):
-        target[...] = values
-    into.step = int(step)
+    return tensors, int(step)
+
+
+def checkpoint_from_bytes(data: bytes, into: ParamSet) -> None:
+    """Read a checkpoint of into's layout into its values, moments and step.
+    into is written only once the whole file has passed _read_tensors."""
+    tensors, step = _read_tensors(data, {name: value.shape for name, value in into.values.items()})
+    for name, target in _entries(into)[:-1]:
+        target[...] = tensors[name]
+    into.step = step
 
 
 def write_atomic(path: str | Path, *parts: bytes | np.ndarray) -> None:
@@ -380,5 +398,15 @@ def save_checkpoint(params: ParamSet, path: str | Path) -> None:
     write_atomic(path, *_checkpoint_parts(params))
 
 
-def load_checkpoint(path: str | Path, into: ParamSet) -> None:
-    checkpoint_from_bytes(Path(path).read_bytes(), into)
+def load_checkpoint(path: str | Path, shapes: dict[str, tuple[int, ...]]) -> ParamSet:
+    """A ParamSet of parameters `shapes`, in that order, with every tensor,
+    Adam moment and the step read from the file, which is checked whole
+    before any tensor is built."""
+    tensors, step = _read_tensors(Path(path).read_bytes(), shapes)
+    params = ParamSet()
+    for name in shapes:
+        params.add(name, tensors[name])
+        params.m[name][...] = tensors[_ADAM_M + name]
+        params.v[name][...] = tensors[_ADAM_V + name]
+    params.step = step
+    return params

@@ -4,6 +4,8 @@ A self-similarity matrix (SSM) here is the n x n matrix of pairwise cosine
 similarities between the chroma vectors of a piece's samples, scaled to
 unit length by `unit_columns`, which the structural training loss shares.
 Silent samples (zero chroma) score 0 against everything, themselves too.
+An SSM built from chroma keeps those 12 x n unit columns and forms its
+n x n values only when they are read; the standardized MSE reads the factor.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from sing import nn
 from sing.config import kv_lines
-from sing.midi_io import MAX_SAMPLES, PianoRoll
+from sing.midi_io import MAX_SAMPLES, N_PITCHES, PianoRoll
 
 N_CHROMA = 12
 SSM_MAGIC = b"SINGSSM\x00"
@@ -24,24 +26,52 @@ DEGENERATE_STD = 1e-12
 ATTENTION_BLOCK_ROWS = 64  # rows per sparsemax call: temporaries stay at 64 x n
 
 
-@dataclass(eq=False)
 class SelfSimilarityMatrix:
-    values: np.ndarray  # (n, n) float64, symmetric, entries in [0, 1]
-    role: str = "template"  # "template" or "generated"
-    # sparsemax thresholds of each weights block read so far, keyed (start, stop)
-    _tau: dict[tuple[int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    """An n x n SSM: float64, symmetric, entries in [0, 1].
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError(f"SSM must be square, got {self.values.shape}")
-        if self.role not in ("template", "generated"):
-            raise ValueError(f"unknown SSM role {self.role!r}")
+    Built from chroma (`ssm`), it holds the unit chroma factor `unit`
+    (12 x n, a silent sample's column zero) and forms `values` the first
+    time they are read; `standardized_mse` reads the factor instead. Built
+    from values (an `.ssm` file, `synth_ssm`), it holds them dense and
+    `unit` is None.
+    """
+
+    def __init__(self, values: np.ndarray | None = None, role: str = "template",
+                 unit: np.ndarray | None = None, live: np.ndarray | None = None):
+        if (values is None) == (unit is None):
+            raise ValueError("an SSM holds either its values or its unit chroma factor")
+        if role not in ("template", "generated"):
+            raise ValueError(f"unknown SSM role {role!r}")
+        self.role = role  # "template" or "generated"
+        self.unit, self._live = unit, live  # live: the columns of nonzero chroma
+        self._values = None
+        if values is not None:
+            self._values = np.asarray(values, dtype=np.float64)
+            if self._values.ndim != 2 or self._values.shape[0] != self._values.shape[1]:
+                raise ValueError(f"SSM must be square, got {self._values.shape}")
+        # sparsemax thresholds of each weights block read so far, keyed (start, stop)
+        self._tau: dict[tuple[int, int], np.ndarray] = {}
+        self._sums: tuple[np.ndarray, float] | None = None  # dense: see _centred_sums
+
+    @property
+    def values(self) -> np.ndarray:
+        """One product `unit.T @ unit` (numpy forms it as one syrk, so it is
+        exactly symmetric), the clip to [0, 1], then the diagonal: 0 for a
+        silent sample, 1 for the others. Formed on the first read, then kept."""
+        if self._values is None:
+            values = self.unit.T @ self.unit
+            np.clip(values, 0.0, 1.0, out=values)
+            np.fill_diagonal(values, self._live)
+            self._values = values
+        return self._values
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.unit.shape[1] if self.unit is not None else self._values.shape[0]
+
+    def __repr__(self) -> str:
+        held = "dense" if self.unit is None else "factored"
+        return f"SelfSimilarityMatrix(n={self.n}, role={self.role!r}, {held})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SelfSimilarityMatrix):
@@ -58,6 +88,15 @@ class SelfSimilarityMatrix:
         if tau is None:
             tau = self._tau[start, stop] = nn.sparsemax_threshold(q)
         return nn.sparsemax(q, tau)
+
+    def _centred_sums(self) -> tuple[np.ndarray, float]:
+        """Dense values S only: (S1 + S^T 1, sum of (S - mean)^2), computed on
+        the first call, then kept."""
+        if self._sums is None:
+            centred = self.values - self.values.mean()
+            sums = self.values.sum(axis=1) + self.values.sum(axis=0)
+            self._sums = sums, float(np.vdot(centred, centred))
+        return self._sums
 
 
 @dataclass
@@ -94,8 +133,14 @@ def fold_pitch_classes(rows: np.ndarray) -> np.ndarray:
 
 
 def chroma(roll: PianoRoll) -> np.ndarray:
-    """Fold a piano roll into per-sample pitch-class counts, (12, n)."""
-    return fold_pitch_classes(roll.data.astype(np.float64))
+    """Fold a piano roll into per-sample pitch-class counts, (12, n) float64.
+    The uint8 pitch rows are summed as integers, ten whole octaves at once
+    and then the last eight rows; whole counts are exact in any order."""
+    data = roll.data
+    octaves = N_PITCHES // N_CHROMA * N_CHROMA
+    counts = data[:octaves].reshape(-1, N_CHROMA, data.shape[1]).sum(axis=0, dtype=np.uint16)
+    counts[: N_PITCHES - octaves] += data[octaves:]
+    return counts.astype(np.float64)
 
 
 def unit_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,42 +150,68 @@ def unit_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
-    """Pairwise cosine similarity between chroma columns: one product
-    `unit.T @ unit` (numpy forms it as one syrk, so it is exactly
-    symmetric), the clip to [0, 1], then the diagonal. A zero column scores
-    0 against everything, its diagonal included; the others' diagonal is 1.
+    """Pairwise cosine similarity between chroma columns, held as their unit
+    columns; SelfSimilarityMatrix.values forms the n x n matrix. A zero
+    column scores 0 against everything, its diagonal included; the others'
+    diagonal is 1.
     """
     cols = np.asarray(chroma_seq, dtype=np.float64)
     if cols.ndim != 2 or cols.shape[0] != N_CHROMA:
         raise ValueError(f"chroma must be (12, n), got {cols.shape}")
+    if not (np.isfinite(cols).all() and (cols >= 0.0).all()):
+        raise ValueError("chroma must be finite and >= 0")
     unit, norms = unit_columns(cols)
-    values = unit.T @ unit
-    np.clip(values, 0.0, 1.0, out=values)
-    np.fill_diagonal(values, norms > 0.0)
-    return SelfSimilarityMatrix(values=values, role=role)
+    return SelfSimilarityMatrix(role=role, unit=unit, live=norms > 0.0)
+
+
+def _centred_factor(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(E, alpha, sum of (G - mean)^2) of the Gram matrix G = U^T U of a unit
+    factor U: with u = U1/n, E = U - u1^T and alpha = E^T u, G - mean is
+    E^T E + alpha 1^T + 1 alpha^T, three parts orthogonal to each other."""
+    n = unit.shape[1]
+    mean_col = unit.sum(axis=1) / n
+    E = unit - mean_col[:, None]
+    alpha = mean_col @ E
+    gram = E @ E.T
+    return E, alpha, 2.0 * n * float(alpha @ alpha) + float(np.vdot(gram, gram))
 
 
 def standardized_mse(template: SelfSimilarityMatrix, generated: SelfSimilarityMatrix) -> float:
     """MSE between the two SSMs, each shifted to zero mean and scaled to unit
     population std over its n^2 entries.
 
-    That is 2 - 2 corr(a, b), taken from one centred inner product, so
-    statistically unrelated matrices score about 2 and affinely related ones
-    0. An input whose std is below DEGENERATE_STD standardizes to all zeros:
-    it adds 0 instead of 1, and the cross term drops out.
+    That is 2 - 2 corr(a, b), so statistically unrelated matrices score
+    about 2 and affinely related ones 0. An input whose std is below
+    DEGENERATE_STD standardizes to all zeros: it adds 0 instead of 1, and
+    the cross term drops out.
+
+    The generated SSM must be built from chroma: the centred sums come from
+    its 12 x n unit factor, and the cross term is 2n alpha_a . alpha_b +
+    |E_a E_b^T|^2 against a template built from chroma too, or
+    <E, E T> + alpha . (T1 + T^T 1), one pass, against dense values T. The
+    factor's sums are of Gram entries, before the clip and the forced
+    diagonal, which move them by a few ulps.
     """
-    if template.values.shape != generated.values.shape:
-        raise ValueError(f"shape mismatch: {template.values.shape} vs {generated.values.shape}")
-    if generated.n < 2:
+    if template.n != generated.n:
+        raise ValueError(f"shape mismatch: {(template.n,) * 2} vs {(generated.n,) * 2}")
+    n = generated.n
+    if n < 2:
         raise ValueError("standardized MSE needs n >= 2")
-    a = template.values - template.values.mean()
-    b = generated.values - generated.values.mean()
-    a_sq, b_sq = np.vdot(a, a), np.vdot(b, b)
-    a_live = bool(np.sqrt(a_sq / a.size) >= DEGENERATE_STD)
-    b_live = bool(np.sqrt(b_sq / b.size) >= DEGENERATE_STD)
+    if generated.unit is None:
+        raise ValueError("the generated SSM must be built from chroma")
+    E, alpha, b_sq = _centred_factor(generated.unit)
+    if template.unit is not None:
+        E_a, alpha_a, a_sq = _centred_factor(template.unit)
+        cross_EE = E_a @ E.T
+        cross = 2.0 * n * float(alpha_a @ alpha) + float(np.vdot(cross_EE, cross_EE))
+    else:
+        sums, a_sq = template._centred_sums()
+        cross = float(np.vdot(E, E @ template.values)) + float(alpha @ sums)
+    a_live = bool(np.sqrt(a_sq / (n * n)) >= DEGENERATE_STD)
+    b_live = bool(np.sqrt(b_sq / (n * n)) >= DEGENERATE_STD)
     score = float(a_live) + float(b_live)
     if a_live and b_live:
-        score -= 2.0 * float(np.vdot(a, b) / np.sqrt(a_sq * b_sq))
+        score -= 2.0 * cross / float(np.sqrt(a_sq * b_sq))
     return score
 
 

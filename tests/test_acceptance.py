@@ -408,10 +408,8 @@ def test_ssm_invariants():
         active = data.sum(axis=0) > 0
         assert np.all(np.diag(values)[active] == 1.0)
 
-    a_values = rng.random((20, 20))
-    b_values = rng.random((20, 20))
-    a = SelfSimilarityMatrix(values=(a_values + a_values.T) / 2)
-    b = SelfSimilarityMatrix(values=(b_values + b_values.T) / 2)
+    a, b = (ssm(chroma(PianoRoll(data=(rng.random((128, 20)) < 0.1).astype(np.uint8),
+                                 tempo=120.0))) for _ in range(2))
     assert standardized_mse(a, a) == pytest.approx(0.0, abs=1e-12)
     assert standardized_mse(a, b) == pytest.approx(standardized_mse(b, a), abs=1e-12)
     _report("ssm-invariants", "100 rolls: symmetric, [0,1], unit diagonal")

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from oracles import central_difference, relative_error
 from sing.model import (
+    MAX_HIDDEN_SIZE,
     Model,
     ModelConfig,
     attention_step,
@@ -13,6 +15,7 @@ from sing.model import (
     forward_step,
     generate,
     load_model,
+    param_table,
     sample_notes,
     save_model,
     unroll,
@@ -436,3 +439,39 @@ class TestCheckpointIo:
             load_model(tmp_path / "m.ckpt", small_config(hidden_size=6))
         assert str(exc.value) == (
             "checkpoint tensor 'combine.W' (128, 136) where 'combine.W' (128, 134) belongs")
+
+    def test_mismatch_refused_before_any_tensor_is_built(self, tmp_path, monkeypatch):
+        """A hidden-2,048 config beside a hidden-6 checkpoint: the names and
+        shapes are read first, so no Model is built and the peak stays at a few
+        MB (building it took 672 MiB)."""
+        save_model(Model(small_config(hidden_size=6), rng=np.random.default_rng(30)),
+                   tmp_path / "m.ckpt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Model built before the checkpoint was checked")
+
+        monkeypatch.setattr(Model, "__init__", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                load_model(tmp_path / "m.ckpt", small_config(hidden_size=MAX_HIDDEN_SIZE))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            "checkpoint tensor 'combine.W' (128, 134) where 'combine.W' (128, 2176) belongs")
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("cfg", [small_config(), small_config(attention_enabled=False),
+                                     small_config(hidden_size=128, combiner_mode="per_pitch")],
+                             ids=["dense", "ablated", "per_pitch"])
+    def test_param_table_is_the_model_and_the_checkpoint(self, tmp_path, cfg):
+        model = Model(cfg, rng=np.random.default_rng(31))
+        table = param_table(cfg)
+        assert list(model.params.values) == list(table)
+        assert [value.shape for value in model.params.values.values()] == \
+            [shape for shape, _ in table.values()]
+        save_model(model, tmp_path / "m.ckpt")
+        loaded = load_model(tmp_path / "m.ckpt", cfg)
+        assert list(loaded.params.values) == list(table)
+        assert checkpoint_to_bytes(loaded.params) == (tmp_path / "m.ckpt").read_bytes()

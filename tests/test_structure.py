@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import close, standardize, standardized_mse_two_step
+from oracles import RTOL, standardize, standardized_mse_two_step
 from sing.midi_io import MAX_SAMPLES, PianoRoll
 from sing.structure import (
+    ATTENTION_BLOCK_ROWS,
     SelfSimilarityMatrix,
     SynthSpec,
     chroma,
+    fold_pitch_classes,
     load_ssm,
     parse_synth_spec,
     render_pgm,
@@ -18,6 +20,7 @@ from sing.structure import (
     ssm_to_bytes,
     standardized_mse,
     synth_ssm,
+    unit_columns,
 )
 
 
@@ -26,6 +29,19 @@ def roll_from_columns(columns: list[list[int]]) -> PianoRoll:
     for s, pitches in enumerate(columns):
         data[pitches, s] = 1
     return PianoRoll(data=data, tempo=120.0)
+
+
+def random_roll(n: int, rng: np.random.Generator, density: float = 0.05,
+                silent: float = 0.0) -> PianoRoll:
+    """Random pitches, about `silent` of the samples silent."""
+    data = (rng.random((128, n)) < density).astype(np.uint8)
+    data[:, rng.random(n) < silent] = 0
+    return PianoRoll(data=data, tempo=120.0)
+
+
+def repeated_chord(n: int, pitches=(60, 64, 67)) -> PianoRoll:
+    """One chord held at every sample: a constant SSM of ones."""
+    return roll_from_columns([list(pitches)] * n)
 
 
 class TestChroma:
@@ -42,6 +58,14 @@ class TestChroma:
         out = chroma(roll_from_columns([[60, 64, 67]]))
         assert out[[0, 4, 7], 0].tolist() == [1.0, 1.0, 1.0]
         assert out[:, 0].sum() == 3.0
+
+    def test_integer_sums_equal_the_float_fold_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 64, 777):
+            data = (rng.random((128, n)) < 0.2).astype(np.uint8)
+            out = chroma(PianoRoll(data=data, tempo=120.0))
+            assert out.dtype == np.float64
+            assert out.tobytes() == fold_pitch_classes(data.astype(np.float64)).tobytes()
 
     def test_column_sums_equal_note_counts(self):
         rng = np.random.default_rng(0)
@@ -89,11 +113,50 @@ class TestSsm:
         cols = chroma(PianoRoll(data=data, tempo=120.0))
         tracemalloc.start()
         try:
-            ssm(cols)
+            ssm(cols).values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
+
+    def test_n_reads_no_values(self):
+        matrix = ssm(chroma(random_roll(50, np.random.default_rng(14))))
+        assert matrix.n == 50 and matrix.unit.shape == (12, 50)
+        assert matrix._values is None and "factored" in repr(matrix)
+
+    def test_lazy_values_equal_the_eager_formula_bit_for_bit(self, tmp_path):
+        """The values a factored SSM forms, the weights it serves and the
+        bytes save_ssm writes are those of the matrix formed at once."""
+        rng = np.random.default_rng(15)
+        for n in (2, 63, 200, 701):
+            cols = chroma(random_roll(n, rng, density=0.03, silent=0.2))
+            unit, norms = unit_columns(cols)
+            eager = unit.T @ unit
+            np.clip(eager, 0.0, 1.0, out=eager)
+            np.fill_diagonal(eager, norms > 0.0)
+            lazy, dense = ssm(cols), SelfSimilarityMatrix(eager)
+            for start in range(1, n, ATTENTION_BLOCK_ROWS):
+                stop = min(start + ATTENTION_BLOCK_ROWS, n)
+                assert lazy.weights(start, stop).tobytes() == dense.weights(start, stop).tobytes()
+            assert lazy.values.tobytes() == eager.tobytes()
+            save_ssm(ssm(cols), tmp_path / "x.ssm")  # formed by the write
+            assert (tmp_path / "x.ssm").read_bytes() == ssm_to_bytes(dense)
+
+    def test_factored_equals_file_loaded(self, tmp_path):
+        """Orthogonal and repeated chords give 0s and 1s, exact in float32."""
+        matrix = ssm(chroma(roll_from_columns([[60], [64, 76], [60, 72], []])))
+        save_ssm(matrix, tmp_path / "x.ssm")
+        loaded = load_ssm(tmp_path / "x.ssm")
+        assert loaded.unit is None
+        assert matrix == loaded and loaded == matrix
+        assert loaded != ssm(chroma(roll_from_columns([[60], [64], [64], []])))
+
+    def test_chroma_must_be_finite_and_non_negative(self):
+        for bad in (-1.0, np.nan, np.inf):
+            cols = np.ones((12, 3))
+            cols[4, 1] = bad
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                ssm(cols)
 
     def test_equality_compares_values_and_role_not_the_kept_thresholds(self):
         a, b = SelfSimilarityMatrix(np.eye(3)), SelfSimilarityMatrix(np.eye(3))
@@ -106,36 +169,73 @@ class TestSsm:
         assert a.__eq__(np.eye(3)) is NotImplemented and "_tau" not in repr(a)
 
 
+def agree(score: float, reference: float) -> bool:
+    """Within RTOL relative, or RTOL absolute below 1: the score is 2 - 2 corr,
+    and two forms of a score near 0 cancel differently (a pair that scores 0
+    reads 3e-32 in the reference)."""
+    return abs(score - reference) <= RTOL * max(abs(reference), 1.0)
+
+
+def scored(template, generated: PianoRoll) -> tuple[float, float]:
+    """(standardized_mse against a roll's factored SSM, the dense two-step
+    reference on the formed values); template is a roll or an SSM."""
+    if isinstance(template, PianoRoll):
+        template = ssm(chroma(template))
+    b = ssm(chroma(generated), role="generated")
+    score = standardized_mse(template, b)
+    return score, standardized_mse_two_step(template.values, b.values)
+
+
 class TestStandardizedMse:
+    """The score reads the generated SSM's 12 x n chroma factor (and the
+    template's, when it has one); it is checked against the dense two-step
+    reference, which standardizes the formed n x n values."""
+
     def test_matches_the_two_step_reference(self):
         rng = np.random.default_rng(2)
-        for n in (2, 3, 16, 70):
-            for a, b in ((rng.random((n, n)), rng.random((n, n))),
-                         (np.eye(n), rng.random((n, n))),
-                         (np.full((n, n), 0.3), rng.random((n, n))),
-                         (np.full((n, n), 0.3), np.full((n, n), 0.9))):
-                score = standardized_mse(SelfSimilarityMatrix(a), SelfSimilarityMatrix(b))
-                assert close(score, standardized_mse_two_step(a, b))
+        for n in (2, 3, 16, 70, 301, 1500):
+            for silent in (0.0, 0.3):
+                score, reference = scored(random_roll(n, rng, silent=silent),
+                                          random_roll(n, rng, density=0.02, silent=silent))
+                assert agree(score, reference), (n, silent, score, reference)
+            block = synth_ssm(SynthSpec(length=n, blocks=[(0, n // 2, 0.8)], background=0.1))
+            score, reference = scored(block, random_roll(n, rng, silent=0.2))
+            assert agree(score, reference), (n, score, reference)
+
+    def test_degenerate_pieces_match_the_reference(self):
+        """A repeated chord and an all-silent piece are constant SSMs."""
+        rng = np.random.default_rng(12)
+        silence = PianoRoll(data=np.zeros((128, 40), dtype=np.uint8), tempo=120.0)
+        for a, b in ((repeated_chord(40), random_roll(40, rng)),
+                     (random_roll(40, rng, silent=0.5), silence),
+                     (repeated_chord(40), silence), (silence, silence)):
+            assert agree(*scored(a, b))
 
     def test_constant_against_non_constant_is_one(self):
-        varied = SelfSimilarityMatrix(np.random.default_rng(3).random((10, 10)))
-        constant = SelfSimilarityMatrix(np.full((10, 10), 0.7))
-        assert standardized_mse(constant, varied) == 1.0
-        assert standardized_mse(varied, constant) == 1.0
+        varied, constant = random_roll(10, np.random.default_rng(3)), repeated_chord(10)
+        assert scored(constant, varied)[0] == 1.0
+        assert scored(varied, constant)[0] == 1.0
+        assert scored(synth_ssm(SynthSpec(length=10, blocks=[(0, 5, 0.5)])), constant)[0] == 1.0
 
     def test_two_constants_score_zero(self):
-        a, b = SelfSimilarityMatrix(np.zeros((4, 4))), SelfSimilarityMatrix(np.ones((4, 4)))
-        assert standardized_mse(a, b) == 0.0
+        silence = PianoRoll(data=np.zeros((128, 700), dtype=np.uint8), tempo=120.0)
+        assert scored(repeated_chord(700), silence)[0] == 0.0
+        assert scored(repeated_chord(700, (61, 73)), repeated_chord(700))[0] == 0.0
+        assert scored(SelfSimilarityMatrix(np.full((700, 700), 0.3)), silence)[0] == 0.0
 
     def test_against_negation_is_four(self):
-        values = np.random.default_rng(5).random((12, 12))
-        a, b = SelfSimilarityMatrix(values), SelfSimilarityMatrix(1.0 - values)
-        assert standardized_mse(a, b) == pytest.approx(4.0, abs=1e-12)
+        """A dense template holding 1 - S scores 4 against S."""
+        generated = ssm(chroma(random_roll(12, np.random.default_rng(5))), role="generated")
+        negated = SelfSimilarityMatrix(1.0 - generated.values)
+        assert standardized_mse(negated, generated) == pytest.approx(4.0, abs=1e-12)
 
     def test_two_by_two(self):
-        a = SelfSimilarityMatrix(np.eye(2))
-        assert standardized_mse(a, SelfSimilarityMatrix(1.0 - np.eye(2))) == pytest.approx(4.0)
-        assert standardized_mse(a, SelfSimilarityMatrix(0.5 + np.eye(2))) == pytest.approx(0.0)
+        orthogonal = ssm(chroma(roll_from_columns([[60], [64]])), role="generated")  # eye(2)
+        assert orthogonal.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert standardized_mse(SelfSimilarityMatrix(1.0 - np.eye(2)), orthogonal) \
+            == pytest.approx(4.0)
+        assert standardized_mse(SelfSimilarityMatrix(0.5 + np.eye(2)), orthogonal) \
+            == pytest.approx(0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
@@ -145,44 +245,62 @@ class TestStandardizedMse:
         with pytest.raises(ValueError, match="n >= 2"):
             standardized_mse(SelfSimilarityMatrix(np.eye(1)), SelfSimilarityMatrix(np.eye(1)))
 
+    def test_dense_generated_rejected(self):
+        with pytest.raises(ValueError, match="generated SSM must be built from chroma"):
+            standardized_mse(ssm(chroma(repeated_chord(3))), SelfSimilarityMatrix(np.eye(3)))
+
     def test_identical_is_zero(self):
-        values = np.random.default_rng(6).random((8, 8))
-        matrix = SelfSimilarityMatrix(values=(values + values.T) / 2)
+        roll = random_roll(80, np.random.default_rng(6))
+        matrix = ssm(chroma(roll))
         assert standardized_mse(matrix, matrix) == pytest.approx(0.0, abs=1e-12)
+        assert scored(roll, roll)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_inputs(self):
-        a = SelfSimilarityMatrix(np.random.default_rng(4).random((5, 5)))
+        a = ssm(chroma(random_roll(5, np.random.default_rng(4), density=0.2)))
         assert standardized_mse(a, a) == pytest.approx(0.0, abs=1e-12)
-        constant = SelfSimilarityMatrix(np.full((5, 5), 0.4))
+        constant = ssm(chroma(repeated_chord(5)))
         assert standardized_mse(constant, constant) == 0.0
 
     def test_idempotent(self):
-        values = np.random.default_rng(3).random((10, 10))
-        once = standardize(values)
+        """A dense template holding the standardized values scores 0."""
+        generated = ssm(chroma(random_roll(10, np.random.default_rng(3), density=0.2)))
+        once = standardize(generated.values)
         twice = standardize(once)
         assert np.abs(twice - once).max() <= 1e-9
-        assert standardized_mse(SelfSimilarityMatrix(values), SelfSimilarityMatrix(once)) \
+        assert standardized_mse(SelfSimilarityMatrix(once), generated) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(7)
-        a, b = SelfSimilarityMatrix(rng.random((6, 6))), SelfSimilarityMatrix(rng.random((6, 6)))
+        a, b = ssm(chroma(random_roll(6, rng, 0.3))), ssm(chroma(random_roll(6, rng, 0.3)))
         assert standardized_mse(a, b) == pytest.approx(standardized_mse(b, a), abs=1e-12)
 
     def test_affine_invariance(self):
-        rng = np.random.default_rng(8)
-        a = rng.random((9, 9))
-        scaled = SelfSimilarityMatrix(0.25 * a + 3.0)
-        assert standardized_mse(SelfSimilarityMatrix(a), scaled) == pytest.approx(0.0, abs=1e-9)
+        """A dense template holding 0.25 S + 3 scores 0 against S."""
+        generated = ssm(chroma(random_roll(9, np.random.default_rng(8), 0.2)))
+        scaled = SelfSimilarityMatrix(0.25 * generated.values + 3.0)
+        assert standardized_mse(scaled, generated) == pytest.approx(0.0, abs=1e-9)
 
     def test_independent_matrices_approach_two(self):
         rng = np.random.default_rng(9)
         n = 256
-        a = rng.random((n, n))
-        b = rng.random((n, n))
-        a = SelfSimilarityMatrix((a + a.T) / 2)
-        b = SelfSimilarityMatrix((b + b.T) / 2)
+        a, b = ssm(chroma(random_roll(n, rng))), ssm(chroma(random_roll(n, rng)))
         assert standardized_mse(a, b) == pytest.approx(2.0, abs=0.15)
+
+    def test_reads_no_n_by_n_matrix(self):
+        """Scoring two SSMs built from rolls forms neither's values, and holds
+        well under one n x n float64 matrix at its peak."""
+        n = 3000
+        rng = np.random.default_rng(13)
+        a, b = ssm(chroma(random_roll(n, rng))), ssm(chroma(random_roll(n, rng)))
+        tracemalloc.start()
+        try:
+            standardized_mse(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a._values is None and b._values is None
+        assert peak < 0.05 * n * n * 8, peak
 
 
 class TestSynthSsm:
