@@ -228,9 +228,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.values[name]
 
-    def names(self) -> list[str]:
-        return list(self.values)
-
     def accumulate(self, name: str, grad: np.ndarray, columns=None) -> None:
         """Add grad to the gradient of name; with columns (a slice or index
         array of its last axis), grad holds only those columns."""
@@ -293,21 +290,17 @@ def _layout(shapes: dict[str, tuple[int, ...]]) -> list[tuple[str, tuple[int, ..
     return layout + [(_ADAM_STEP, (1,))]
 
 
-def _entries(params: ParamSet) -> list[tuple[str, np.ndarray]]:
-    """Each tensor of _layout, paired with its array."""
-    arrays = [store[name] for name in sorted(params.values)
-              for store in (params.values, params.m, params.v)]
-    arrays.append(np.array([float(params.step)]))
-    layout = _layout({name: value.shape for name, value in params.values.items()})
-    return [(name, array) for (name, _), array in zip(layout, arrays)]
-
-
 def _checkpoint_parts(params: ParamSet) -> list[bytes | np.ndarray]:
-    """The file in order: the header, then each tensor's head and its
-    little-endian float64 values, a view of the tensor wherever it is one."""
-    entries = _entries(params)
-    parts = [CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(entries))]
-    for name, array in entries:
+    """The file in order: the header, then each tensor of _layout, looked up by
+    its name, as its head and its little-endian float64 values, a view of the
+    tensor wherever it is one."""
+    tensors = {_ADAM_STEP: np.array([float(params.step)])}
+    for prefix, store in (("", params.values), (_ADAM_M, params.m), (_ADAM_V, params.v)):
+        tensors |= {prefix + name: array for name, array in store.items()}
+    layout = _layout({name: value.shape for name, value in params.values.items()})
+    parts = [CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(layout))]
+    for name, _ in layout:
+        array = tensors[name]
         parts += [_tensor_head(name, array), np.ascontiguousarray(array, dtype="<f8")]
     return parts
 
@@ -316,21 +309,19 @@ def checkpoint_to_bytes(params: ParamSet) -> bytes:
     return b"".join(_checkpoint_parts(params))
 
 
-def _read_tensors(
-    data: bytes, shapes: dict[str, tuple[int, ...]]
-) -> tuple[dict[str, np.ndarray], int]:
-    """The tensors of a checkpoint of parameters `shapes`, as read-only views
-    of data keyed by tensor name, and the step.
+def checkpoint_from_bytes(data: bytes, shapes: dict[str, tuple[int, ...]]) -> ParamSet:
+    """A ParamSet of parameters `shapes`, in that order, with every tensor,
+    Adam moment and the step read from data.
 
     The file's tensors must be _layout(shapes), name for name and shape for
     shape; the first that differs is named. adam/step must be a whole
-    number >= 0. Nothing is allocated beyond the views.
+    number >= 0. No tensor is built until the whole file has passed.
     """
     if data[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError("not a checkpoint (bad magic)")
     expected = _layout(shapes)
     pos = len(CKPT_MAGIC)
-    tensors: dict[str, np.ndarray] = {}
+    tensors: dict[str, np.ndarray] = {}  # read-only views of data
     try:
         version, count = struct.unpack_from("<II", data, pos)
         pos += 8
@@ -367,16 +358,13 @@ def _read_tensors(
     if not (step >= 0 and step == int(step)):
         raise ValueError(f"checkpoint tensor {_ADAM_STEP!r} is {tensors[_ADAM_STEP].tolist()}, "
                          "not one whole number >= 0")
-    return tensors, int(step)
-
-
-def checkpoint_from_bytes(data: bytes, into: ParamSet) -> None:
-    """Read a checkpoint of into's layout into its values, moments and step.
-    into is written only once the whole file has passed _read_tensors."""
-    tensors, step = _read_tensors(data, {name: value.shape for name, value in into.values.items()})
-    for name, target in _entries(into)[:-1]:
-        target[...] = tensors[name]
-    into.step = step
+    params = ParamSet()
+    for name in shapes:
+        params.add(name, tensors[name])
+        params.m[name][...] = tensors[_ADAM_M + name]
+        params.v[name][...] = tensors[_ADAM_V + name]
+    params.step = int(step)
+    return params
 
 
 def write_atomic(path: str | Path, *parts: bytes | np.ndarray) -> None:
@@ -399,14 +387,5 @@ def save_checkpoint(params: ParamSet, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path, shapes: dict[str, tuple[int, ...]]) -> ParamSet:
-    """A ParamSet of parameters `shapes`, in that order, with every tensor,
-    Adam moment and the step read from the file, which is checked whole
-    before any tensor is built."""
-    tensors, step = _read_tensors(Path(path).read_bytes(), shapes)
-    params = ParamSet()
-    for name in shapes:
-        params.add(name, tensors[name])
-        params.m[name][...] = tensors[_ADAM_M + name]
-        params.v[name][...] = tensors[_ADAM_V + name]
-    params.step = step
-    return params
+    """checkpoint_from_bytes of the file's bytes."""
+    return checkpoint_from_bytes(Path(path).read_bytes(), shapes)

@@ -40,6 +40,8 @@ class SelfSimilarityMatrix:
                  unit: np.ndarray | None = None, live: np.ndarray | None = None):
         if (values is None) == (unit is None):
             raise ValueError("an SSM holds either its values or its unit chroma factor")
+        if (unit is None) != (live is None):
+            raise ValueError("an SSM's live mask comes with its unit factor, and only with it")
         if role not in ("template", "generated"):
             raise ValueError(f"unknown SSM role {role!r}")
         self.role = role  # "template" or "generated"
@@ -51,7 +53,6 @@ class SelfSimilarityMatrix:
                 raise ValueError(f"SSM must be square, got {self._values.shape}")
         # sparsemax thresholds of each weights block read so far, keyed (start, stop)
         self._tau: dict[tuple[int, int], np.ndarray] = {}
-        self._sums: tuple[np.ndarray, float] | None = None  # dense: see _centred_sums
 
     @property
     def values(self) -> np.ndarray:
@@ -89,15 +90,6 @@ class SelfSimilarityMatrix:
             tau = self._tau[start, stop] = nn.sparsemax_threshold(q)
         return nn.sparsemax(q, tau)
 
-    def _centred_sums(self) -> tuple[np.ndarray, float]:
-        """Dense values S only: (S1 + S^T 1, sum of (S - mean)^2), computed on
-        the first call, then kept."""
-        if self._sums is None:
-            centred = self.values - self.values.mean()
-            sums = self.values.sum(axis=1) + self.values.sum(axis=0)
-            self._sums = sums, float(np.vdot(centred, centred))
-        return self._sums
-
 
 @dataclass
 class SynthSpec:
@@ -125,22 +117,20 @@ class SynthSpec:
 
 
 def fold_pitch_classes(rows: np.ndarray) -> np.ndarray:
-    """(128, m) float64 -> (12, m): sum the pitch rows of each pitch class."""
-    out = np.zeros((N_CHROMA, rows.shape[1]))
-    for cls in range(N_CHROMA):
-        out[cls] = rows[cls::N_CHROMA].sum(axis=0)
+    """(128, m) -> (12, m): the sum of the pitch rows of each pitch class, ten
+    whole octaves in one sum and then the last eight rows, so each class's
+    rows are added in row order. It accumulates in uint16 for uint8 rows,
+    whose whole counts are exact, and in float64 for float64 rows."""
+    octaves = N_PITCHES // N_CHROMA * N_CHROMA
+    dtype = np.promote_types(rows.dtype, np.uint16)
+    out = rows[:octaves].reshape(-1, N_CHROMA, rows.shape[1]).sum(axis=0, dtype=dtype)
+    out[: N_PITCHES - octaves] += rows[octaves:]
     return out
 
 
 def chroma(roll: PianoRoll) -> np.ndarray:
-    """Fold a piano roll into per-sample pitch-class counts, (12, n) float64.
-    The uint8 pitch rows are summed as integers, ten whole octaves at once
-    and then the last eight rows; whole counts are exact in any order."""
-    data = roll.data
-    octaves = N_PITCHES // N_CHROMA * N_CHROMA
-    counts = data[:octaves].reshape(-1, N_CHROMA, data.shape[1]).sum(axis=0, dtype=np.uint16)
-    counts[: N_PITCHES - octaves] += data[octaves:]
-    return counts.astype(np.float64)
+    """Fold a piano roll into per-sample pitch-class counts, (12, n) float64."""
+    return fold_pitch_classes(roll.data).astype(np.float64)
 
 
 def unit_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +195,11 @@ def standardized_mse(template: SelfSimilarityMatrix, generated: SelfSimilarityMa
         cross_EE = E_a @ E.T
         cross = 2.0 * n * float(alpha_a @ alpha) + float(np.vdot(cross_EE, cross_EE))
     else:
-        sums, a_sq = template._centred_sums()
-        cross = float(np.vdot(E, E @ template.values)) + float(alpha @ sums)
+        S = template.values
+        centred = S - S.mean()
+        sums = S.sum(axis=1) + S.sum(axis=0)
+        a_sq = float(np.vdot(centred, centred))
+        cross = float(np.vdot(E, E @ S)) + float(alpha @ sums)
     a_live = bool(np.sqrt(a_sq / (n * n)) >= DEGENERATE_STD)
     b_live = bool(np.sqrt(b_sq / (n * n)) >= DEGENERATE_STD)
     score = float(a_live) + float(b_live)

@@ -169,7 +169,7 @@ def values(out: Path) -> list[str]:
         elif path.suffix == ".ckpt":
             cfg = ModelConfig.from_text((path.parent / "model_config.txt").read_text())
             params = load_model(path, cfg).params
-            for tensor in sorted(params.names()):
+            for tensor in sorted(params.values):
                 for prefix, group in (("", params.values), ("adam/m/", params.m),
                                       ("adam/v/", params.v)):
                     array = group[tensor]

@@ -7,7 +7,8 @@ in-place kernels replaced (masked sigmoid, one sparsemax per attention row
 and one masked sparsemax per block of them, whole-history attention products,
 lexsort sampler drawing with rng.choice, concatenated LSTM backward with
 its factors taken per step, the dense LSTM input product, Adam as plain
-expressions), as are the chroma SSM and structural loss that symmetrised
+expressions), as are the pitch-class fold that summed each class's rows
+on its own, the chroma SSM and structural loss that symmetrised
 their n x n products and averaged the squared difference, the
 standardized MSE that standardized both matrices first, and the MIDI
 reader, sampler and writer that made one Python object per event, note
@@ -40,7 +41,7 @@ from sing.midi_io import (
     WRITE_TICKS_PER_QUARTER,
     MidiParseError,
 )
-from sing.structure import DEGENERATE_STD, N_CHROMA, fold_pitch_classes
+from sing.structure import DEGENERATE_STD, N_CHROMA
 from sing.training import PITCH_CLASSES, PieceLoss, _backward_through_time
 
 
@@ -407,6 +408,15 @@ def generate_per_step(params, cfg, seed, S, rng, margins=None):
 # structural references with the symmetrising and zeroing passes
 
 
+def fold_pitch_classes_per_class(rows: np.ndarray) -> np.ndarray:
+    """(128, m) -> (12, m) float64: each pitch class's rows summed by a
+    strided slice of their own."""
+    out = np.zeros((N_CHROMA, rows.shape[1]))
+    for cls in range(N_CHROMA):
+        out[cls] = rows[cls::N_CHROMA].sum(axis=0)
+    return out
+
+
 def standardize(values: np.ndarray) -> np.ndarray:
     """Shift to zero mean and scale to unit population std over all entries;
     a std below DEGENERATE_STD gives the all-zero matrix."""
@@ -453,7 +463,7 @@ def piece_loss_two_pass(model, trace, target, S, with_grad=True) -> PieceLoss:
 
     # Structural term on chroma of [target seed | predicted probabilities].
     cols = np.concatenate([target_samples[:seed_len].T, P.T], axis=1)
-    U = fold_pitch_classes(cols)
+    U = fold_pitch_classes_per_class(cols)
     norms = np.linalg.norm(U, axis=0)
     nonzero = norms > 0.0
     V = U / np.where(nonzero, norms, 1.0)

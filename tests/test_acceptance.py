@@ -154,7 +154,7 @@ def test_gradient_integrity():
         z = rng.random(128)
         up = rng.normal(size=128)
         combine_backward(pset, mode, a[None], z[None], up[None])
-        for name in pset.names():
+        for name in list(pset.values):
             def loss_of(p, _name=name):
                 saved = pset.values[_name]
                 pset.values[_name] = p
@@ -181,7 +181,7 @@ def test_gradient_integrity():
     template = ssm(chroma(target))
     trace = forward_piece(model, target, template, 0.0, np.random.default_rng(0))
     piece_loss(model, trace, target, template, with_grad=True)
-    analytic = {name: model.params.grads[name].copy() for name in model.params.names()}
+    analytic = {name: model.params.grads[name].copy() for name in model.params.values}
     model.params.zero_grads()
 
     def total_loss() -> float:
@@ -189,7 +189,7 @@ def test_gradient_integrity():
         return piece_loss(model, fresh, target, template, with_grad=False).total
 
     h = 1e-5
-    for name in model.params.names():
+    for name in model.params.values:
         flat = model.params.values[name].reshape(-1)
         fd = np.zeros(flat.size)
         for i in range(flat.size):
@@ -383,9 +383,8 @@ def test_round_trip_and_format_fidelity():
     model.params.accumulate("lstm.b", np.ones(24))
     nn.adam_step(model.params, 0.01)
     ckpt_blob = nn.checkpoint_to_bytes(model.params)
-    fresh = Model(ModelConfig(hidden_size=6, seed_len=2), rng=np.random.default_rng(1)).params
-    nn.checkpoint_from_bytes(ckpt_blob, fresh)
-    assert nn.checkpoint_to_bytes(fresh) == ckpt_blob
+    shapes = {name: value.shape for name, value in model.params.values.items()}
+    assert nn.checkpoint_to_bytes(nn.checkpoint_from_bytes(ckpt_blob, shapes)) == ckpt_blob
 
     _report("round-trip-format-fidelity", "200 MIDI round trips; 3 containers bit-stable")
 

@@ -447,7 +447,7 @@ class TestAblatedFlag:
         assert roll.n_samples == 20
         model = load_model(out / "best.ckpt", ModelConfig.from_text(
             (out / "model_config.txt").read_text()))
-        assert "head.W" in model.params.names()
+        assert "head.W" in model.params.values
 
 
 class TestBadInputs:

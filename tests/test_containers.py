@@ -1,7 +1,7 @@
 """All three binary container readers reject damaged input with ValueError; the
 SINGSSM reader also rejects a matrix that is empty, asymmetric or outside [0, 1],
 and the SINGCKPT reader any tensor layout but the one its writer writes for the
-ParamSet it reads into."""
+parameter shapes it is given."""
 
 import struct
 
@@ -41,7 +41,7 @@ def _checkpoint_blob() -> bytes:
 
 
 def _read_checkpoint(data: bytes) -> None:
-    checkpoint_from_bytes(data, params_of(("w", np.zeros(3))))
+    checkpoint_from_bytes(data, {"w": (3,)})
 
 
 READERS = {
@@ -113,6 +113,7 @@ def raw_checkpoint(*entries: tuple[str, np.ndarray]) -> bytes:
 W = ("w", np.arange(6.0).reshape(2, 3))
 W_MOMENTS = (("adam/m/w", np.zeros((2, 3))), ("adam/v/w", np.ones((2, 3))))
 STEP = ("adam/step", [2.0])
+W_SHAPES = {"w": (2, 3)}
 # defect -> (entries, the message naming the first tensor off the layout of
 # one (2, 3) parameter 'w')
 CHECKPOINT_DEFECTS = {
@@ -136,21 +137,17 @@ CHECKPOINT_DEFECTS = {
 
 
 def test_writer_layout_loads():
-    params = params_of(("w", np.zeros((2, 3))))
-    checkpoint_from_bytes(raw_checkpoint(W, *W_MOMENTS, STEP), params)
+    params = checkpoint_from_bytes(raw_checkpoint(W, *W_MOMENTS, STEP), W_SHAPES)
     assert checkpoint_to_bytes(params) == raw_checkpoint(W, *W_MOMENTS, STEP)
     assert params.step == 2 and np.array_equal(params.v["w"], np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
 def test_checkpoint_layout_defect_rejected_by_name(defect):
-    """The first tensor off the layout is named, and nothing is written."""
+    """The first tensor off the layout is named."""
     entries, message = CHECKPOINT_DEFECTS[defect]
-    params = params_of(("w", np.zeros((2, 3))))
     with pytest.raises(ValueError, match=message):
-        checkpoint_from_bytes(raw_checkpoint(*entries), params)
-    assert params.step == 0
-    assert not any(group["w"].any() for group in (params.values, params.m, params.v))
+        checkpoint_from_bytes(raw_checkpoint(*entries), W_SHAPES)
 
 
 def test_tensor_after_the_step_rejected():
@@ -159,4 +156,4 @@ def test_tensor_after_the_step_rejected():
     overcounted = blob[:12] + struct.pack("<I", 5) + blob[16:]
     for data in (raw_checkpoint(W, *W_MOMENTS, STEP, ("x", [1.0])), overcounted):
         with pytest.raises(ValueError, match="trailing bytes after last tensor"):
-            checkpoint_from_bytes(data, params_of(("w", np.zeros((2, 3)))))
+            checkpoint_from_bytes(data, W_SHAPES)

@@ -179,7 +179,7 @@ class TestForwardStep:
     def test_zero_model_gives_half_probabilities(self):
         cfg = small_config()
         model = Model(cfg, rng=np.random.default_rng(8))
-        for name in model.params.names():
+        for name in model.params.values:
             model.params.values[name][...] = 0.0
         rng = np.random.default_rng(9)
         h, _ = lstm_step(model, rng.random(128), zero_state(model))
@@ -409,7 +409,7 @@ class TestCheckpointIo:
     def test_load_fills_every_tensor_moment_and_the_step(self, tmp_path):
         cfg = small_config()
         model = Model(cfg, rng=np.random.default_rng(24))
-        for name in model.params.names():
+        for name in model.params.values:
             model.params.accumulate(name, np.ones_like(model.params[name]))
         adam_step(model.params, lr=0.01)
         save_model(model, tmp_path / "m.ckpt")

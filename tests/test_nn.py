@@ -348,6 +348,8 @@ class TestParamSet:
 
 
 class TestCheckpoint:
+    SHAPES = {"layer.W": (3, 4), "layer.b": (3,)}
+
     def _params(self):
         rng = np.random.default_rng(8)
         params = ParamSet()
@@ -367,19 +369,35 @@ class TestCheckpoint:
 
     def test_bit_identical_round_trip(self):
         blob = checkpoint_to_bytes(self._params())
-        again = self._fresh()
-        checkpoint_from_bytes(blob, again)
-        assert checkpoint_to_bytes(again) == blob
+        assert checkpoint_to_bytes(checkpoint_from_bytes(blob, self.SHAPES)) == blob
 
     def test_restores_values_moments_and_step(self):
         params = self._params()
-        again = self._fresh()
-        checkpoint_from_bytes(checkpoint_to_bytes(params), again)
+        again = checkpoint_from_bytes(checkpoint_to_bytes(params), self.SHAPES)
         assert again.step == 2
-        for name in params.names():
+        for name in params.values:
             assert np.array_equal(again[name], params[name])
             assert np.array_equal(again.m[name], params.m[name])
             assert np.array_equal(again.v[name], params.v[name])
+
+    def test_parameters_added_out_of_name_order_come_back_under_their_names(self):
+        """The writer looks each tensor up by the name the layout lists, so
+        a ParamSet added out of name order, every shape distinct, round-trips
+        with each value and both moments under its own name."""
+        rng = np.random.default_rng(12)
+        shapes = {"zeta": (2, 5), "alpha": (4,), "mu.W": (3, 1), "beta": (1, 6)}
+        params = ParamSet()
+        for name, shape in shapes.items():
+            params.add(name, rng.normal(size=shape))
+            params.m[name][...] = rng.normal(size=shape)
+            params.v[name][...] = rng.random(shape)
+        params.step = 7
+        again = checkpoint_from_bytes(checkpoint_to_bytes(params), shapes)
+        assert list(again.values) == list(shapes) and again.step == 7
+        for name in shapes:
+            for store, again_store in ((params.values, again.values), (params.m, again.m),
+                                       (params.v, again.v)):
+                assert again_store[name].tobytes() == store[name].tobytes(), name
 
     def test_magic_and_version(self):
         blob = checkpoint_to_bytes(self._params())
@@ -388,7 +406,7 @@ class TestCheckpoint:
 
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
-            checkpoint_from_bytes(b"BADMAGIC" + bytes(20), self._fresh())
+            checkpoint_from_bytes(b"BADMAGIC" + bytes(20), self.SHAPES)
 
     def test_write_failing_midway_keeps_the_earlier_file(self, tmp_path, monkeypatch):
         path = tmp_path / "epoch_0.ckpt"

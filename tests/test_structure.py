@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import RTOL, standardize, standardized_mse_two_step
+from oracles import RTOL, fold_pitch_classes_per_class, standardize, standardized_mse_two_step
 from sing.midi_io import MAX_SAMPLES, PianoRoll
 from sing.structure import (
     ATTENTION_BLOCK_ROWS,
@@ -65,7 +65,22 @@ class TestChroma:
             data = (rng.random((128, n)) < 0.2).astype(np.uint8)
             out = chroma(PianoRoll(data=data, tempo=120.0))
             assert out.dtype == np.float64
-            assert out.tobytes() == fold_pitch_classes(data.astype(np.float64)).tobytes()
+            assert out.tobytes() == fold_pitch_classes_per_class(data).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_fold_equals_the_per_class_sums_bit_for_bit(self, dtype):
+        """Whole octaves in one sum, then the last eight rows, add each class
+        in the order its own strided sum does; uint8 rows sum as uint16. From
+        n = 2 on (one column lets numpy sum the octaves pairwise)."""
+        rng = np.random.default_rng(31)
+        for n in sorted({*np.geomspace(2, 3000, 48).astype(int), *rng.integers(2, 3001, 16)}):
+            rows = rng.random((128, n))
+            if dtype == np.uint8:
+                rows = (rows < 0.3).astype(np.uint8)
+            out = fold_pitch_classes(rows)
+            assert out.dtype == (np.uint16 if dtype == np.uint8 else np.float64)
+            expected = fold_pitch_classes_per_class(rows)
+            assert out.astype(np.float64).tobytes() == expected.tobytes(), n
 
     def test_column_sums_equal_note_counts(self):
         rng = np.random.default_rng(0)
@@ -150,6 +165,16 @@ class TestSsm:
         assert loaded.unit is None
         assert matrix == loaded and loaded == matrix
         assert loaded != ssm(chroma(roll_from_columns([[60], [64], [64], []])))
+
+    def test_a_unit_factor_needs_its_live_mask(self):
+        """Without the mask the diagonal would be filled with NaN; a mask is
+        refused beside dense values too."""
+        unit, norms = unit_columns(chroma(roll_from_columns([[60], [64], [], [60, 72]])))
+        with pytest.raises(ValueError, match="live mask"):
+            SelfSimilarityMatrix(unit=unit)
+        with pytest.raises(ValueError, match="live mask"):
+            SelfSimilarityMatrix(np.eye(4), live=norms > 0.0)
+        assert SelfSimilarityMatrix(unit=unit, live=norms > 0.0) == ssm(unit)
 
     def test_chroma_must_be_finite_and_non_negative(self):
         for bad in (-1.0, np.nan, np.inf):

@@ -106,7 +106,7 @@ class TestPieceLoss:
     def test_zero_model_on_silent_target_bce_closed_form(self):
         cfg = ModelConfig(hidden_size=4, seed_len=2)
         model = Model(cfg, rng=np.random.default_rng(3))
-        for name in model.params.names():
+        for name in model.params.values:
             model.params.values[name][...] = 0.0
         n = 10
         target = PianoRoll(data=np.zeros((128, n), dtype=np.uint8), tempo=120.0)
@@ -175,7 +175,7 @@ def fd_check_piece_loss(model, target, template, stride_big: int, tol: float) ->
     """Central-difference check of the full combined loss gradient."""
     trace = forward_piece(model, target, template, 0.0, np.random.default_rng(0))
     piece_loss(model, trace, target, template, with_grad=True)
-    analytic = {name: model.params.grads[name].copy() for name in model.params.names()}
+    analytic = {name: model.params.grads[name].copy() for name in model.params.values}
     model.params.zero_grads()
 
     def loss_now() -> float:
@@ -183,7 +183,7 @@ def fd_check_piece_loss(model, target, template, stride_big: int, tol: float) ->
         return piece_loss(model, fresh, target, template, with_grad=False).total
 
     h = 1e-5
-    for name in model.params.names():
+    for name in model.params.values:
         value = model.params.values[name]
         flat = value.reshape(-1)
         stride = stride_big if flat.size > 512 else 1
@@ -246,7 +246,7 @@ class TestPieceGradientMatchesPerStepReference:
             model.params.values, head, cfg.seed_len, trace.X, trace.A, samples, template.values
         )
         assert relative_error(logits, trace.D) <= 1e-12
-        assert sorted(expected) == sorted(model.params.names())
+        assert sorted(expected) == sorted(model.params.values)
         for name, grad in expected.items():
             assert relative_error(model.params.grads[name], grad) <= 1e-12, name
 
