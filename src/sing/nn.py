@@ -9,12 +9,12 @@ the gradients of the inputs. `sigmoid` is max(e, x >= 0) / (1 + e) with
 e = exp(-|x|) <= 1: 1 / (1 + e) for x >= 0, e / (1 + e) below.
 
 Numerics contract, checked against the references in tests/oracles.py:
-bit for bit for the sampler's draws, `sigmoid`, the attention weights,
-the order of the LSTM row writes and Adam (its reference's expressions);
-within 1e-12 relative for the LSTM input projection (a gather of the
-columns of W_x at the active inputs; bit for bit on up to two binary
-ones), the LSTM backward step (its factors formed once per piece) and the
-structural loss and its gradients.
+bit for bit for the sampler's draws, `sigmoid`, the order of the LSTM row
+writes, Adam (its reference's expressions) and the attention weights of
+dense values or of repeated chords; within 1e-12 relative for other rolls'
+weights (a 12-deep product of the chroma factor), the LSTM input projection
+(W_x's columns gathered at the active inputs; bit for bit on up to two
+binary ones), the LSTM backward step and the structural loss and gradients.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ A self-similarity matrix (SSM) here is the n x n matrix of pairwise cosine
 similarities between the chroma vectors of a piece's samples, scaled to
 unit length by `unit_columns`, which the structural training loss shares.
 Silent samples (zero chroma) score 0 against everything, themselves too.
-An SSM built from chroma keeps those 12 x n unit columns and forms its
-n x n values only when they are read; the standardized MSE reads the factor.
+An SSM built from chroma holds those 12 x n unit columns alone; attention,
+the structural loss and the standardized MSE read them, and its n x n values
+are formed on each read. Its weights equal those of the values bit for bit
+on repeated chords and within 1e-12 relative on other rolls.
 """
 
 from __future__ import annotations
@@ -30,41 +32,37 @@ class SelfSimilarityMatrix:
     """An n x n SSM: float64, symmetric, entries in [0, 1].
 
     Built from chroma (`ssm`), it holds the unit chroma factor `unit`
-    (12 x n, a silent sample's column zero) and forms `values` the first
-    time they are read; `standardized_mse` reads the factor instead. Built
-    from values (an `.ssm` file, `synth_ssm`), it holds them dense and
-    `unit` is None.
+    (12 x n, a silent sample's column zero) alone, and reads its weights
+    from it; `values` is formed on each read. Built from values (an `.ssm`
+    file, `synth_ssm`), it holds them dense and `unit` is None.
     """
 
     def __init__(self, values: np.ndarray | None = None, role: str = "template",
-                 unit: np.ndarray | None = None, live: np.ndarray | None = None):
+                 unit: np.ndarray | None = None):
         if (values is None) == (unit is None):
             raise ValueError("an SSM holds either its values or its unit chroma factor")
-        if (unit is None) != (live is None):
-            raise ValueError("an SSM's live mask comes with its unit factor, and only with it")
         if role not in ("template", "generated"):
             raise ValueError(f"unknown SSM role {role!r}")
         self.role = role  # "template" or "generated"
-        self.unit, self._live = unit, live  # live: the columns of nonzero chroma
-        self._values = None
-        if values is not None:
-            self._values = np.asarray(values, dtype=np.float64)
-            if self._values.ndim != 2 or self._values.shape[0] != self._values.shape[1]:
-                raise ValueError(f"SSM must be square, got {self._values.shape}")
+        self.unit = unit
+        self._values = None if values is None else np.asarray(values, dtype=np.float64)
+        if values is not None and (self._values.ndim != 2
+                                   or self._values.shape[0] != self._values.shape[1]):
+            raise ValueError(f"SSM must be square, got {self._values.shape}")
         # sparsemax thresholds of each weights block read so far, keyed (start, stop)
         self._tau: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def values(self) -> np.ndarray:
-        """One product `unit.T @ unit` (numpy forms it as one syrk, so it is
-        exactly symmetric), the clip to [0, 1], then the diagonal: 0 for a
-        silent sample, 1 for the others. Formed on the first read, then kept."""
-        if self._values is None:
-            values = self.unit.T @ self.unit
-            np.clip(values, 0.0, 1.0, out=values)
-            np.fill_diagonal(values, self._live)
-            self._values = values
-        return self._values
+        """From a factor: `unit.T @ unit` (numpy forms it as one syrk, so it is
+        exactly symmetric), clipped to [0, 1], its diagonal 1 at each nonzero
+        column and 0 at a silent one. Formed on every read, and not kept."""
+        if self.unit is None:
+            return self._values
+        values = self.unit.T @ self.unit
+        np.clip(values, 0.0, 1.0, out=values)
+        np.fill_diagonal(values, self.unit.any(axis=0))
+        return values
 
     @property
     def n(self) -> int:
@@ -81,9 +79,11 @@ class SelfSimilarityMatrix:
 
     def weights(self, start: int, stop: int) -> np.ndarray:
         """(stop - start, stop - 1): row i holds sparsemax(S[t, :t]), t = start + i, then zeros.
-        The entries at and right of the diagonal, all in the last columns, are set to -inf.
-        The block's thresholds are sorted the first time it is read, then kept."""
-        q = self.values[start:stop, : stop - 1].copy()
+        The rows are a 12-deep product of the factor, clipped, or a copy of the
+        dense values'; entries at and right of the diagonal, all in the last
+        columns, are set to -inf. The thresholds are sorted on the first read."""
+        q = (self._values[start:stop, : stop - 1].copy() if self.unit is None
+             else np.clip(self.unit[:, start:stop].T @ self.unit[:, : stop - 1], 0.0, 1.0))
         q[:, start:][np.arange(stop - 1 - start) >= np.arange(stop - start)[:, None]] = -np.inf
         tau = self._tau.get((start, stop))
         if tau is None:
@@ -134,9 +134,9 @@ def chroma(roll: PianoRoll) -> np.ndarray:
 
 
 def unit_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cols scaled to unit column length, column norms); zero columns stay zero."""
+    """(cols scaled to unit column length, column norms); a column of norm 0 is zero."""
     norms = np.linalg.norm(cols, axis=0)
-    return cols / np.where(norms > 0.0, norms, 1.0), norms
+    return np.divide(cols, norms, out=np.zeros_like(cols), where=norms > 0.0), norms
 
 
 def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
@@ -150,8 +150,7 @@ def ssm(chroma_seq: np.ndarray, role: str = "template") -> SelfSimilarityMatrix:
         raise ValueError(f"chroma must be (12, n), got {cols.shape}")
     if not (np.isfinite(cols).all() and (cols >= 0.0).all()):
         raise ValueError("chroma must be finite and >= 0")
-    unit, norms = unit_columns(cols)
-    return SelfSimilarityMatrix(role=role, unit=unit, live=norms > 0.0)
+    return SelfSimilarityMatrix(role=role, unit=unit_columns(cols)[0])
 
 
 def _centred_factor(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -125,15 +125,17 @@ def piece_loss(
     """Combined loss; when with_grad, accumulates parameter gradients.
 
     BCE is summed over generated steps against the target samples. The
-    structural term compares the template against the SSM of the continuous
-    probability columns V (target chroma for seed steps): mean((V.T V - S)^2)
-    is (|V V.T|^2 - 2 <V, V S> + |S|^2) / n^2 for a symmetric S (every SSM
-    is), and its gradient in V is 4 (V V.T V - V S) / n^2, so no n x n
-    matrix is formed beside S.
+    structural term compares the template S = U.T U, U its 12 x n unit chroma
+    factor (Gram entries: before the clip and the forced diagonal), with the
+    SSM of the probability columns V (target chroma for seed steps): with
+    VS = (V U.T) U, mean((V.T V - S)^2) is (|V V.T|^2 - 2 <V, VS> + |U U.T|^2)
+    / n^2 and its gradient in V is 4 (V V.T V - VS) / n^2: no n x n matrix.
     """
     n, seed_len = trace.n, trace.seed_len
     if target.n_samples != n or S.n != n:
         raise ValueError("trace, target, and SSM lengths disagree")
+    if S.unit is None:
+        raise ValueError("the template must be built from chroma")
     if with_grad and trace.H is None:
         raise ValueError("trace holds no states to backprop through; "
                          "run the forward pass with with_grad=True")
@@ -144,10 +146,10 @@ def piece_loss(
     # Structural term on chroma of [target seed | predicted probabilities].
     cols = np.concatenate([target_samples[:seed_len].T, P.T], axis=1)
     V, norms = unit_columns(fold_pitch_classes(cols))
-    VS = V @ S.values
-    VVt = V @ V.T
+    VS = (V @ S.unit.T) @ S.unit
+    VVt, UUt = V @ V.T, S.unit @ S.unit.T
     squares = (float(np.vdot(VVt, VVt)) - 2.0 * float(np.vdot(V, VS))
-               + float(np.vdot(S.values, S.values)))
+               + float(np.vdot(UUt, UUt)))
     structural = max(squares, 0.0) / (n * n)  # a sum of squares; rounding stays above 0
     total = bce_total + structural
 

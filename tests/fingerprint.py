@@ -3,6 +3,7 @@
     PYTHONPATH=src python tests/fingerprint.py OUT_DIR
     PYTHONPATH=src python tests/fingerprint.py --values OUT_DIR
     PYTHONPATH=src python tests/fingerprint.py --compare OLD.txt NEW.txt
+    PYTHONPATH=src python tests/fingerprint.py --against REF OUT_DIR
 
 Writes synthetic MIDI files (made with `sing.midi_io.to_midi`) under
 OUT_DIR, runs every verb on them in process, and prints one
@@ -24,7 +25,11 @@ on at each sample. `--compare` reads two such listings and passes (exit 0)
 when both have the same keys, equal hashes and sample lists, and every
 number within `oracles.RTOL` relative of the other; it prints each line
 that moved and by how much, and for a `.proll` the first sample that
-differs and how many do.
+differs and how many do. `--against REF OUT_DIR` is all of that in one
+command: it runs this script with `--values` on the `src/` of git
+revision REF (unpacked from `git archive` under OUT_DIR/base) and on the
+working tree's `src/`, writes the listings to OUT_DIR/base.txt and
+OUT_DIR/head.txt, and exits as `--compare` of the two does.
 
 The corpus covers every planning case: `batch-plan` slices the pieces
 longer than 36 samples, pads, truncates, keeps exact lengths and excludes
@@ -39,6 +44,8 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -234,11 +241,29 @@ def compare(old: list[str], new: list[str]) -> tuple[list[str], bool]:
     return report, ok
 
 
+def against(ref: str, out: Path) -> int:
+    """`--values` on git revision ref's src/ and on the working tree's, each
+    in a process of its own, listed to out/base.txt and out/head.txt; then
+    `--compare` of the two."""
+    root = Path(__file__).resolve().parent.parent
+    (out / "base").mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(root), "archive", ref, "src"],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(out / "base")], input=archive, check=True)
+    for label, src in (("base", out / "base" / "src"), ("head", root / "src")):
+        with open(out / f"{label}.txt", "w") as listing:
+            subprocess.run([sys.executable, __file__, "--values", str(out / f"out-{label}")],
+                           env={**os.environ, "PYTHONPATH": str(src)}, stdout=listing, check=True)
+    return command(["--compare", str(out / "base.txt"), str(out / "head.txt")])
+
+
 def command(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--values", action="store_true", help="print values, not hashes")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two --values listings")
+    parser.add_argument("--against", metavar="REF",
+                        help="compare the --values listings of git revision REF and of src/")
     parser.add_argument("out", nargs="?", type=Path, help="output directory (must not exist)")
     args = parser.parse_args(argv)
     if args.compare:
@@ -248,6 +273,8 @@ def command(argv: list[str]) -> int:
         return 0 if ok else 1
     if args.out is None or args.out.exists():
         parser.error("OUT_DIR is required and must not exist")
+    if args.against:
+        return against(args.against, args.out)
     make(args.out)
     print("\n".join((values if args.values else hashes)(args.out)))
     return 0

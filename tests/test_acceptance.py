@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import central_difference, project_simplex_bruteforce_fast, relative_error
-from synthdata import make_corpus
+from synthdata import ARCHETYPES, make_block_piece, make_corpus
 from sing import nn
 from sing.batching import (
     Assignment,
@@ -514,3 +514,57 @@ def test_synthetic_ssm_steering(desk_models):
         "synthetic-ssm-steering",
         f"sing {means['sing']:.3f} < ablated {means['ablated']:.3f} over 10 generations",
     )
+
+
+# ---------------------------------------------------------------------------
+# criterion: steering specificity (the paper's first claim, desk scale)
+
+STEERING_GENERATIONS = 2
+
+
+def sign_test_p(successes: int, trials: int) -> float:
+    """One-sided sign test: P(at least `successes` of `trials` fair coin flips)."""
+    return sum(math.comb(trials, k) for k in range(successes, trials + 1)) / 2**trials
+
+
+def test_steering_is_specific(desk_models):
+    """A swapped template steers sing's output towards it, not towards the
+    seed piece's own structure. Each held-out piece gives the seed; each of
+    the other three archetypes gives a template, from a new piece with new
+    roots; the margin of a generation is its score against the seed piece's
+    own template minus its score against the steering one. The rule, fixed
+    before the first run: sing is closer to the steering template in at
+    least two thirds of its generations, a one-sided sign test gives
+    p < 0.01, and its median margin exceeds the ablated model's, which never
+    reads the template."""
+    held_out = desk_models["held_out"]
+    template_rng = np.random.default_rng(DESK_SEED + 7)
+    pairs = []  # (seed piece, its own template, a steering template)
+    for i, piece in enumerate(held_out):
+        own = ssm(chroma(piece))
+        for other in ARCHETYPES:
+            if other != ARCHETYPES[i % len(ARCHETYPES)]:
+                steer = make_block_piece(other, DESK_LENGTH, template_rng, f"steer{i}{other}")
+                pairs.append((piece, own, ssm(chroma(steer))))
+    margins = {}
+    for name in ("sing", "ablated"):
+        cfg, model = desk_models["models"][name]
+        gen_rng = np.random.default_rng(DESK_SEED + 8)
+        margins[name] = []
+        for piece, own, steer in pairs:
+            seed = piece.data.T[: cfg.seed_len]
+            for _ in range(STEERING_GENERATIONS):
+                out = ssm(chroma(generate(model, seed, steer, gen_rng)), role="generated")
+                margins[name].append(standardized_mse(own, out) - standardized_mse(steer, out))
+    trials = len(margins["sing"])
+    closer = {name: sum(m > 0.0 for m in found) for name, found in margins.items()}
+    medians = {name: float(np.median(found)) for name, found in margins.items()}
+    p_sign = sign_test_p(closer["sing"], trials)
+    detail = (f"sing closer to the steering template in {closer['sing']}/{trials} "
+              f"(sign test p = {p_sign:.2g}), ablated {closer['ablated']}/{trials}; "
+              f"median margin sing {medians['sing']:.3f} > ablated {medians['ablated']:.3f}")
+    assert trials == 30
+    assert 3 * closer["sing"] >= 2 * trials, detail
+    assert p_sign < 0.01, detail
+    assert medians["sing"] > medians["ablated"], detail
+    _report("steering-specificity", detail)

@@ -203,10 +203,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("generator", evaluation.GENERATORS)
     def test_peak_memory_at_3000_samples(self, generator):
-        """Scores read the 12 x n chroma factors, so no generated roll forms
-        an n x n matrix. The ablated model and the random baseline form none
-        at all; sing forms the template's values alone, plus its 64-row
-        weight blocks."""
+        """Scores and attention weights read the 12 x n chroma factors, so no
+        generator forms an n x n matrix: sing holds its 64-row weight blocks
+        and its input, logit and output records, below a quarter of one."""
         n = 3000
         items = [block_piece(n, np.random.default_rng(16), "p0")]
         cfg = ModelConfig(hidden_size=8, attention_enabled=generator == "sing")
@@ -217,11 +216,8 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        matrix, block = n * n * 8, ATTENTION_BLOCK_ROWS * n * 8
-        if generator == "sing":  # the input, logit and output records take six blocks
-            assert peak < matrix + 10 * block, (peak - matrix) / block
-        else:
-            assert peak < matrix, peak / matrix
+        matrix = n * n * 8
+        assert peak < (matrix / 4 if generator == "sing" else matrix), peak / matrix
 
     def test_mean_is_arithmetic_mean_of_stored_values(self):
         run = EvalRun(generator="random")

@@ -1,6 +1,9 @@
 """tests/fingerprint.py is deterministic, hashes every output it makes, and
 its values listing and compare step agree with its hashes."""
 
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,3 +100,19 @@ def test_report_is_hashed_over_its_loss_columns(tmp_path):
     assert fingerprint.digest(a) == fingerprint.digest(b)
     b.write_text("epoch,train_loss,val_loss,seconds\n0,2.5,2.5,0.051\n")
     assert fingerprint.digest(a) != fingerprint.digest(b)
+
+
+def test_against_lists_a_revision_and_the_working_tree_and_compares_them(tmp_path):
+    """`--against REF OUT_DIR` unpacks REF's src/, writes both listings and
+    exits as `--compare` of them does."""
+    if subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
+                      cwd=Path(fingerprint.__file__).parent).returncode != 0:
+        pytest.skip("not a git checkout with a commit")
+    out = tmp_path / "fp"
+    code = fingerprint.command(["--against", "HEAD", str(out)])
+    assert (out / "base" / "src" / "sing" / "structure.py").is_file()
+    base, head = ((out / name).read_text().splitlines() for name in ("base.txt", "head.txt"))
+    assert [line.split(" ", 1)[0] for line in base] == [line.split(" ", 1)[0] for line in head]
+    assert code == (0 if fingerprint.compare(base, head)[1] else 1)
+    with pytest.raises(SystemExit):
+        fingerprint.command(["--against", "HEAD", str(out)])  # OUT_DIR exists

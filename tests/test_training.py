@@ -170,6 +170,20 @@ class TestPieceLoss:
         with pytest.raises(ValueError):
             piece_loss(model, trace, other, ssm(chroma(other)))
 
+    def test_dense_template_rejected(self):
+        """The structural term reads the template's chroma factor, which an
+        SSM made from values (an `.ssm` file, `synth_ssm`) does not hold."""
+        cfg = ModelConfig(hidden_size=4, seed_len=2)
+        model = Model(cfg, rng=np.random.default_rng(7))
+        target = chord_roll(8, [60, 64])
+        template = ssm(chroma(target))
+        trace = forward_piece(model, target, template, 0.0, np.random.default_rng(0))
+        for with_grad in (True, False):
+            with pytest.raises(ValueError, match="^the template must be built from chroma$"):
+                piece_loss(model, trace, target, SelfSimilarityMatrix(template.values),
+                           with_grad=with_grad)
+        assert all(not grad.any() for grad in model.params.grads.values())
+
 
 def fd_check_piece_loss(model, target, template, stride_big: int, tol: float) -> None:
     """Central-difference check of the full combined loss gradient."""
@@ -385,6 +399,26 @@ def test_piece_loss_memory_stays_below_one_ssm_matrix(with_grad):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def test_a_training_pass_peaks_below_half_an_ssm_matrix():
+    """A pass builds the template, runs forward_piece and piece_loss with
+    gradients, and every step reads the template's chroma factor: no n x n
+    matrix is formed, and the peak stays below half of one."""
+    n = 3000
+    cfg = ModelConfig(hidden_size=8)
+    model = Model(cfg, rng=np.random.default_rng(43))
+    data = (np.random.default_rng(44).random((128, n)) < 0.03).astype(np.uint8)
+    target = PianoRoll(data=data, tempo=120.0)
+    tracemalloc.start()
+    try:
+        template = ssm(chroma(target))
+        trace = forward_piece(model, target, template, 0.8, np.random.default_rng(45))
+        piece_loss(model, trace, target, template, with_grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2, peak / (n * n * 8)
 
 
 class TestTrainEpoch:
