@@ -7,10 +7,11 @@ in log distance. Segments needing an edit larger than the configured
 fraction (default 4%) of their length are excluded. Batches are
 length-homogeneous and capped in size.
 
-A plan is one `piece_id,segment,source,target` line per kept segment (the
-id is everything before the last three commas), then one `batch:` line of
+A plan is an `edit:` line holding its edit bound, one
+`piece_id,segment,source,target` line per kept segment (the id is
+everything before the last three commas), then one `batch:` line of
 assignment indices per batch. `plan_from_text` reads back exactly what
-`plan_to_text` writes.
+`plan_to_text` writes, and refuses a target beyond the plan's edit bound.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class Assignment:
 class BatchPlan:
     assignments: list[Assignment]
     batches: list[list[int]] = field(default_factory=list)  # indices into assignments
+    max_edit_fraction: float = MAX_EDIT_FRACTION  # no target edits more of its source
 
 
 def segment_lengths(n: int, max_len: int) -> list[int]:
@@ -99,7 +101,11 @@ def assign(
     log_len = math.log(roll_length)
     # min keeps the first of equal distances: the smaller target
     target = min(grid, key=lambda length: abs(log_len - math.log(length)))
-    return None if abs(roll_length - target) / roll_length > max_edit_fraction else target
+    return None if _beyond_edit(roll_length, target, max_edit_fraction) else target
+
+
+def _beyond_edit(source: int, target: int, max_edit_fraction: float) -> bool:
+    return abs(source - target) / source > max_edit_fraction
 
 
 def make_batches(
@@ -124,7 +130,7 @@ def make_batches(
 
 def plan_to_text(plan: BatchPlan) -> str:
     """Raises ValueError for a piece id holding a line break, which no line can carry."""
-    lines = []
+    lines = [f"edit: {float(plan.max_edit_fraction)!r}"]
     for a in plan.assignments:
         line = f"{a.piece_id},{a.segment_index},{a.source_length},{a.target_length}"
         if line.splitlines() != [line]:
@@ -136,12 +142,19 @@ def plan_to_text(plan: BatchPlan) -> str:
 
 def plan_from_text(text: str) -> BatchPlan:
     """The plan `plan_to_text` wrote; any other line raises ValueError naming it.
-    A batch line lists assignments above it, each once per plan."""
+    The edit line comes first, or is left out for MAX_EDIT_FRACTION. A batch
+    line lists assignments above it, each once per plan."""
     plan = BatchPlan(assignments=[])
     batched: set[int] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
-            if line.startswith("batch:") and "," not in line:
+            if line.startswith("edit:") and "," not in line:
+                if lineno > 1:
+                    raise ValueError("an edit line must be the plan's first line")
+                plan.max_edit_fraction = float(line[len("edit:") :])
+                if not plan.max_edit_fraction >= 0:  # as in assign: NaN turns the bound off
+                    raise ValueError(f"max edit fraction must be >= 0, got {line[5:].strip()}")
+            elif line.startswith("batch:") and "," not in line:
                 batch = [int(tok) for tok in line[len("batch:") :].split()]
                 if not batch:
                     raise ValueError("empty batch")
@@ -153,19 +166,22 @@ def plan_from_text(text: str) -> BatchPlan:
                     batched.add(idx)
                 plan.batches.append(batch)
             elif line:
-                plan.assignments.append(_parse_assignment(line))
+                plan.assignments.append(_parse_assignment(line, plan.max_edit_fraction))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return plan
 
 
-def _parse_assignment(line: str) -> Assignment:
+def _parse_assignment(line: str, max_edit_fraction: float) -> Assignment:
     fields = line.rsplit(",", 3)
     if len(fields) != 4:
         raise ValueError(f"expected piece_id,segment,source,target, got {line!r}")
     piece_id, segment, source, target = fields[0], *map(int, fields[1:])
     if segment < 0 or not (1 <= source <= MAX_SAMPLES and 1 <= target <= MAX_SAMPLES):
         raise ValueError(f"segment {segment}, source {source} or target {target} out of range")
+    if _beyond_edit(source, target, max_edit_fraction):
+        raise ValueError(f"{piece_id!r} segment {segment}: target {target} edits more than "
+                         f"{max_edit_fraction!r} of source {source}")
     return Assignment(piece_id, segment, source, target)
 
 

@@ -138,21 +138,14 @@ def combine_backward(
     return params["combine.w_z"][0] * upstream
 
 
-def forward_step(
-    model: Model, w: np.ndarray | None, history: np.ndarray | None, before: np.ndarray | None,
-    h: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The logits of sample t from the LSTM output h of step t.
-
-    w, history and before are attention_step's; the ablated model reads none.
-    Returns (d, a). With attention enabled the logits combine the attention
-    vector a with h; otherwise the dense head maps h alone and a is None.
-    """
+def forward_step(model: Model, a: np.ndarray | None, h: np.ndarray) -> np.ndarray:
+    """The logits of sample t from the LSTM output h of step t: the combiner
+    of h and the attention vector a, or, for a = None (the ablated model),
+    the dense head of h alone."""
     p = model.params
-    if model.cfg.attention_enabled:
-        a = attention_step(w, history, before)
-        return combine_forward(p, model.cfg.combiner_mode, a, h), a
-    return p["head.W"] @ h + p["head.b"], None
+    if a is None:
+        return p["head.W"] @ h + p["head.b"]
+    return combine_forward(p, model.cfg.combiner_mode, a, h)
 
 
 def head_backward(
@@ -231,9 +224,10 @@ def unroll(
 
     n is the length of the template, the SSM whose rows steer attention.
     Step t feeds X[t - 1] to the LSTM; from t = seed_len on, forward_step
-    turns its output into logits d and, for t <= n - 2, X[t] = next_input(t, d).
-    At the first step t0 of each block of ATTENTION_BLOCK_ROWS steps, the
-    block's weights, template.weights, times X[:t0] is one product.
+    turns its output and attention_step's vector (None when ablated) into
+    logits d and, for t <= n - 2, X[t] = next_input(t, d). At the first step
+    t0 of each block of ATTENTION_BLOCK_ROWS steps, the block's weights,
+    template.weights, times X[:t0] is one product.
 
     with_grad says a backward pass will read the trace: the states, gates
     and attention vectors of every step are kept. Otherwise the state lives
@@ -260,7 +254,7 @@ def unroll(
     if not np.isfinite(W_x).all():  # a skipped column would hide it
         raise ValueError("parameter 'lstm.W_x' holds non-finite values")
     W_h, b = p["lstm.W_h"], p["lstm.b"]
-    w = history = before = None
+    a = None
     for t in range(1, n):
         now, prev = t % rows, (t - 1) % rows
         nn.lstm_cell_forward(W_x, W_h, b, X[t - 1], H[prev], C[prev],
@@ -273,11 +267,10 @@ def unroll(
             if offset == 0:
                 t0, block = t, template.weights(t, min(t + ATTENTION_BLOCK_ROWS, n))
                 past = block[:, :t0] @ X[:t0]
-            w, history, before = block[offset, t0:t], X[t0:t], past[offset]
-        d, a = forward_step(model, w, history, before, H[now])
-        D[row] = d
-        if A is not None:
-            A[row] = a
+            a = attention_step(block[offset, t0:t], X[t0:t], past[offset])
+            if A is not None:
+                A[row] = a
+        d = D[row] = forward_step(model, a, H[now])
         if t <= n - 2:
             X[t] = next_input(t, d)
     if not with_grad:

@@ -26,6 +26,7 @@ N_CHROMA = 12
 SSM_MAGIC = b"SINGSSM\x00"
 DEGENERATE_STD = 1e-12
 ATTENTION_BLOCK_ROWS = 64  # rows per sparsemax call: temporaries stay at 64 x n
+PITCH_CLASSES = np.arange(N_PITCHES) % N_CHROMA  # the pitch class of each of the 128 pitches
 
 
 class SelfSimilarityMatrix:
@@ -165,6 +166,36 @@ def _centred_factor(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return E, alpha, 2.0 * n * float(alpha @ alpha) + float(np.vdot(gram, gram))
 
 
+def _factor(S: SelfSimilarityMatrix, name: str) -> np.ndarray:
+    if S.unit is None:  # made from values: an `.ssm` file or `synth_ssm`
+        raise ValueError(f"the {name} must be built from chroma")
+    return S.unit
+
+
+def structural_loss(template: SelfSimilarityMatrix, seed: np.ndarray, probs: np.ndarray,
+                    with_grad: bool = False) -> tuple[float, np.ndarray | None]:
+    """mean((V.T V - S)^2), V the unit chroma columns of [seed | probs] (a sample per row),
+    S = U.T U from the template's factor U (Gram entries, before the clip and the diagonal),
+    and, with_grad, its gradient in probs (else None). With VS = (V U.T) U it is (|V V.T|^2
+    - 2 <V, VS> + |U U.T|^2) / n^2, with gradient 4 (V V.T V - VS) / n^2 in V: no n x n."""
+    U = _factor(template, "template")
+    seed_len, n = len(seed), len(seed) + len(probs)
+    V, norms = unit_columns(fold_pitch_classes(np.concatenate([seed.T, probs.T], axis=1)))
+    VS = (V @ U.T) @ U
+    VVt, UUt = V @ V.T, U @ U.T
+    squares = (float(np.vdot(VVt, VVt)) - 2.0 * float(np.vdot(V, VS))
+               + float(np.vdot(UUt, UUt)))
+    loss = max(squares, 0.0) / (n * n)  # a sum of squares; rounding stays above 0
+    if not with_grad:
+        return loss, None
+    vg = V[:, seed_len:]
+    dvg = (VVt @ vg - VS[:, seed_len:]) * (4.0 / (n * n))
+    nz_gen = norms[seed_len:] > 0.0
+    du = (dvg - vg * np.sum(vg * dvg, axis=0)) / np.where(nz_gen, norms[seed_len:], 1.0)
+    du[:, ~nz_gen] = 0.0
+    return loss, du[PITCH_CLASSES, :].T  # unfold pitch classes to 128
+
+
 def standardized_mse(template: SelfSimilarityMatrix, generated: SelfSimilarityMatrix) -> float:
     """MSE between the two SSMs, each shifted to zero mean and scaled to unit
     population std over its n^2 entries.
@@ -186,9 +217,7 @@ def standardized_mse(template: SelfSimilarityMatrix, generated: SelfSimilarityMa
     n = generated.n
     if n < 2:
         raise ValueError("standardized MSE needs n >= 2")
-    if generated.unit is None:
-        raise ValueError("the generated SSM must be built from chroma")
-    E, alpha, b_sq = _centred_factor(generated.unit)
+    E, alpha, b_sq = _centred_factor(_factor(generated, "generated SSM"))
     if template.unit is not None:
         E_a, alpha_a, a_sq = _centred_factor(template.unit)
         cross_EE = E_a @ E.T

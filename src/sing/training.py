@@ -1,10 +1,8 @@
 """Training loop: scheduled sampling, combined loss, Adam, model selection.
 
 The per-piece loss sums binary cross-entropy over the generated steps and
-adds the mean squared error between the template SSM and the SSM of the
-continuous per-step note probabilities (seed steps contribute their target
-chroma). Sampled fed-back inputs are constants: no gradient flows through
-the sampling step.
+adds the structural term, `structure.structural_loss`. Sampled fed-back
+inputs are constants: no gradient flows through the sampling step.
 """
 
 from __future__ import annotations
@@ -42,11 +40,9 @@ from sing.model import (
     sample_notes,
     unroll,
 )
-from sing.structure import N_CHROMA, SelfSimilarityMatrix, chroma, fold_pitch_classes, ssm, unit_columns
+from sing.structure import SelfSimilarityMatrix, chroma, ssm, structural_loss
 
 log = logging.getLogger(__name__)
-
-PITCH_CLASSES = np.arange(N_PITCHES) % N_CHROMA
 
 
 class TrainingError(RuntimeError):
@@ -122,47 +118,22 @@ def piece_loss(
     S: SelfSimilarityMatrix,
     with_grad: bool = True,
 ) -> PieceLoss:
-    """Combined loss; when with_grad, accumulates parameter gradients.
-
-    BCE is summed over generated steps against the target samples. The
-    structural term compares the template S = U.T U, U its 12 x n unit chroma
-    factor (Gram entries: before the clip and the forced diagonal), with the
-    SSM of the probability columns V (target chroma for seed steps): with
-    VS = (V U.T) U, mean((V.T V - S)^2) is (|V V.T|^2 - 2 <V, VS> + |U U.T|^2)
-    / n^2 and its gradient in V is 4 (V V.T V - VS) / n^2: no n x n matrix.
-    """
+    """BCE summed over the generated steps plus `structural_loss` of the
+    probabilities P; when with_grad, accumulates parameter gradients."""
     n, seed_len = trace.n, trace.seed_len
     if target.n_samples != n or S.n != n:
         raise ValueError("trace, target, and SSM lengths disagree")
-    if S.unit is None:
-        raise ValueError("the template must be built from chroma")
     if with_grad and trace.H is None:
         raise ValueError("trace holds no states to backprop through; "
                          "run the forward pass with with_grad=True")
     target_samples = target.data.T.astype(np.float64)
     P = nn.sigmoid(trace.D)
     bce_total, dD = nn.bce_with_logits(trace.D, target_samples[seed_len:], P)
-
-    # Structural term on chroma of [target seed | predicted probabilities].
-    cols = np.concatenate([target_samples[:seed_len].T, P.T], axis=1)
-    V, norms = unit_columns(fold_pitch_classes(cols))
-    VS = (V @ S.unit.T) @ S.unit
-    VVt, UUt = V @ V.T, S.unit @ S.unit.T
-    squares = (float(np.vdot(VVt, VVt)) - 2.0 * float(np.vdot(V, VS))
-               + float(np.vdot(UUt, UUt)))
-    structural = max(squares, 0.0) / (n * n)  # a sum of squares; rounding stays above 0
-    total = bce_total + structural
-
+    structural, dP = structural_loss(S, target_samples[:seed_len], P, with_grad)
     if with_grad:
-        # normalization backward, generated columns only (seed is constant)
-        vg = V[:, seed_len:]
-        dvg = (VVt @ vg - VS[:, seed_len:]) * (4.0 / (n * n))
-        nz_gen = norms[seed_len:] > 0.0
-        du = (dvg - vg * np.sum(vg * dvg, axis=0)) / np.where(nz_gen, norms[seed_len:], 1.0)
-        du[:, ~nz_gen] = 0.0
-        dD += du[PITCH_CLASSES, :].T * P * (1.0 - P)  # unfold pitch classes to 128
+        dD += dP * P * (1.0 - P)
         _backward_through_time(model, trace, dD)
-    return PieceLoss(total=total, bce=bce_total, structural=structural)
+    return PieceLoss(total=bce_total + structural, bce=bce_total, structural=structural)
 
 
 def _backward_through_time(model: Model, trace: PieceTrace, dD: np.ndarray) -> None:
@@ -333,7 +304,9 @@ def prepare_corpus(
                    for segment, target in zip(segments, targets) if target is not None]
     excluded = [f"{piece_id}[{seg_idx}]"
                 for (piece_id, seg_idx, _), target in zip(segments, targets) if target is None]
-    return make_batches(assignments, batch_cap, rng), grid, excluded
+    plan = make_batches(assignments, batch_cap, rng)
+    plan.max_edit_fraction = max_edit_fraction
+    return plan, grid, excluded
 
 
 def items_from_plan(plan: BatchPlan, rolls_by_id: dict[str, PianoRoll]) -> list[PianoRoll]:

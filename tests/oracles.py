@@ -42,7 +42,9 @@ from sing.midi_io import (
     MidiParseError,
 )
 from sing.structure import DEGENERATE_STD, N_CHROMA
-from sing.training import PITCH_CLASSES, PieceLoss, _backward_through_time
+from sing.training import PieceLoss, _backward_through_time
+
+PITCH_CLASSES = np.arange(128) % N_CHROMA  # the pitch class of each pitch row
 
 
 def project_simplex_bruteforce(q: np.ndarray) -> np.ndarray:

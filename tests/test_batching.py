@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sing.batching import (
+    MAX_EDIT_FRACTION,
     Assignment,
     BatchPlan,
     assign,
@@ -213,8 +214,62 @@ class TestPlanText:
         ]
         plan = make_batches(asg, 2, np.random.default_rng(3))
         text = plan_to_text(plan)
-        assert text.splitlines()[:3] == ["alpha,0,430,437", "alpha,1,440,437", "beta,0,255,255"]
+        assert text.splitlines()[:4] == ["edit: 0.04", "alpha,0,430,437", "alpha,1,440,437",
+                                         "beta,0,255,255"]
         assert plan_from_text(text) == plan
+
+    @pytest.mark.parametrize("bound", [0.0, 0.1, 1 / 3, 2.5, float("inf")])
+    def test_edit_line_round_trips(self, bound):
+        plan = BatchPlan([Assignment("a", 0, 30, 30)], [[0]], max_edit_fraction=bound)
+        text = plan_to_text(plan)
+        assert text.splitlines()[0] == f"edit: {bound!r}"
+        assert plan_from_text(text) == plan
+        assert plan_to_text(plan_from_text(text)) == text
+
+    def test_plan_without_an_edit_line_reads_with_the_default_bound(self):
+        assert plan_from_text("a,0,100,104\nbatch: 0\n").max_edit_fraction == MAX_EDIT_FRACTION
+        with pytest.raises(ValueError, match="line 1: 'a' segment 0: target 105 edits more than 0.04 of source 100"):
+            plan_from_text("a,0,100,105\nbatch: 0\n")
+
+    @pytest.mark.parametrize("source, target", [(24, 3000), (100, 90), (700, 437), (255, 1)])
+    def test_target_beyond_the_edit_bound_is_rejected_by_its_line(self, source, target):
+        text = f"edit: 0.05\na,0,10,10\nb,0,{source},{target}\nbatch: 0 1\n"
+        with pytest.raises(ValueError, match=f"line 3: 'b' segment 0: target {target} edits more than 0.05"):
+            plan_from_text(text)
+
+    def test_reader_bound_is_the_one_assign_keeps(self):
+        """Every target `assign` keeps under a bound reads back under it, and
+        every target it drops is refused."""
+        grid = grid_255_700()
+        for bound in (0.0, 0.01, 0.04, 0.2):
+            for length in range(103, 2000, 3):
+                nearest = assign(length, grid, float("inf"))
+                line = f"edit: {bound!r}\np,0,{length},{nearest}\n"
+                if assign(length, grid, bound) is None:
+                    with pytest.raises(ValueError, match="line 2: 'p' segment 0: target"):
+                        plan_from_text(line)
+                else:
+                    assert plan_from_text(line).assignments[0].target_length == nearest
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("a,0,10,10\nedit: 0.04\n", "line 2: an edit line must be the plan's first line"),
+            ("edit: 0.04\nedit: 0.04\n", "line 2: an edit line must be the plan's first line"),
+            ("\nedit: 0.04\n", "line 2: an edit line must be the plan's first line"),
+            ("edit: nan\n", "line 1: max edit fraction must be >= 0, got nan"),
+            ("edit: -0.01\n", "line 1: max edit fraction must be >= 0, got -0.01"),
+            ("edit: 4%\n", "line 1: could not convert"),
+            ("edit:\n", "line 1: could not convert"),
+        ],
+    )
+    def test_bad_edit_line_rejected(self, text, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            plan_from_text(text)
+
+    def test_an_id_that_starts_like_the_edit_line_is_an_id(self):
+        plan = plan_from_text("edit: 0.5\nedit: 1,0,10,10\nbatch: 0\n")
+        assert plan.assignments == [Assignment("edit: 1", 0, 10, 10)]
 
     def test_save_load(self, tmp_path):
         plan = make_batches([Assignment("x", 0, 10, 10)], 1,
@@ -320,9 +375,12 @@ class TestPlanText:
     def test_round_trip_property(self, rows, batch_cap, seed):
         plan = make_batches([Assignment(*row) for row in rows], batch_cap,
                             np.random.default_rng(seed))
+        # the largest edit of the rows: the reader keeps a target at its bound
+        plan.max_edit_fraction = max((abs(s - t) / s for _, _, s, t in rows), default=0.0)
         again = plan_from_text(plan_to_text(plan))
         assert again.assignments == plan.assignments
         assert again.batches == plan.batches
+        assert again.max_edit_fraction == plan.max_edit_fraction
 
 
 class TestCutSegment:

@@ -261,7 +261,7 @@ class TestOneSourcePerSetting:
 
     @pytest.mark.parametrize(
         "line",
-        ["piece0,0,30,20", "piece0,0,10,10"],
+        ["piece0,0,30,20", "piece0,0,30,30", "piece0,0,10,10"],
     )
     def test_plan_segment_that_does_not_fit_fails_before_writing(self, tmp_path, capsys, line):
         write_corpus_prolls(tmp_path / "corpus", n_pieces=1, n=24)

@@ -207,3 +207,20 @@ def test_mutated_artifact_ends_in_success_or_one_error_line(kind, base):
             assert not any(line.startswith("error:") for line in lines), (argv, err)
 
     check()
+
+
+def test_plan_target_beyond_its_edit_bound_ends_in_one_error_line(base, tmp_path):
+    """A 24-sample segment planned to 3,000 samples, 99% padding, is refused
+    when the plan is read, by the line that asks for it, before any training."""
+    run = tmp_path / "run"
+    shutil.copytree(base, run)
+    plan = run / SOURCE["plan"]
+    text = plan.read_text()
+    assert text.splitlines()[:4] == ["edit: 0.04", "piece0,0,24,24", "piece1,0,24,24",
+                                     "piece2,0,24,24"]
+    plan.write_text(text.replace("piece2,0,24,24", "piece2,0,24,3000"))
+    code, err = run_cli(command_lines(run)["plan"][0])
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: {plan}: line 4: 'piece2' segment 0: target 3000 edits more than 0.04 of source 24"]
+    assert not (run / "out").exists()

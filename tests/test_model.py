@@ -183,8 +183,9 @@ class TestForwardStep:
             model.params.values[name][...] = 0.0
         rng = np.random.default_rng(9)
         h, _ = lstm_step(model, rng.random(128), zero_state(model))
-        d, _ = forward_step(model, weights_row(np.full((4, 4), 0.5), 2), random_history(rng, 2),
-                            NOTHING_BEFORE, h)
+        a = attention_step(weights_row(np.full((4, 4), 0.5), 2), random_history(rng, 2),
+                           NOTHING_BEFORE)
+        d = forward_step(model, a, h)
         assert np.array_equal(d, np.zeros(128))
         assert np.allclose(sigmoid(d), 0.5)
 
@@ -196,8 +197,8 @@ class TestForwardStep:
         history = random_history(rng, 2)
         w = weights_row(np.random.default_rng(12).random((5, 5)), 2)
         h, _ = lstm_step(model, prev, zero_state(model))
-        d1, _ = forward_step(model, w, history, NOTHING_BEFORE, h)
-        d2, _ = forward_step(model, w, history, NOTHING_BEFORE, h)
+        d1 = forward_step(model, attention_step(w, history, NOTHING_BEFORE), h)
+        d2 = forward_step(model, attention_step(w, history, NOTHING_BEFORE), h)
         assert np.array_equal(d1, d2)
 
 
@@ -263,8 +264,9 @@ class TestPerPitchMatchesAblatedBaseline:
             prev = history[t - 1]
             state_a = lstm_step(sing_model, prev, state_a)
             state_b = lstm_step(ablated, prev, state_b)
-            d_a, _ = forward_step(sing_model, W[t - 1, :t], history[:t], NOTHING_BEFORE, state_a[0])
-            d_b, _ = forward_step(ablated, None, None, None, state_b[0])
+            a = attention_step(W[t - 1, :t], history[:t], NOTHING_BEFORE)
+            d_a = forward_step(sing_model, a, state_a[0])
+            d_b = forward_step(ablated, None, state_b[0])
             assert np.allclose(d_a, d_b, atol=1e-12)
 
 
@@ -400,10 +402,9 @@ class TestCheckpointIo:
         prev = rng.random(128)
         history = random_history(rng, 2)
         w = weights_row(np.random.default_rng(27).random((5, 5)), 2)
-        d1, _ = forward_step(model, w, history, NOTHING_BEFORE,
-                             lstm_step(model, prev, zero_state(model))[0])
-        d2, _ = forward_step(again, w, history, NOTHING_BEFORE,
-                             lstm_step(again, prev, zero_state(again))[0])
+        a = attention_step(w, history, NOTHING_BEFORE)
+        d1 = forward_step(model, a, lstm_step(model, prev, zero_state(model))[0])
+        d2 = forward_step(again, a, lstm_step(again, prev, zero_state(again))[0])
         assert np.array_equal(d1, d2)
 
     def test_load_fills_every_tensor_moment_and_the_step(self, tmp_path):

@@ -1,8 +1,11 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sing
 from oracles import (
     RTOL,
     close,
@@ -25,6 +28,7 @@ from sing.structure import (
     ssm_from_bytes,
     ssm_to_bytes,
     standardized_mse,
+    structural_loss,
     synth_ssm,
     unit_columns,
 )
@@ -354,6 +358,32 @@ class TestStandardizedMse:
             tracemalloc.stop()
         assert a._values is None and b._values is None
         assert peak < 0.05 * n * n * 8, peak
+
+
+class TestStructuralLoss:
+    def test_the_templates_own_roll_scores_zero(self):
+        """Probabilities equal to the template's own samples give V = U: the
+        loss and its gradient vanish up to rounding."""
+        roll = random_roll(90, np.random.default_rng(40))
+        samples = roll.data.T.astype(np.float64)
+        for with_grad in (False, True):
+            loss, grad = structural_loss(ssm(chroma(roll)), samples[:7], samples[7:], with_grad)
+            assert loss == pytest.approx(0.0, abs=1e-14)
+            if with_grad:
+                assert grad.shape == (83, 128) and np.abs(grad).max() < 1e-14
+            else:
+                assert grad is None
+
+
+def test_only_structure_reads_how_an_ssm_is_stored():
+    """An SSM's factor `.unit` and dense `._values` are read in structure.py
+    alone; every other module goes through its functions."""
+    readers: dict[str, list[int]] = {}
+    for path in sorted(Path(sing.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("unit", "_values"):
+                readers.setdefault(path.name, []).append(node.lineno)
+    assert set(readers) == {"structure.py"}, readers
 
 
 class TestSynthSsm:

@@ -681,7 +681,8 @@ class TestPrepareCorpus:
     @pytest.mark.parametrize(
         "line",
         [
-            "p0,0,30,20",  # a 30-sample segment of a 24-sample roll
+            "p0,0,30,20",  # past the plan's edit bound too: the reader names it
+            "p0,0,30,30",  # a 30-sample segment of a 24-sample roll
             "p0,0,10,10",  # 24 samples do not split into equal segments of 10
             "p0,2,12,12",  # the third 12-sample segment starts past the end
         ],
